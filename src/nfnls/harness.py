@@ -24,7 +24,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,6 +124,10 @@ def gaussian_field(grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
 # ---------------------------------------------------------------------------
 # config and report containers
 
+# value types a config key accepts, by the annotation of its field (bools,
+# though ints in Python, are rejected everywhere)
+_ACCEPTED = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+
 
 @dataclass
 class ExperimentConfig:
@@ -136,16 +140,12 @@ class ExperimentConfig:
     q: float = 2.0
     s: float = 0.0
     R: float = 1.0
-    N: float | None = None
-    T: float | None = None
     K: int = 16
     sign: int = +1
-    window: int | None = None
     eps: float = 0.2
     amplitude: float = 0.01
     width: float = 1.0
     trees_J: int = 4
-    picard_tol: float = 1e-12
 
     @staticmethod
     def from_mapping(kind: str, kv: dict) -> "ExperimentConfig":
@@ -156,27 +156,27 @@ class ExperimentConfig:
             "solver.q": "q",
             "solver.s": "s",
             "solver.R": "R",
-            "solver.N": "N",
-            "solver.T": "T",
             "solver.K": "K",
             "solver.sign": "sign",
-            "solver.window": "window",
             "solver.eps": "eps",
-            "solver.picard_tol": "picard_tol",
             "trees.J": "trees_J",
         }
+        types = {f.name: f.type for f in fields(ExperimentConfig)}
         cfg = ExperimentConfig(kind=kind)
         for key, val in kv.items():
             name = alias.get(key, key)
-            if not hasattr(cfg, name):
+            if name not in types:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            if isinstance(val, bool) or not isinstance(val, _ACCEPTED[types[name]]):
+                raise ConfigurationError(f"config key {key!r} needs {types[name]}, got {val!r}")
             setattr(cfg, name, val)
         if cfg.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
         return cfg
 
     def echo(self) -> dict:
-        return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
+        """The fields that determine the report; the output directory does not."""
+        return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__) if k != "out"}
 
 
 @dataclass
@@ -460,7 +460,7 @@ def _suite_converge(cfg, rep, rng):
 def _suite_solve(cfg, rep, rng):
     params = choose_parameters(cfg.R, cfg.q, J=cfg.J, K=cfg.K, sign=cfg.sign)
     grid = make_grid(cfg.grid_B, cfg.grid_n_max)
-    u0 = gaussian_field(grid, amplitude=cfg.amplitude)
+    u0 = gaussian_field(grid, amplitude=cfg.amplitude, width=cfg.width)
     traj, info = solve(u0, params)
     rep.constants["picard_iterations"] = info["iterations"]
     rep.constants["contraction_ratios"] = info["ratios"]

@@ -70,19 +70,6 @@ class BandTuple:
     bands: tuple[BandCoefficients, ...]
     conjugated: tuple[bool, ...]
 
-    @staticmethod
-    def for_tree(
-        tree: OrderedTree,
-        assign: IndexAssignment,
-        band_of_box,
-        signs: SignTable | None = None,
-    ) -> "BandTuple":
-        signs = signs or compute_signs(tree)
-        leaves = tree.terminal_ids()
-        bands = tuple(band_of_box(assign.freq[b]) for b in leaves)
-        flags = tuple(signs.fsgn[b] == -1 for b in leaves)
-        return BandTuple(bands=bands, conjugated=flags)
-
 
 @dataclass(frozen=True)
 class SymbolEvaluation:

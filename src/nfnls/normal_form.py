@@ -32,11 +32,14 @@ parts carries i/2 relative to the plain gap kernels; the level-j weights are
 which the solver-versus-reference tests pin down.
 
 Index sums are window-bounded (windows adapt to the state's active support in
-the solver) and deterministic; enumerations are cached across Picard
-iterations.  Heavy paths are batched in numpy; generation >= 2 operators fall
-back to the kernel-exact tree path with hard emptiness prechecks (at
-compliant thresholds the constraint chains are empty on desk-scale windows,
-which is precisely the regime the parameter selection creates).
+the solver) and deterministic.  The triple tables over all output boxes come
+from one ``resonance.expand_triples`` call masked by the set predicate, and
+are cached across Picard iterations; the tree path enumerates index functions
+with the same engine.  Heavy paths are batched in numpy; generation >= 2
+operators fall back to the kernel-exact tree path with hard emptiness
+prechecks (at compliant thresholds the constraint chains are empty on
+desk-scale windows, which is precisely the regime the parameter selection
+creates).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .errors import (
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
 from .modulation import BandCoefficients
 from .multilinear import BandTuple, q_tree
-from .resonance import QUARTIC, enumerate_triples, phase_value
+from .resonance import QUARTIC, _mode_mask, expand_triples, phase_value
 from .trees import compute_signs, enumerate_trees, enumerate_index_functions
 
 __all__ = [
@@ -68,8 +71,6 @@ __all__ = [
     "boxed_cubic",
     "resonant_r1",
     "resonant_r2",
-    "nonres_n11",
-    "nonres_n12",
     "apply_resonant",
     "apply_n11",
     "apply_n12",
@@ -192,21 +193,11 @@ class Trajectory:
 # bin geometry and batched trilinear kernels
 
 
-@lru_cache(maxsize=8)
-def _xi_matrix_key(B: int, n_max: int):
-    bins = np.arange(-n_max * B, n_max * B).reshape(2 * n_max, B)
-    return bins / B
-
-
-def _xi_matrix(grid: Grid) -> np.ndarray:
-    return _xi_matrix_key(grid.bins_per_box, grid.n_max)
-
-
 def _rows(grid: Grid, boxes: np.ndarray) -> np.ndarray:
     return boxes + grid.n_max
 
 
-def _q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3, xi_cache=None):
+def _q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3):
     """Batched q1: per-row v-picture bands -> per-row output band at box n."""
     B = grid.bins_per_box
     xi1 = (n1[:, None] * B + np.arange(B)) / B
@@ -269,29 +260,22 @@ def _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
 
 @lru_cache(maxsize=256)
 def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
-    """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes."""
+    """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes.
+
+    Lexicographic in (n, n1, n2, n3).  The R2 weight is two on the doubly
+    matched overlap (n1 ~ n and n3 ~ n), one elsewhere and in every other mode.
+    """
     N = None if N_key is None else float(N_key)
     out_lim = min(3 * window + 1, n_max - 1)
-    rows = []
-    for n in range(-out_lim, out_lim + 1):
-        trips = enumerate_triples(n, window, N, mode, convention)
-        if mode == "resonant_R2":
-            for tr in trips:
-                w = 2.0 if (abs(tr.n1 - n) <= 1 and abs(tr.n3 - n) <= 1) else 1.0
-                rows.append((n, tr.n1, tr.n2, tr.n3, w))
-        else:
-            rows.extend((n, tr.n1, tr.n2, tr.n3, 1.0) for tr in trips)
-    if not rows:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty, np.zeros(0)
-    arr = np.array(rows)
-    return (
-        arr[:, 0].astype(np.int64),
-        arr[:, 1].astype(np.int64),
-        arr[:, 2].astype(np.int64),
-        arr[:, 3].astype(np.int64),
-        arr[:, 4].astype(float),
-    )
+    boxes = np.arange(-out_lim, out_lim + 1, dtype=np.int64)
+    rows, n1, n2, n3 = expand_triples(boxes, window)
+    n = boxes[rows]
+    keep = _mode_mask(n, n1, n2, n3, mode, N, convention)
+    n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
+    weight = np.ones(len(n))
+    if mode == "resonant_R2":
+        weight += (np.abs(n1 - n) <= 1) & (np.abs(n3 - n) <= 1)
+    return n, n1, n2, n3, weight
 
 
 def _max_abs_phase(window: int) -> float:
@@ -406,14 +390,6 @@ def apply_n1_full(state: BoxedState, t: float | None = None, window: int | None 
     return BoxedState(state.grid, _sum_q1_over(state, t, table), t)
 
 
-def nonres_n11(state: BoxedState, n: int, t: float, N: float, window: int | None = None) -> BandCoefficients:
-    return apply_n11(state.at_time(t), N, t, window).band(n)
-
-
-def nonres_n12(state: BoxedState, n: int, t: float, N: float, window: int | None = None) -> BandCoefficients:
-    return apply_n12(state.at_time(t), N, t, window).band(n)
-
-
 def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
     t = state.time if t is None else t
@@ -522,17 +498,6 @@ class _InnerBuckets:
                 [np.zeros((1, B), complex), np.cumsum(b_s[sel], axis=0)]
             )
             self.tables[int(box)] = (kk, prefix)
-
-    def interval(self, box: int, lo: float, hi: float) -> np.ndarray:
-        """Sum of bands at ``box`` with phase key in [lo, hi]."""
-        tab = self.tables.get(int(box))
-        B = self.grid.bins_per_box
-        if tab is None:
-            return np.zeros(B, dtype=complex)
-        kk, prefix = tab
-        i = np.searchsorted(kk, lo, side="left")
-        j = np.searchsorted(kk, hi, side="right")
-        return prefix[j] - prefix[i]
 
     def total(self, box: int) -> np.ndarray:
         tab = self.tables.get(int(box))
@@ -657,16 +622,11 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
         return out
     insert_state = None
     buckets = None
-    allowed = set(active)
     if mode == "nr":
         insert_state = apply_resonant(state, t, w)
-        allowed |= {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
-    elif mode in ("n1", "rem"):
-        buckets = _InnerBuckets(state, t, w)
-        allowed |= set(buckets.tables.keys())
-    if mode == "nr":
         insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
     elif mode in ("n1", "rem"):
+        buckets = _InnerBuckets(state, t, w)
         insert_boxes = set(buckets.tables.keys())
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
@@ -806,7 +766,6 @@ class SolverParams:
     picard_max_iter: int = 25
     sign: int = +1
     window: int | None = None
-    eps: float = 0.2
     empirical_c: float = DEFAULT_EMPIRICAL_C
     support_trim: float = 0.0  # relative band floor zeroed between iterates
 

@@ -12,7 +12,8 @@ conventions are implemented; ``phase_value`` dispatches on a convention tag
 and the quartic form is the default used for set membership.  The continuous
 kernels elsewhere always use the (exact there) product form.
 
-Set modes for :func:`enumerate_triples`:
+Set modes for :func:`enumerate_triples` (one predicate, ``_mode_mask``, also
+used for the operator tables in ``normal_form``):
 
 * ``resonant_R1`` — doubly matched: n1 ~ n and n3 ~ n.
 * ``resonant_R2`` — singly-or-doubly matched union: n1 ~ n or n3 ~ n
@@ -21,15 +22,21 @@ Set modes for :func:`enumerate_triples`:
 * ``A_N`` — non-resonant with |Phi| <= N.
 * ``A_N_complement`` — non-resonant with |Phi| > N.
 
-Enumeration is window-bounded and lexicographic (deterministic, order-stable);
-truncation to the window is the sole deviation from infinite sums.  All
-functions here are pure.
+All enumeration goes through one array engine, :func:`expand_triples`: given
+an array of parent boxes and an optional box set per child it returns, as
+integer columns, every child triple on the slack shell inside the window, in
+lexicographic order.  Callers apply their set definitions as masks on those
+columns: the modes above (``enumerate_triples`` and the operator tables) and
+the index-function constraints (``trees.enumerate_index_functions``, one call
+per tree generation over the whole frontier).  Enumeration is window-bounded
+and deterministic; truncation to the window is the sole deviation from
+infinite sums.  All functions here are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +49,10 @@ __all__ = [
     "PRODUCT",
     "phase_phi",
     "phase_value",
-    "is_near",
     "divisor_count",
     "divisor_sieve",
+    "expand_triples",
     "enumerate_triples",
-    "triple_arrays",
     "c_set_member",
     "c_chain_ok",
     "divisor_choice_count",
@@ -54,6 +60,11 @@ __all__ = [
 
 QUARTIC = "quartic"
 PRODUCT = "product"
+_MODES = ("resonant_R1", "resonant_R2", "A_N", "A_N_complement")
+
+# candidate cells (parent x c1 x c2 x slack) per expansion block: bounds the
+# engine's scratch arrays at a few tens of MB whatever the window
+_EXPANSION_BLOCK = 1 << 20
 
 
 class FrequencyTriple(NamedTuple):
@@ -93,11 +104,6 @@ def phase_value(n, n1, n2, n3, convention: str = QUARTIC):
     raise DomainError(f"unknown phase convention {convention!r}")
 
 
-def is_near(a, b):
-    """The near-match relation: a ~ b iff a in {b-1, b, b+1}."""
-    return np.abs(np.asarray(a) - np.asarray(b)) <= 1
-
-
 def divisor_count(m: int) -> int:
     """Exact number of divisors d(m) by trial division, m >= 1."""
     if m < 1:
@@ -128,11 +134,62 @@ def divisor_sieve(limit: int) -> np.ndarray:
     return d
 
 
-def _candidate_pairs(window: int):
-    rng = range(-window, window + 1)
-    for n1 in rng:
-        for n3 in rng:
-            yield n1, n3
+def _in_window(allowed, window: int) -> np.ndarray:
+    """Membership table over [-window, window] of a box set (None: every box)."""
+    if allowed is None:
+        return np.ones(2 * window + 1, dtype=bool)
+    boxes = np.fromiter(allowed, dtype=np.int64)
+    table = np.zeros(2 * window + 1, dtype=bool)
+    table[boxes[np.abs(boxes) <= window] + window] = True
+    return table
+
+
+def expand_triples(parents, window: int, child_sets=(None, None, None)):
+    """Every child triple of every parent box, as integer columns.
+
+    Returns ``(row, c1, c2, c3)``: ``row`` indexes ``parents`` and
+    c1 - c2 + c3 = parents[row] + slack with slack in {-1, 0, 1}, every child
+    inside [-window, window] and, where ``child_sets[i]`` is not None, in that
+    box set.  Rows come in lexicographic order of (row, c1, c2, c3).  The
+    candidates are expanded over (c1, c2, slack) in blocks of parents, so the
+    scratch memory stays bounded for any number of parents.
+    """
+    if window < 1:
+        raise BoxRangeError(f"window must be >= 1, got {window}")
+    parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+    full = np.arange(-window, window + 1, dtype=np.int64)
+    ok1, ok2, ok3 = (_in_window(s, window) for s in child_sets)
+    s1, s2 = full[ok1], full[ok2]
+    # c3 = c2 - c1 + parent - slack: slack 1, 0, -1 in this order puts c3 in
+    # ascending order, so np.nonzero below yields rows lexicographically
+    lift = (s2[:, None] + np.array([-1, 0, 1]))[None] - s1[:, None, None]
+    step = max(1, _EXPANSION_BLOCK // max(1, lift.size))
+    cols = []
+    for lo in range(0, len(parents), step):
+        c3 = lift[None] + parents[lo : lo + step, None, None, None]
+        hit = (np.abs(c3) <= window) & ok3[np.clip(c3 + window, 0, 2 * window)]
+        r, i1, i2, _ = np.nonzero(hit)
+        cols.append((r + lo, s1[i1], s2[i2], c3[hit]))
+    if not cols:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    return tuple(np.concatenate(c) for c in zip(*cols))
+
+
+def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None, convention: str):
+    """Membership of the triple columns in the frequency set ``mode``."""
+    if mode not in _MODES:
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode in ("A_N", "A_N_complement") and thr is None:
+        raise DomainError(f"mode {mode} needs a threshold")
+    near1 = np.abs(n1 - n) <= 1
+    near3 = np.abs(n3 - n) <= 1
+    if mode == "resonant_R1":
+        return near1 & near3
+    if mode == "resonant_R2":
+        return near1 | near3
+    inside = np.abs(phase_value(n, n1, n2, n3, convention)) <= thr
+    return ~near1 & ~near3 & (inside == (mode == "A_N"))
 
 
 def enumerate_triples(
@@ -147,44 +204,15 @@ def enumerate_triples(
     Exhaustive within the window, duplicate-free, lexicographic in
     (n1, n2, n3).
     """
-    if window < 1:
-        raise BoxRangeError(f"window must be >= 1, got {window}")
     thr = None
     if N is not None:
         thr = N.N if isinstance(N, ResonanceThreshold) else float(N)
-    if mode in ("A_N", "A_N_complement") and thr is None:
-        raise DomainError(f"mode {mode} needs a threshold")
-
-    out = []
-    for n1, n3 in _candidate_pairs(window):
-        near1 = abs(n1 - n) <= 1
-        near3 = abs(n3 - n) <= 1
-        for n2 in (n1 + n3 - n - 1, n1 + n3 - n, n1 + n3 - n + 1):
-            if not (-window <= n2 <= window):
-                continue
-            if mode == "resonant_R1":
-                if near1 and near3:
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-            elif mode == "resonant_R2":
-                if near1 or near3:
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-            elif mode in ("A_N", "A_N_complement"):
-                if near1 or near3:
-                    continue
-                phi = phase_value(n, n1, n2, n3, convention)
-                inside = abs(phi) <= thr
-                if inside == (mode == "A_N"):
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-            else:
-                raise DomainError(f"unknown mode {mode!r}")
-    out.sort()
-    return out
-
-
-def triple_arrays(triples: Iterable[FrequencyTriple]):
-    """Column arrays (n, n1, n2, n3) for vectorized work."""
-    arr = np.array([tuple(t) for t in triples], dtype=np.int64).reshape(-1, 4)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    _, n1, n2, n3 = expand_triples([n], window)
+    keep = _mode_mask(n, n1, n2, n3, mode, thr, convention)
+    return [
+        FrequencyTriple(n, *row)
+        for row in np.stack([n1[keep], n2[keep], n3[keep]], axis=1).tolist()
+    ]
 
 
 def c_set_member(J: int, mu_tilde_J: float, mu_tilde_J1: float, mu_1: float) -> bool:
@@ -192,14 +220,15 @@ def c_set_member(J: int, mu_tilde_J: float, mu_tilde_J1: float, mu_1: float) -> 
 
     C_J = {|mu~_{J+1}| <= (2J+3)^3 |mu~_J|^{1-1/100}}
         union {|mu~_{J+1}| <= (2J+3)^3 |mu_1|^{1-1/100}},
-    with exponent exactly 1 - 1/100; J = 1 gives the constant 5^3.
+    with exponent exactly 1 - 1/100; J = 1 gives the constant 5^3.  Works
+    elementwise on arrays of phases.
     """
     if J < 1:
         raise DomainError(f"generation index must be >= 1, got {J}")
     k = float(2 * J + 3) ** 3
     e = 1.0 - 1.0 / 100.0
     lhs = abs(mu_tilde_J1)
-    return lhs <= k * abs(mu_tilde_J) ** e or lhs <= k * abs(mu_1) ** e
+    return (lhs <= k * abs(mu_tilde_J) ** e) | (lhs <= k * abs(mu_1) ** e)
 
 
 def c_chain_ok(mu_tilde: "np.ndarray | list[float]") -> bool:

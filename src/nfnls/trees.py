@@ -24,6 +24,11 @@ per-generation phases are signed by fsgn of the expanded node (the
 conjugation flips the phase of everything inserted under a conjugated slot);
 prefix sums mu~_j and the running products mu^_j are recorded in chronicle
 order, in both the default (quartic) and the product phase conventions.
+
+Exhaustive enumeration runs generation by generation over an integer frontier
+(one row per partial assignment, one column per node) expanded by
+``resonance.expand_triples``; the constraints above are masks on its columns.
+``IndexAssignment`` objects are built once, for the final frontier.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoxRangeError, DomainError, PreconditionError, ResourceGuardError
-from .resonance import PRODUCT, QUARTIC, c_set_member, phase_value
+from .resonance import PRODUCT, QUARTIC, c_set_member, expand_triples, phase_value
 
 __all__ = [
     "TreeNode",
@@ -245,34 +250,6 @@ def assignment_from_freqs(
     )
 
 
-def _child_choices(fa: int, window: int, child_sets):
-    """Candidate (c1, c2, c3) triples under node frequency fa.
-
-    ``child_sets`` holds one optional box set per child; None means the full
-    window range.
-    """
-    lo, hi = -window, window
-
-    def rng(allowed):
-        if allowed is not None:
-            return [b for b in allowed if lo <= b <= hi]
-        return range(lo, hi + 1)
-
-    s2 = child_sets[1]
-    for c1 in rng(child_sets[0]):
-        if abs(c1 - fa) <= 1:
-            continue
-        for c3 in rng(child_sets[2]):
-            if abs(c3 - fa) <= 1:
-                continue
-            for c2 in (c1 + c3 - fa - 1, c1 + c3 - fa, c1 + c3 - fa + 1):
-                if not (lo <= c2 <= hi):
-                    continue
-                if s2 is not None and c2 not in s2:
-                    continue
-                yield c1, c2, c3
-
-
 def enumerate_index_functions(
     tree: OrderedTree,
     n_root: int,
@@ -281,7 +258,6 @@ def enumerate_index_functions(
     cJ_filter: str = "C_complement_chain",
     convention: str = QUARTIC,
     allowed_boxes=None,
-    restrict_all: bool = False,
     max_count: int = 2_000_000,
 ) -> list[IndexAssignment]:
     """Exhaustive index functions on ``tree`` with root box ``n_root``.
@@ -292,8 +268,10 @@ def enumerate_index_functions(
     |mu~_j| > (2j+1)^3 * max(|mu~_{j-1}|, |mu~_1|)^{0.99} for j = 2..J.
 
     ``allowed_boxes`` restricts node frequencies: a plain set applies to the
-    final terminal nodes (every node if ``restrict_all``), while a dict maps
-    node ids to per-node sets (missing or None entries mean the full window).
+    final terminal nodes, while a dict maps node ids to per-node sets (missing
+    or None entries mean the full window).  More than ``max_count`` partial
+    or complete assignments raise ``ResourceGuardError``.  Assignments come
+    in lexicographic order of their generation triples in chronicle order.
     """
     if cJ_filter not in ("C_complement_chain", "none"):
         raise DomainError(f"unknown filter {cJ_filter!r}")
@@ -302,65 +280,45 @@ def enumerate_index_functions(
     if abs(n_root) > 3 * window + 1:
         raise BoxRangeError(f"root box {n_root} unreachable from window {window}")
     signs = compute_signs(tree)
-    chron = tree.chronicle
-    expanded = set(chron)
-    nodes = tree.nodes
-
     if isinstance(allowed_boxes, dict):
-        node_set = dict(allowed_boxes).get
-    elif allowed_boxes is not None:
-        allowed = set(allowed_boxes)
-
-        def node_set(c):
-            if restrict_all or c not in expanded:
-                return allowed
-            return None
-
+        node_set = allowed_boxes.get
     else:
+        leaves = set(tree.terminal_ids())
 
         def node_set(c):
-            return None
+            return allowed_boxes if c in leaves else None
 
-    out: list[IndexAssignment] = []
-
-    freq = [0] * tree.size()
-    freq[0] = n_root
-
-    def recurse(j: int, mu: list[int], mu_p: list[int]):
-        if len(out) > max_count:
-            raise ResourceGuardError(
-                f"index enumeration exceeded {max_count} assignments"
-            )
-        if j == len(chron):
-            out.append(
-                IndexAssignment(
-                    tree=tree,
-                    freq=tuple(freq),
-                    phases=PhaseRecord.from_mu(mu, mu_p),
-                    n_root=n_root,
-                )
-            )
-            return
-        a = chron[j]
-        fa = freq[a]
-        kids = nodes[a].children
-        sign = signs.fsgn[a]
-        child_sets = [node_set(c) for c in kids]
-        for c1, c2, c3 in _child_choices(fa, window, child_sets):
-            m = sign * phase_value(fa, c1, c2, c3, convention)
-            if j == 0:
-                if abs(m) <= N:
-                    continue
-            elif cJ_filter == "C_complement_chain":
-                prev = sum(mu)
-                if c_set_member(j, prev, prev + m, mu[0]):
-                    continue
-            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
-            recurse(j + 1, mu + [m], mu_p + [sign * phase_value(fa, c1, c2, c3, PRODUCT)])
-        return
-
-    recurse(0, [], [])
-    return out
+    # the frontier: one row per partial assignment, signed phases per generation
+    freq = np.zeros((1, tree.size()), dtype=np.int64)
+    freq[0, 0] = n_root
+    mu = np.zeros((1, 0), dtype=np.int64)
+    mu_p = np.zeros((1, 0), dtype=np.int64)
+    for j, a in enumerate(tree.chronicle):
+        kids = list(tree.nodes[a].children)
+        rows, c1, c2, c3 = expand_triples(freq[:, a], window, [node_set(c) for c in kids])
+        fa = freq[rows, a]
+        m = signs.fsgn[a] * phase_value(fa, c1, c2, c3, convention)
+        keep = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
+        if j == 0:
+            keep &= np.abs(m) > N
+        elif cJ_filter == "C_complement_chain":
+            prev = mu[rows].sum(axis=1)
+            keep &= ~c_set_member(j, prev, prev + m, mu[rows, 0])
+        rows, c1, c2, c3, fa, m = (x[keep] for x in (rows, c1, c2, c3, fa, m))
+        if len(rows) > max_count:
+            raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
+        freq = freq[rows]
+        freq[:, kids] = np.stack([c1, c2, c3], axis=1)
+        mu = np.column_stack([mu[rows], m])
+        mu_p = np.column_stack(
+            [mu_p[rows], signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)]
+        )
+    return [
+        IndexAssignment(
+            tree=tree, freq=tuple(f), phases=PhaseRecord.from_mu(row, row_p), n_root=n_root
+        )
+        for f, row, row_p in zip(freq.tolist(), mu.tolist(), mu_p.tolist())
+    ]
 
 
 def _phase_slop_bound(fa: int, c1: int, c3: int) -> int:

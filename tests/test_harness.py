@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from nfnls import harness
 from nfnls.cli import main as cli_main, parse_config_text
+from nfnls.errors import ConfigurationError
 from nfnls.grids import Field, forward, free_propagate, make_grid
 from nfnls.harness import (
     ExperimentConfig,
@@ -136,3 +138,52 @@ def test_cli_round_trip(tmp_path):
 def test_config_parser_types():
     kv = parse_config_text('a = 1\nb = 2.5\nc = true\nd = "hello"\ne = none\n')
     assert kv == {"a": 1, "b": 2.5, "c": True, "d": "hello", "e": None}
+
+
+@pytest.mark.parametrize(
+    "key", ["solver.N", "solver.T", "solver.window", "solver.picard_tol", "N", "T", "window", "picard_tol"]
+)
+def test_config_rejects_keys_no_suite_reads(key):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_mapping("solve", {key: 1.0})
+
+
+@pytest.mark.parametrize(
+    "key,val",
+    [("grid.B", 16.5), ("grid.n_max", "32"), ("solver.K", True), ("seed", 1.0),
+     ("solver.q", "2"), ("amplitude", None), ("out", 3)],
+)
+def test_config_rejects_mistyped_values(key, val):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_mapping("solve", {key: val})
+
+
+def test_config_accepts_typed_values():
+    cfg = ExperimentConfig.from_mapping(
+        "solve", {"grid.B": 8, "solver.q": 2, "amplitude": 0.5, "out": "dir", "seed": 3}
+    )
+    assert (cfg.grid_B, cfg.q, cfg.amplitude, cfg.out, cfg.seed) == (8, 2, 0.5, "dir", 3)
+
+
+def test_solve_suite_uses_configured_width(monkeypatch):
+    seen = []
+
+    def spy(grid, amplitude=1.0, width=1.0):
+        seen.append(width)
+        raise RuntimeError("stop after the initial data")
+
+    monkeypatch.setattr(harness, "gaussian_field", spy)
+    rep = run_experiment(ExperimentConfig(kind="solve", grid_B=8, grid_n_max=16, width=2.5))
+    assert seen == [2.5]
+    assert rep.constants["suite_error"] == "RuntimeError: stop after the initial data"
+
+
+def test_report_independent_of_output_directory(tmp_path):
+    docs = []
+    for name in ("a", "b"):
+        run_experiment(ExperimentConfig(kind="trees", trees_J=2, out=str(tmp_path / name)))
+        doc = json.loads((tmp_path / name / "report.json").read_text())
+        doc.pop("timing")
+        docs.append(doc)
+    assert "out" not in docs[0]["config"]
+    assert docs[0] == docs[1]

@@ -32,8 +32,9 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
+    _triple_table,
 )
-from nfnls.resonance import c_set_member, enumerate_triples, phase_value
+from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
 
 G = make_grid(16, 32)
 
@@ -345,3 +346,34 @@ def test_gamma_constant_when_no_interactions():
     )
     # self-interaction of a single box is resonant-only and O(amp^3 * T)
     assert drift < 1e-9 * np.max(np.abs(v0.data)) + 5e-12
+
+
+def per_n_triple_table(n_max, window, N, mode, convention):
+    """The triple table built per output box from enumerate_triples (reference)."""
+    out_lim = min(3 * window + 1, n_max - 1)
+    rows = []
+    for n in range(-out_lim, out_lim + 1):
+        for tr in enumerate_triples(n, window, N, mode, convention):
+            doubly = abs(tr.n1 - n) <= 1 and abs(tr.n3 - n) <= 1
+            w = 2.0 if mode == "resonant_R2" and doubly else 1.0
+            rows.append((n, tr.n1, tr.n2, tr.n3, w))
+    if not rows:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty, np.zeros(0)
+    arr = np.array(rows)
+    return tuple(arr[:, i].astype(np.int64) for i in range(4)) + (arr[:, 4].astype(float),)
+
+
+@pytest.mark.parametrize("convention", [QUARTIC, PRODUCT])
+@pytest.mark.parametrize("mode", ["resonant_R1", "resonant_R2", "A_N", "A_N_complement"])
+def test_triple_table_identical_to_per_n_tables(mode, convention):
+    # n_max = 8 clips the output boxes at n_max - 1 < 3 * window + 1; n_max = 64
+    # does not; N = inf is the whole non-resonant set, N = 1000 empties A_N^c
+    cases = [(8, 4, 12.0), (64, 5, 12.0), (16, 3, math.inf), (16, 3, 1000.0), (4, 1, 2.0)]
+    for n_max, window, N in cases:
+        key = None if mode.startswith("resonant") else N
+        got = _triple_table(n_max, window, key, mode, convention)
+        want = per_n_triple_table(n_max, window, key, mode, convention)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfnls.errors import DomainError
 from nfnls.resonance import (
@@ -109,6 +111,19 @@ def test_enumeration_matches_brute_force():
             got = enumerate_triples(n, 6, N=10.0, mode=mode)
             want = brute_triples(n, 6, 10.0, mode)
             assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(-20, 20),
+    window=st.integers(1, 6),
+    N=st.floats(0.0, 200.0),
+    mode=st.sampled_from(["resonant_R1", "resonant_R2", "A_N", "A_N_complement"]),
+    convention=st.sampled_from([QUARTIC, PRODUCT]),
+)
+def test_enumeration_matches_brute_force_property(n, window, N, mode, convention):
+    got = enumerate_triples(n, window, N=N, mode=mode, convention=convention)
+    assert got == brute_triples(n, window, N, mode, convention)
 
 
 def test_r1_window1_finitely_many():

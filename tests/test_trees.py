@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nfnls.errors import ResourceGuardError
-from nfnls.resonance import enumerate_triples, phase_value
+from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
 from nfnls.trees import (
+    IndexAssignment,
+    PhaseRecord,
     assignment_from_freqs,
     build_tree,
     compute_signs,
@@ -224,3 +226,170 @@ def test_sampled_assignments_respect_floor():
             assert np.all(np.abs(mp) >= 2.0)
             for fa, c1, c2, c3 in a.generation_tuples():
                 assert abs(fa - c1) > 1 and abs(fa - c3) > 1
+
+
+# ---------------------------------------------------------------------------
+# the per-element recursion the array frontier replaced, kept as the reference
+
+
+def _reference_child_choices(fa, window, child_sets):
+    lo, hi = -window, window
+
+    def rng(allowed):
+        if allowed is not None:
+            return [b for b in allowed if lo <= b <= hi]
+        return range(lo, hi + 1)
+
+    s2 = child_sets[1]
+    for c1 in rng(child_sets[0]):
+        if abs(c1 - fa) <= 1:
+            continue
+        for c3 in rng(child_sets[2]):
+            if abs(c3 - fa) <= 1:
+                continue
+            for c2 in (c1 + c3 - fa - 1, c1 + c3 - fa, c1 + c3 - fa + 1):
+                if not (lo <= c2 <= hi):
+                    continue
+                if s2 is not None and c2 not in s2:
+                    continue
+                yield c1, c2, c3
+
+
+def reference_index_functions(
+    tree, n_root, window, N, cJ_filter="C_complement_chain", convention=QUARTIC,
+    allowed_boxes=None,
+):
+    """enumerate_index_functions as one recursion over scalar candidates."""
+    signs = compute_signs(tree)
+    chron = tree.chronicle
+    expanded = set(chron)
+    if isinstance(allowed_boxes, dict):
+        node_set = dict(allowed_boxes).get
+    elif allowed_boxes is not None:
+        allowed = set(allowed_boxes)
+
+        def node_set(c):
+            return None if c in expanded else allowed
+
+    else:
+
+        def node_set(c):
+            return None
+
+    out = []
+    freq = [0] * tree.size()
+    freq[0] = n_root
+
+    def recurse(j, mu, mu_p):
+        if j == len(chron):
+            out.append(
+                IndexAssignment(
+                    tree=tree, freq=tuple(freq),
+                    phases=PhaseRecord.from_mu(mu, mu_p), n_root=n_root,
+                )
+            )
+            return
+        a = chron[j]
+        fa = freq[a]
+        kids = tree.nodes[a].children
+        sign = signs.fsgn[a]
+        for c1, c2, c3 in _reference_child_choices(fa, window, [node_set(c) for c in kids]):
+            m = sign * phase_value(fa, c1, c2, c3, convention)
+            if j == 0:
+                if abs(m) <= N:
+                    continue
+            elif cJ_filter == "C_complement_chain":
+                prev = sum(mu)
+                if c_set_member(j, prev, prev + m, mu[0]):
+                    continue
+            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
+            recurse(j + 1, mu + [m], mu_p + [sign * phase_value(fa, c1, c2, c3, PRODUCT)])
+
+    recurse(0, [], [])
+    return out
+
+
+def _same_assignments(got, want):
+    got = sorted(got, key=lambda a: a.freq)
+    want = sorted(want, key=lambda a: a.freq)
+    assert [a.freq for a in got] == [a.freq for a in want]
+    assert [a.phases for a in got] == [a.phases for a in want]
+    assert all(a.n_root == b.n_root and a.tree is b.tree for a, b in zip(got, want))
+
+
+# (J, window, N, roots): windows 2-3 keep the reference recursion fast at J = 3
+FRONTIER_CASES = [
+    (1, 3, 2.0, (-4, 0, 1, 5)),
+    (1, 5, 9.0, (-3, 0, 2)),
+    (2, 3, 2.0, (-2, 0, 3)),
+    (2, 4, 12.0, (0, 1)),
+    (3, 2, 0.5, (-1, 0, 2)),
+    (3, 3, 14.0, (1,)),
+]
+
+
+@pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
+@pytest.mark.parametrize("J,window,N,roots", FRONTIER_CASES)
+def test_frontier_matches_reference_recursion(J, window, N, roots, cJ_filter):
+    nonempty = 0
+    for tree in enumerate_trees(J):
+        for n_root in roots:
+            for convention in (QUARTIC, PRODUCT):
+                args = (tree, n_root, window, N, cJ_filter, convention)
+                got = enumerate_index_functions(*args)
+                _same_assignments(got, reference_index_functions(*args))
+                nonempty += bool(got)
+    # the chain barrier (2j+1)^3 |mu|^0.99 is out of reach in windows this
+    # small, so the chain filter is exercised nonempty by the sparse cases below
+    assert nonempty or (cJ_filter != "none" and J > 1)
+
+
+@pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
+def test_frontier_matches_reference_with_allowed_boxes(cJ_filter):
+    # a sparse support, as a plain leaf set and per node
+    leaf_set = [-2, 0, 3]
+    inner = {-3, -1, 1, 4}
+    window, N = 5, 1.0
+    nonempty = 0
+    for J in (1, 2, 3):
+        for tree in enumerate_trees(J):
+            per_node = {a: inner for a in tree.chronicle[1:]}
+            per_node.update({b: leaf_set for b in tree.terminal_ids()})
+            per_node[tree.terminal_ids()[0]] = None  # None: the full window
+            for allowed in (leaf_set, per_node):
+                for n_root in (0, 2):
+                    kw = dict(cJ_filter=cJ_filter, allowed_boxes=allowed)
+                    got = enumerate_index_functions(tree, n_root, window, N, **kw)
+                    want = reference_index_functions(tree, n_root, window, N, **kw)
+                    _same_assignments(got, want)
+                    nonempty += bool(got)
+    assert nonempty
+
+
+@pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
+def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter):
+    # J = 2: the engineered support of the chain-filter test, as a leaf set
+    t = build_tree([0, 1])
+    kw = dict(window=46, N=2.0, cJ_filter=cJ_filter, allowed_boxes=[-2, -1, 2, 22, 24, 44])
+    got = enumerate_index_functions(t, 0, **kw)
+    assert got
+    _same_assignments(got, reference_index_functions(t, 0, **kw))
+    # J = 3 chain tree, per-node sets: mu1 = -7, mu2 = 880 clears 5^3 * 7^0.99,
+    # and the third tuple (24; -350, 24, 398) has phase -279752, which clears
+    # 7^3 * 873^0.99
+    t = build_tree([0, 1, 4])
+    base = {1: 2, 2: -1, 3: -2, 4: 24, 5: 44, 6: 22, 7: -350, 8: 24, 9: 398}
+    sets = {k: {v - 1, v, v + 1, v + 5} for k, v in base.items()}
+    kw = dict(window=400, N=2.0, cJ_filter=cJ_filter, allowed_boxes=sets)
+    got = enumerate_index_functions(t, 0, **kw)
+    assert got
+    _same_assignments(got, reference_index_functions(t, 0, **kw))
+
+
+def test_index_enumeration_guard():
+    t = build_tree([0, 1])
+    full = enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none")
+    assert len(full) > 100
+    assert len(enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full))) == len(full)
+    with pytest.raises(ResourceGuardError):
+        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full) - 1)
