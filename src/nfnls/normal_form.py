@@ -35,11 +35,13 @@ Index sums are window-bounded (windows adapt to the state's active support in
 the solver) and deterministic.  The triple tables over all output boxes come
 from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
-with the same engine.  Heavy paths are batched in numpy; generation >= 2
-operators fall back to the kernel-exact tree path with hard emptiness
-prechecks (at compliant thresholds the constraint chains are empty on
-desk-scale windows, which is precisely the regime the parameter selection
-creates).
+with the same engine.  Heavy paths are batched in numpy.  At generation one
+the high-phase table is the only emptiness test: the insert states
+(resonant sum, inner phase buckets) are built only when some high-phase row
+has live bands in its other two slots, so at compliant thresholds, where
+that set is empty on the active window, the insert operators cost one table
+lookup.  Generation >= 2 operators use the kernel-exact tree path, skipped
+only when the complement chain cannot hold inside the window.
 """
 
 from __future__ import annotations
@@ -279,8 +281,13 @@ def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
 
 
 def _max_abs_phase(window: int) -> float:
-    """Crude upper bound for |Phi| on integer tuples inside the window."""
-    return 2.0 * (2 * window) ** 2 + 2.0 * (2 * window + 1) + 1.0
+    """Exact maximum of |Phi| over the slack shell of the window.
+
+    The children lie in [-window, window] and the root in |n| <= 3*window + 1
+    (the output boxes of ``_triple_table``); the maximum, (2w+1)(4w+1), is
+    attained at n = 3w+1 with (n1, n2, n3) = (w, -w, w).
+    """
+    return float((2 * window + 1) * (4 * window + 1))
 
 
 def _window_of(state: BoxedState, window: int | None) -> int:
@@ -307,10 +314,9 @@ def _alive_mask(state: BoxedState, *box_arrays):
     return keep
 
 
-def _sum_q1_over(state: BoxedState, t: float, table) -> np.ndarray:
+def _sum_q1_over(state: BoxedState, t: float, table, kernel=_q1_rows) -> np.ndarray:
+    """Sum of the row kernel over the table rows whose three bands are live."""
     n, n1, n2, n3, w = table
-    if len(n) == 0:
-        return np.zeros_like(state.data)
     keep = _alive_mask(state, n1, n2, n3)
     n, n1, n2, n3, w = n[keep], n1[keep], n2[keep], n3[keep], w[keep]
     if len(n) == 0:
@@ -319,7 +325,7 @@ def _sum_q1_over(state: BoxedState, t: float, table) -> np.ndarray:
     v1 = state.data[_rows(g, n1)]
     v2 = state.data[_rows(g, n2)]
     v3 = state.data[_rows(g, n3)]
-    bands = _q1_rows(g, t, v1, v2, v3, n, n1, n2, n3)
+    bands = kernel(g, t, v1, v2, v3, n, n1, n2, n3)
     return _scatter_rows(g, n, bands, w)
 
 
@@ -342,72 +348,44 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
     return BoxedState(g, sliced.reshape(2 * g.n_max, g.bins_per_box), t)
 
 
-def _resonant_state(state, t, window, mode):
-    table = _triple_table(state.grid.n_max, window, None, mode, QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(state, t, table), t)
+def _table_state(state, t, window, N, mode, kernel=_q1_rows) -> BoxedState:
+    """The row kernel summed over the (N, mode) triple table of the window."""
+    t = state.time if t is None else t
+    table = _triple_table(state.grid.n_max, _window_of(state, window), N, mode, QUARTIC)
+    return BoxedState(state.grid, _sum_q1_over(state, t, table, kernel), t)
 
 
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 - R1 over all boxes (the resonant part of the cubic)."""
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    r2 = _resonant_state(state, t, w, "resonant_R2")
-    r1 = _resonant_state(state, t, w, "resonant_R1")
+    r2 = _table_state(state, t, window, None, "resonant_R2")
+    r1 = _table_state(state, t, window, None, "resonant_R1")
     return r2.plus(r1, -1.0)
 
 
 def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    t = state.time if t is None else t
-    return _resonant_state(state, t, _window_of(state, window), "resonant_R1").band(n)
+    return _table_state(state, t, window, None, "resonant_R1").band(n)
 
 
 def resonant_r2(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    t = state.time if t is None else t
-    return _resonant_state(state, t, _window_of(state, window), "resonant_R2").band(n)
+    return _table_state(state, t, window, None, "resonant_R2").band(n)
 
 
 def apply_n11(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    table = _triple_table(state.grid.n_max, w, N, "A_N", QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(state, t, table), t)
+    return _table_state(state, t, window, N, "A_N")
 
 
 def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    if _max_abs_phase(w) <= N:
-        return BoxedState.zero(state.grid, t)
-    table = _triple_table(state.grid.n_max, w, N, "A_N_complement", QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(state, t, table), t)
+    return _table_state(state, t, window, N, "A_N_complement")
 
 
 def apply_n1_full(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """The whole non-resonant part (no threshold)."""
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    table = _triple_table(state.grid.n_max, w, math.inf, "A_N", QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(state, t, table), t)
+    return _table_state(state, t, window, math.inf, "A_N")
 
 
 def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    if _max_abs_phase(w) <= N:
-        return BoxedState.zero(state.grid, t)
-    g = state.grid
-    n, n1, n2, n3, wt = _triple_table(g.n_max, w, N, "A_N_complement", QUARTIC)
-    keep = _alive_mask(state, n1, n2, n3)
-    n, n1, n2, n3, wt = n[keep], n1[keep], n2[keep], n3[keep], wt[keep]
-    if len(n) == 0:
-        return BoxedState.zero(g, t)
-    bands = _q1_tilde_rows(
-        g, t,
-        state.data[_rows(g, n1)], state.data[_rows(g, n2)], state.data[_rows(g, n3)],
-        n, n1, n2, n3,
-    )
-    return BoxedState(g, _scatter_rows(g, n, bands, wt), t)
+    return _table_state(state, t, window, N, "A_N_complement", _q1_tilde_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +394,31 @@ def n21_state(state: BoxedState, N: float, t: float | None = None, window: int |
 _SLOT_SIGNS = (+1, -1, +1)
 
 
-def _tilde_insert_sum(state, t, w_rows_fn, N, window):
+def _tilde_insert_sum(state, t, make_rows, N, window):
     """sum over the high-phase set and the three slots of
     fsgn(slot) * q1_tilde(... insert at slot ...).
 
-    ``w_rows_fn(slot, n, n1, n2, n3, mu1)`` returns the (T, B) v-picture
-    insert rows for that slot (or None to use the state's own bands).
+    ``make_rows()`` builds the insert and returns ``rows(slot, boxes, mu1)``,
+    the (T, B) v-picture insert rows at those boxes for rows of phase mu1.
+    It is called only if some high-phase row has both other slots alive.
     """
     g = state.grid
     w = _window_of(state, window)
-    if _max_abs_phase(w) <= N:
-        return BoxedState.zero(state.grid, t)
     n, n1, n2, n3, wt = _triple_table(g.n_max, w, N, "A_N_complement", QUARTIC)
-    if len(n) == 0:
-        return BoxedState.zero(state.grid, t)
     alive = np.any(state.data != 0, axis=1)
-    mu1_all = phase_value(n, n1, n2, n3, QUARTIC)
     total = np.zeros_like(state.data)
     slot_boxes = (n1, n2, n3)
+    rows_fn = None
     for slot in range(3):
         others = [slot_boxes[i] for i in range(3) if i != slot]
         keep = alive[_rows(g, others[0])] & alive[_rows(g, others[1])]
         if not np.any(keep):
             continue
+        if rows_fn is None:
+            rows_fn = make_rows()
         nk, n1k, n2k, n3k, wk = (a[keep] for a in (n, n1, n2, n3, wt))
-        rows = w_rows_fn(slot, nk, n1k, n2k, n3k, mu1_all[keep])
-        if rows is None:
-            continue
+        mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
+        rows = rows_fn(slot, (n1k, n2k, n3k)[slot], mu1)
         nz = np.any(rows != 0, axis=1)
         if not np.any(nz):
             continue
@@ -457,13 +433,12 @@ def _tilde_insert_sum(state, t, w_rows_fn, N, window):
 def n4_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant insert sum: (R2 - R1)(v) substituted at each slot."""
     t = state.time if t is None else t
-    r = apply_resonant(state, t, window)
 
-    def rows(slot, n, n1, n2, n3, mu1):
-        boxes = (n1, n2, n3)[slot]
-        return r.data[_rows(state.grid, boxes)]
+    def make_rows():
+        r = apply_resonant(state, t, window)
+        return lambda slot, boxes, mu1: r.data[_rows(state.grid, boxes)]
 
-    return _tilde_insert_sum(state, t, rows, N, window)
+    return _tilde_insert_sum(state, t, make_rows, N, window)
 
 
 class _InnerBuckets:
@@ -542,17 +517,14 @@ def _coupled_insert_rows(buckets, grid, sign, boxes, mu_prev, mu_first, J, which
 def _n3_family(state, N, t, window, which):
     t = state.time if t is None else t
     w = _window_of(state, window)
-    if _max_abs_phase(w) <= N:
-        return BoxedState.zero(state.grid, t)
-    buckets = _InnerBuckets(state, t, w)
 
-    def rows(slot, n, n1, n2, n3, mu1):
-        boxes = (n1, n2, n3)[slot]
-        return _coupled_insert_rows(
+    def make_rows():
+        buckets = _InnerBuckets(state, t, w)
+        return lambda slot, boxes, mu1: _coupled_insert_rows(
             buckets, state.grid, _SLOT_SIGNS[slot], boxes, mu1, mu1, 1, which
         )
 
-    return _tilde_insert_sum(state, t, rows, N, w)
+    return _tilde_insert_sum(state, t, make_rows, N, w)
 
 
 def n3_state(state, N, t=None, window=None):
@@ -585,7 +557,8 @@ def _chain_possible(J: int, N: float, window: int) -> bool:
 
     Recursive lower bounds: the level-j prefix must exceed
     (2j+1)^3 * max(L_{j-1}, L_1)^{0.99} where L_{j-1} bounds the previous
-    prefix from below, while |mu~_j| <= j * max|Phi|(window).
+    prefix from below, while |mu~_j| <= j * max|Phi|(window), with the exact
+    window maximum from ``_max_abs_phase``.
     """
     cap = _max_abs_phase(window)
     L = math.floor(N) + 1.0  # integer phases above the threshold
@@ -614,7 +587,7 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     g = state.grid
     w = _window_of(state, window)
     out = BoxedState.zero(g, t)
-    if _max_abs_phase(w) <= N or not _chain_possible(J, N, w):
+    if not _chain_possible(J, N, w):
         return out
     boxes_axis = np.arange(-g.n_max, g.n_max)
     active = {int(b) for b in boxes_axis[state.box_norms() > 0]}

@@ -30,10 +30,8 @@ from nfnls.normal_form import (
     remainder_n2,
     solve,
     _rows,
-    _scatter_rows,
     _sum_q1_over,
     _q1_tilde_rows,
-    _alive_mask,
     _triple_table,
 )
 from nfnls.resonance import PRODUCT, enumerate_triples, phase_phi
@@ -168,18 +166,8 @@ def test_criterion_06_decomposition_identity():
 def _criterion7_norms(v, N, W, q):
     g = v.grid
     n11 = BoxedState(g, _sum_q1_over(v, 0.0, _triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
-    n, n1, n2, n3, wt = _triple_table(g.n_max, W, N, "A_N_complement", PRODUCT)
-    keep = _alive_mask(v, n1, n2, n3)
-    n, n1, n2, n3, wt = n[keep], n1[keep], n2[keep], n3[keep], wt[keep]
-    if len(n):
-        bands = _q1_tilde_rows(
-            g, 0.0,
-            v.data[_rows(g, n1)], v.data[_rows(g, n2)], v.data[_rows(g, n3)],
-            n, n1, n2, n3,
-        )
-        n0 = BoxedState(g, _scatter_rows(g, n, bands, wt), 0.0)
-    else:
-        n0 = BoxedState.zero(g)
+    table = _triple_table(g.n_max, W, N, "A_N_complement", PRODUCT)
+    n0 = BoxedState(g, _sum_q1_over(v, 0.0, table, _q1_tilde_rows), 0.0)
     return n11.lq_norm(q), n0.lq_norm(q)
 
 

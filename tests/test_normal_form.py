@@ -9,6 +9,7 @@ from nfnls.errors import ConfigurationError, DomainError
 from nfnls.grids import make_grid
 from nfnls.modulation import BandCoefficients
 from nfnls.multilinear import q1, q1_tilde
+import nfnls.normal_form as normal_form
 from nfnls.normal_form import (
     BoxedState,
     SolverParams,
@@ -32,9 +33,17 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
+    _max_abs_phase,
     _triple_table,
 )
-from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
+from nfnls.resonance import (
+    PRODUCT,
+    QUARTIC,
+    c_set_member,
+    enumerate_triples,
+    expand_triples,
+    phase_value,
+)
 
 G = make_grid(16, 32)
 
@@ -76,6 +85,44 @@ def test_decomposition_identity_20_states():
         )
         scale = np.max(np.abs(cub.data))
         assert np.max(np.abs(lhs.data - cub.data)) < 1e-8 * scale
+
+
+def test_threshold_split_just_below_max_phase():
+    # window 2: the largest |Phi| is 45, so N = 44 leaves a live high-phase set
+    rng = np.random.default_rng(10)
+    v = random_state(rng, span=2, t=0.3)
+    N, window = 44.0, 2
+    cub = boxed_cubic(v)
+    lhs = (
+        apply_resonant(v, window=window)
+        .plus(apply_n11(v, N, window=window))
+        .plus(apply_n12(v, N, window=window))
+    )
+    assert np.max(np.abs(lhs.data - cub.data)) < 1e-8 * np.max(np.abs(cub.data))
+    assert np.any(n21_state(v, N, window=window).data != 0)
+
+
+def test_max_abs_phase_is_window_maximum():
+    for w in range(1, 13):
+        lim = 3 * w + 1  # every root box, as in _triple_table with n_max > 3w+1
+        boxes = np.arange(-lim, lim + 1)
+        rows, n1, n2, n3 = expand_triples(boxes, w)
+        phase = phase_value(boxes[rows], n1, n2, n3, QUARTIC)
+        assert np.max(np.abs(phase)) == _max_abs_phase(w)
+
+
+def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
+    rng = np.random.default_rng(11)
+    v = random_state(rng, span=6)
+    N = choose_parameters(1.0, 2.0).N
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("insert built for an empty high-phase set")
+
+    monkeypatch.setattr(normal_form, "apply_resonant", refuse)
+    monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
+    for op in (n4_state, n3_state, n31_state, n32_state):
+        assert np.all(op(v, N, window=13).data == 0)
 
 
 def test_r1_single_band_matches_brute_force():

@@ -51,7 +51,7 @@ def test_chronicle_round_trip():
 
 def test_partial_order_axioms():
     # unique root; ancestor chains of any node are totally ordered
-    for t in enumerate_trees(3):
+    for t in enumerate_trees(4):
         roots = [n.idx for n in t.nodes if n.parent is None]
         assert roots == [0]
         for n in t.nodes:
@@ -60,7 +60,8 @@ def test_partial_order_axioms():
             while cur is not None:
                 chain.append(cur)
                 cur = t.nodes[cur].parent
-            assert chain == sorted(chain, key=lambda i: -t.nodes[i].generation_born or 0) or True
+            born = [t.nodes[i].generation_born for i in [n.idx] + chain]
+            assert all(a > b for a, b in zip(born, born[1:]))
             # each ancestor is an ancestor of the previous one
             for a, b in zip(chain, chain[1:]):
                 assert t.nodes[a].parent == b or b in _ancestors(t, a)
