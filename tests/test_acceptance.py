@@ -29,6 +29,7 @@ from nfnls.normal_form import (
     gamma_partial,
     remainder_n2,
     solve,
+    _chain_possible,
     _rows,
     _sum_q1_over,
     _q1_tilde_rows,
@@ -228,7 +229,8 @@ def _holder_mass(v, N, W, q):
     return float(np.sum(prod**q) ** (1.0 / q))
 
 
-def test_criterion_08_remainder_decay():
+def criterion8_inputs():
+    """Criterion 8's state (sparse support S) and the boxes every node may use."""
     grid = make_grid(4, 64)
     S = [-2, 0, 2, 22, 27]
     reach = sorted(
@@ -247,14 +249,29 @@ def test_criterion_08_remainder_decay():
     for n in S:
         data[n + 64] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = BoxedState(grid, data, 0.0)
-    v = v.scaled(0.5 / v.lq_norm(2.0))
+    return v.scaled(0.5 / v.lq_norm(2.0)), allowed
+
+
+def test_criterion_08_remainder_decay():
+    v, allowed = criterion8_inputs()
     vals = {}
     for J in (1, 2, 3):
         vals[J] = remainder_n2(v, J, 1.0, window=48, allowed_all=allowed).lq_norm(math.inf)
     ok = vals[1] > vals[2] > vals[3] and vals[2] > 0
+    live3 = _chain_possible(3, 1.0, 48)
     assert verdict(
-        8, ok, f"linf norms {vals[1]:.3e} > {vals[2]:.3e} > {vals[3]:.3e}"
+        8, ok,
+        f"linf norms {vals[1]:.3e} > {vals[2]:.3e} > {vals[3]:.3e}; level 3 "
+        f"{'live' if live3 else 'structurally empty'} (_chain_possible(3, 1, 48) = {live3})",
     )
+
+
+def test_criterion_08_level_three_structurally_empty():
+    # the level-3 barrier 7^3 * 248^0.99 exceeds 3 * max|Phi| at window 48, so
+    # criterion 8's v2 > v3 holds against an all-zero level
+    v, allowed = criterion8_inputs()
+    assert _chain_possible(3, 1.0, 48) is False
+    assert np.all(remainder_n2(v, 3, 1.0, window=48, allowed_all=allowed).data == 0)
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,9 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
+    _generation_one_inserts,
     _max_abs_phase,
+    _q1_tilde_rows,
     _triple_table,
 )
 from nfnls.resonance import (
@@ -123,6 +125,27 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
     for op in (n4_state, n3_state, n31_state, n32_state):
         assert np.all(op(v, N, window=13).data == 0)
+    assert np.all(_generation_one_inserts(v, N, 0.0, 13).data == 0)
+
+
+@pytest.mark.parametrize(
+    "grid, span, N, window",
+    [
+        (make_grid(8, 16), 5, 16.0, 6),  # the live compare config
+        (G, 2, 44.0, 2),  # N just below max|Phi| of the window
+        (make_grid(4, 64), 14, 1.0, 14),  # smallest window where n32_state != 0
+    ],
+)
+def test_fused_generation_one_inserts(grid, span, N, window):
+    rng = np.random.default_rng(14)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    got = _generation_one_inserts(v, N, 0.2, window).data
+    want = (
+        generation_nr(v, 1, N, window=window).data
+        + generation_n1(v, 1, N, window=window).data
+    )
+    assert np.any(want != 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_r1_single_band_matches_brute_force():
@@ -393,6 +416,80 @@ def test_gamma_constant_when_no_interactions():
     )
     # self-interaction of a single box is resonant-only and O(amp^3 * T)
     assert drift < 1e-9 * np.max(np.abs(v0.data)) + 5e-12
+
+
+def gather_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
+    """The gap kernel as the (b, c) double sum over a (chunk, B, B, B) gather
+    of the middle band (reference for the convolution form)."""
+    B = grid.bins_per_box
+    T = len(n)
+    out = np.zeros((T, B), dtype=np.complex128)
+    a_min_b = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a, b)
+    gidx = (
+        2 * B - 1
+        + np.arange(B)[:, None, None]
+        - np.arange(B)[None, :, None]
+        - np.arange(B)[None, None, :]
+    )  # (a, b, c) into a 3B buffer
+    for lo in range(0, T, chunk):
+        hi = min(lo + chunk, T)
+        sl = slice(lo, hi)
+        xi1 = (n1[sl, None] * B + np.arange(B)) / B
+        xi2 = (n2[sl, None] * B + np.arange(B)) / B
+        xi3 = (n3[sl, None] * B + np.arange(B)) / B
+        u1 = v1[sl] * np.exp(1j * t * xi1 * xi1)
+        u3 = v3[sl] * np.exp(1j * t * xi3 * xi3)
+        g2 = np.conj((v2[sl] * np.exp(1j * t * xi2 * xi2))[:, ::-1])
+        d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
+        d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
+        dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
+        padded = np.zeros((hi - lo, 3 * B), dtype=np.complex128)
+        cols = (1 - dd)[:, None] * B + np.arange(B)
+        np.put_along_axis(padded, cols, g2, axis=1)
+        g2v = padded[:, gidx]
+        out[sl] = np.einsum(
+            "tb,tc,tabc,tab,tac->ta", u1, u3, g2v, 1.0 / d1, 1.0 / d3, optimize=True
+        )
+    xi = (n[:, None] * B + np.arange(B)) / B
+    return out * np.exp(-1j * t * xi * xi) / (2.0 * np.pi * B * B)
+
+
+def gap_kernel_rows(rng, T):
+    """T rows (n, n1, n2, n3) cycling through slack -1, 0, 1 and both signs
+    of the gaps n - n1 and n - n3 (each of size 2..5)."""
+    k = np.arange(T)
+    dd = k % 3 - 1
+    s1 = np.where(k // 3 % 2, 1, -1)
+    s3 = np.where(k // 6 % 2, 1, -1)
+    n = rng.integers(-6, 7, T)
+    n1 = n - s1 * rng.integers(2, 6, T)
+    n3 = n - s3 * rng.integers(2, 6, T)
+    return n, n1, n1 + n3 - n + dd, n3
+
+
+@pytest.mark.parametrize("B", [4, 8, 16])
+def test_gap_kernel_matches_gather_and_per_triple_oracles(B):
+    grid = make_grid(B, 32)
+    rng = np.random.default_rng(B)
+    t, chunk = 0.37, 12
+
+    def band(box, coeffs):
+        return BandCoefficients(box_index=int(box), grid=grid, coeffs=coeffs, start_bin=int(box) * B)
+
+    for T in (5, chunk, 29):  # below, equal to and not a multiple of the chunk
+        n, n1, n2, n3 = gap_kernel_rows(rng, T)
+        v1, v2, v3 = (
+            rng.standard_normal((T, B)) + 1j * rng.standard_normal((T, B)) for _ in range(3)
+        )
+        got = _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=chunk)
+        gathered = gather_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3)
+        per_triple = np.array([
+            q1_tilde(int(n[i]), band(n1[i], v1[i]), band(n2[i], v2[i]), band(n3[i], v3[i]), t).coeffs
+            for i in range(T)
+        ])
+        for want in (gathered, per_triple):
+            scale = np.max(np.abs(want), axis=1)
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
 
 
 def per_n_triple_table(n_max, window, N, mode, convention):
