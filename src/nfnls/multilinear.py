@@ -337,13 +337,12 @@ def certify_tree_bound(
     grid: Grid,
     rng: np.random.Generator,
     t: float = 0.0,
-    include_coherent: bool = True,
 ) -> float:
     """Measured sup of ||q_tree|| * |den| over unit-norm leaf tuples.
 
     ``den`` is the integer prefix-product denominator (the signed product
     half-phases in chronicle order), matching the kernel convention.  One
-    coherent (all-ones) tuple is included by default; the rest are random.
+    coherent (all-ones) tuple is drawn first; the rest are random.
     """
     signs = compute_signs(tree)
     leaf_ids = tree.terminal_ids()
@@ -351,7 +350,7 @@ def certify_tree_bound(
     for mt in np.cumsum(np.asarray(assign.phases.mu_product) / 2.0):
         den *= abs(mt)
     measured = 0.0
-    draws = (["coherent"] if include_coherent else []) + ["random"] * trials
+    draws = ["coherent"] + ["random"] * trials
     for kind in draws:
         bands = []
         for b in leaf_ids:

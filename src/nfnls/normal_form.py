@@ -40,11 +40,15 @@ the high-phase table is the only emptiness test: the insert states
 (resonant sum, inner phase buckets) are built only when some high-phase row
 has live bands in its other two slots, so at compliant thresholds, where
 that set is empty on the active window, the insert operators cost one table
-lookup.  The integrand makes one insert pass per quadrature node at
-generation one: the resonant and low-set insert rows share the weight and
-the gap kernel is linear in the inserted slot, so their sum goes through the
-kernel once.  Generation >= 2 operators use the kernel-exact tree path,
-skipped only when the complement chain cannot hold inside the window.
+lookup.  The non-resonant inserts read one flat phase index: the live q1
+bands sorted by (box, integer phase) with per-box prefix sums, so the
+"all", "low" and "high" joint-phase rows of every slot, and of every
+enumerated tree assignment, come from one vectorised lookup.  The integrand
+makes one insert pass per quadrature node at generation one: the resonant
+and low-set insert rows share the weight and the gap kernel is linear in the
+inserted slot, so their sum goes through the kernel once.  Generation >= 2
+operators use the kernel-exact tree path, skipped only when the complement
+chain cannot hold inside the window.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .errors import (
     ResourceGuardError,
 )
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
-from .modulation import BandCoefficients
+from .modulation import BandCoefficients, modulation_norm
 from .multilinear import BandTuple, q_tree
 from .resonance import QUARTIC, _mode_mask, expand_triples, phase_value
 from .trees import compute_signs, enumerate_trees, enumerate_index_functions
@@ -79,7 +83,6 @@ __all__ = [
     "apply_resonant",
     "apply_n11",
     "apply_n12",
-    "apply_n1_full",
     "n21_state",
     "n22_state",
     "n4_state",
@@ -148,13 +151,7 @@ class BoxedState:
         return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=1) / self.grid.bins_per_box)
 
     def lq_norm(self, q: float, s: float = 0.0) -> float:
-        g = self.grid
-        norms = self.box_norms()
-        boxes = np.arange(-g.n_max, g.n_max, dtype=float)
-        vals = (1.0 + boxes**2) ** (s / 2.0) * norms
-        if q == math.inf:
-            return float(np.max(vals))
-        return float(np.sum(vals**q) ** (1.0 / q))
+        return modulation_norm(self.to_spectrum(), s, 2, q)
 
     def active_window(self, floor: float = SUPPORT_FLOOR) -> int:
         norms = self.box_norms()
@@ -202,15 +199,18 @@ def _rows(grid: Grid, boxes: np.ndarray) -> np.ndarray:
     return boxes + grid.n_max
 
 
+def _u_rows(B, t, v, n):
+    """Bands v at boxes n times exp(i t xi^2): into the u-picture at t, back at -t."""
+    xi = (n[:, None] * B + np.arange(B)) / B
+    return v * np.exp(1j * t * xi * xi)
+
+
 def _q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3):
     """Batched q1: per-row v-picture bands -> per-row output band at box n."""
     B = grid.bins_per_box
-    xi1 = (n1[:, None] * B + np.arange(B)) / B
-    xi2 = (n2[:, None] * B + np.arange(B)) / B
-    xi3 = (n3[:, None] * B + np.arange(B)) / B
-    u1 = v1 * np.exp(1j * t * xi1 * xi1)
-    u3 = v3 * np.exp(1j * t * xi3 * xi3)
-    g2 = np.conj((v2 * np.exp(1j * t * xi2 * xi2))[:, ::-1])
+    u1 = _u_rows(B, t, v1, n1)
+    u3 = _u_rows(B, t, v3, n3)
+    g2 = np.conj(_u_rows(B, t, v2, n2)[:, ::-1])
     L = 4 * B
     conv = np.fft.ifft(
         np.fft.fft(u1, L, axis=1) * np.fft.fft(g2, L, axis=1) * np.fft.fft(u3, L, axis=1),
@@ -219,8 +219,7 @@ def _q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3):
     d = n - (n1 - n2 + n3)
     idx = (d[:, None] + 1) * B - 1 + np.arange(B)
     out = np.take_along_axis(conv, idx, axis=1)
-    xi = (n[:, None] * B + np.arange(B)) / B
-    return out * np.exp(-1j * t * xi * xi) / (2.0 * np.pi * B * B)
+    return _u_rows(B, -t, out, n) / (2.0 * np.pi * B * B)
 
 
 def _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
@@ -245,12 +244,9 @@ def _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
     for lo in range(0, T, chunk):
         hi = min(lo + chunk, T)
         sl = slice(lo, hi)
-        xi1 = (n1[sl, None] * B + np.arange(B)) / B
-        xi2 = (n2[sl, None] * B + np.arange(B)) / B
-        xi3 = (n3[sl, None] * B + np.arange(B)) / B
-        u1 = v1[sl] * np.exp(1j * t * xi1 * xi1)
-        u3 = v3[sl] * np.exp(1j * t * xi3 * xi3)
-        g2 = np.conj((v2[sl] * np.exp(1j * t * xi2 * xi2))[:, ::-1])
+        u1 = _u_rows(B, t, v1[sl], n1[sl])
+        u3 = _u_rows(B, t, v3[sl], n3[sl])
+        g2 = np.conj(_u_rows(B, t, v2[sl], n2[sl])[:, ::-1])
         d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
         d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
         dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
@@ -261,8 +257,7 @@ def _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
             np.fft.fft(u1[:, None, :] / d1, 2 * B) * np.fft.fft(u3[:, None, :] / d3, 2 * B)
         )[..., : 2 * B - 1]
         out[sl] = np.einsum("tam,tam->ta", conv, padded[:, gidx])
-    xi = (n[:, None] * B + np.arange(B)) / B
-    return out * np.exp(-1j * t * xi * xi) / (2.0 * np.pi * B * B)
+    return _u_rows(B, -t, out, n) / (2.0 * np.pi * B * B)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +382,6 @@ def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int |
     return _table_state(state, t, window, N, "A_N_complement")
 
 
-def apply_n1_full(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
-    """The whole non-resonant part (no threshold)."""
-    return _table_state(state, t, window, math.inf, "A_N")
-
-
 def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
     return _table_state(state, t, window, N, "A_N_complement", _q1_tilde_rows)
@@ -403,31 +393,100 @@ def n21_state(state: BoxedState, N: float, t: float | None = None, window: int |
 _SLOT_SIGNS = (+1, -1, +1)
 
 
-def _tilde_insert_sum(state, t, make_rows, N, window):
+class _InnerBuckets:
+    """Live non-resonant q1 bands in one flat index sorted by (box, integer phase).
+
+    ``prefix`` holds, box after box, a zero row and then the running sums of
+    that box's bands, and ends with one more zero row, so the bands of a box
+    with phase in [lo, hi] sum to the difference of two prefix rows.  The rows
+    are found by one searchsorted on int64 keys box * width + phase offset,
+    ordered box-major, then by phase; a box without live rows, below, between
+    or above the indexed ones, lands on a zero row and sums to zero.
+    """
+
+    def __init__(self, state: BoxedState, t: float, window: int):
+        g = state.grid
+        n, n1, n2, n3, _ = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC)
+        keep = _alive_mask(state, n1, n2, n3)
+        n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
+        bands = _q1_rows(
+            g, t,
+            state.data[_rows(g, n1)], state.data[_rows(g, n2)], state.data[_rows(g, n3)],
+            n, n1, n2, n3,
+        )
+        phase = phase_value(n, n1, n2, n3, QUARTIC)
+        order = np.lexsort((phase, n))
+        n, phase, bands = n[order], phase[order], bands[order]
+        self.boxes, starts, counts = np.unique(n, return_index=True, return_counts=True)
+        # phase offsets run over 1..width-2; 0 and width-1 take clipped bounds
+        self.offset = int(phase.min(initial=0)) - 1
+        self.width = int(phase.max(initial=0)) - self.offset + 2
+        self.keys = n * self.width + (phase - self.offset)
+        self.prefix = np.zeros((len(n) + len(self.boxes) + 1, g.bins_per_box), complex)
+        for k, (a, c) in enumerate(zip(starts, counts)):
+            np.cumsum(bands[a : a + c], axis=0, out=self.prefix[a + k + 1 : a + k + c + 1])
+
+    def _key(self, boxes, phase):
+        off = np.clip(phase - self.offset, 0, self.width - 1).astype(np.int64)
+        return boxes * self.width + off
+
+    def sum(self, boxes, lo=-np.inf, hi=np.inf) -> np.ndarray:
+        """(T, B) band sums over the rows of box boxes[i] with lo[i] <= phase <= hi[i].
+
+        The bounds may be non-integer or infinite; lo <= hi.
+        """
+        k = np.searchsorted(self.boxes, boxes)  # zero rows ahead of the box's rows
+        i = np.searchsorted(self.keys, self._key(boxes, np.ceil(lo)), side="left")
+        j = np.searchsorted(self.keys, self._key(boxes, np.floor(hi)), side="right")
+        return self.prefix[j + k] - self.prefix[i + k]
+
+
+def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
+    """(T, B) insert rows, restricted by the level-J phase set.
+
+    ``sign`` is the conjugation sign the insert enters with: the kept set for
+    which = "low" is |mu_prev + sign*mu| <= (2J+3)^3 max(|mu_prev|,|mu_first|)^0.99;
+    "high" keeps the complement, "all" applies no restriction.
+    """
+    if which == "all":
+        return buckets.sum(boxes)
+    K = (2 * J + 3) ** 3 * np.maximum(np.abs(mu_prev), np.abs(mu_first)) ** 0.99
+    center = -sign * np.asarray(mu_prev, dtype=float)
+    low = buckets.sum(boxes, center - K, center + K)
+    return low if which == "low" else buckets.sum(boxes) - low
+
+
+def _tilde_insert_sum(state, t, N, window, resonant=False, which=None):
     """sum over the high-phase set and the three slots of
     fsgn(slot) * q1_tilde(... insert at slot ...).
 
-    ``make_rows()`` builds the insert and returns ``rows(slot, boxes, mu1)``,
-    the (T, B) v-picture insert rows at those boxes for rows of phase mu1.
-    It is called only if some high-phase row has both other slots alive.
+    The insert is (R2 - R1)(v) if ``resonant``, plus the non-resonant q1
+    bands on the ``which`` joint-phase set ("all", "low" or "high") if
+    ``which`` is given.  It is built only if some high-phase row has both
+    other slots alive.
     """
+    t = state.time if t is None else t
     g = state.grid
     w = _window_of(state, window)
     n, n1, n2, n3, wt = _triple_table(g.n_max, w, N, "A_N_complement", QUARTIC)
     alive = np.any(state.data != 0, axis=1)
+    keeps = [alive[_rows(g, a)] & alive[_rows(g, b)] for a, b in ((n2, n3), (n1, n3), (n1, n2))]
     total = np.zeros_like(state.data)
-    slot_boxes = (n1, n2, n3)
-    rows_fn = None
-    for slot in range(3):
-        others = [slot_boxes[i] for i in range(3) if i != slot]
-        keep = alive[_rows(g, others[0])] & alive[_rows(g, others[1])]
+    if not any(np.any(keep) for keep in keeps):
+        return BoxedState(g, total, t)
+    res = apply_resonant(state, t, w).data if resonant else None
+    buckets = _InnerBuckets(state, t, w) if which is not None else None
+    for slot, keep in enumerate(keeps):
         if not np.any(keep):
             continue
-        if rows_fn is None:
-            rows_fn = make_rows()
         nk, n1k, n2k, n3k, wk = (a[keep] for a in (n, n1, n2, n3, wt))
-        mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
-        rows = rows_fn(slot, (n1k, n2k, n3k)[slot], mu1)
+        boxes = (n1k, n2k, n3k)[slot]
+        rows = np.zeros((len(nk), g.bins_per_box), dtype=complex)
+        if resonant:
+            rows += res[_rows(g, boxes)]
+        if which is not None:
+            mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
+            rows += _coupled_insert_rows(buckets, _SLOT_SIGNS[slot], boxes, mu1, mu1, 1, which)
         nz = np.any(rows != 0, axis=1)
         if not np.any(nz):
             continue
@@ -439,101 +498,9 @@ def _tilde_insert_sum(state, t, make_rows, N, window):
     return BoxedState(g, total, t)
 
 
-def _resonant_rows(state, t, window):
-    r = apply_resonant(state, t, window)
-    return lambda slot, boxes, mu1: r.data[_rows(state.grid, boxes)]
-
-
 def n4_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant insert sum: (R2 - R1)(v) substituted at each slot."""
-    t = state.time if t is None else t
-    return _tilde_insert_sum(state, t, lambda: _resonant_rows(state, t, window), N, window)
-
-
-class _InnerBuckets:
-    """Per-box non-resonant q1 bands bucketed by their integer phase.
-
-    Prefix sums over the sorted phase keys make any |mu~ + s*mu| <= K
-    interval query an O(B) band subtraction.
-    """
-
-    def __init__(self, state: BoxedState, t: float, window: int, convention=QUARTIC):
-        g = state.grid
-        self.grid = g
-        n, n1, n2, n3, _ = _triple_table(g.n_max, window, math.inf, "A_N", convention)
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        keep = _alive_mask(state, n1, n2, n3)
-        n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
-        if len(n) == 0:
-            return
-        bands = _q1_rows(
-            g, t,
-            state.data[_rows(g, n1)], state.data[_rows(g, n2)], state.data[_rows(g, n3)],
-            n, n1, n2, n3,
-        )
-        keys = phase_value(n, n1, n2, n3, convention)
-        order = np.lexsort((keys, n))
-        n_s, k_s, b_s = n[order], keys[order], bands[order]
-        B = g.bins_per_box
-        for box in np.unique(n_s):
-            sel = n_s == box
-            kk = k_s[sel]
-            prefix = np.concatenate(
-                [np.zeros((1, B), complex), np.cumsum(b_s[sel], axis=0)]
-            )
-            self.tables[int(box)] = (kk, prefix)
-
-    def total(self, box: int) -> np.ndarray:
-        tab = self.tables.get(int(box))
-        if tab is None:
-            return np.zeros(self.grid.bins_per_box, dtype=complex)
-        return tab[1][-1]
-
-
-def _coupled_insert_rows(buckets, grid, sign, boxes, mu_prev, mu_first, J, which):
-    """(T, B) insert rows, restricted by the level-J phase set.
-
-    ``sign`` is the conjugation sign the insert enters with: the kept set for
-    which = "low" is |mu_prev + sign*mu| <= (2J+3)^3 max(|mu_prev|,|mu_first|)^0.99;
-    "high" keeps the complement, "all" applies no restriction.
-    """
-    T = len(boxes)
-    B = grid.bins_per_box
-    out = np.zeros((T, B), dtype=complex)
-    if which == "all":
-        for box in np.unique(boxes):
-            out[boxes == box] = buckets.total(box)
-        return out
-    K = (2 * J + 3) ** 3 * np.maximum(np.abs(mu_prev), np.abs(mu_first)) ** 0.99
-    center = -sign * np.asarray(mu_prev, dtype=float)
-    lo_all, hi_all = center - K, center + K
-    for box in np.unique(boxes):
-        tab = buckets.tables.get(int(box))
-        sel = np.flatnonzero(boxes == box)
-        if tab is None:
-            continue
-        kk, prefix = tab
-        i = np.searchsorted(kk, lo_all[sel], side="left")
-        j = np.searchsorted(kk, hi_all[sel], side="right")
-        inside = prefix[j] - prefix[i]
-        if which == "low":
-            out[sel] = inside
-        else:
-            out[sel] = prefix[-1] - inside
-    return out
-
-
-def _nonresonant_rows(state, t, window, which):
-    buckets = _InnerBuckets(state, t, window)
-    return lambda slot, boxes, mu1: _coupled_insert_rows(
-        buckets, state.grid, _SLOT_SIGNS[slot], boxes, mu1, mu1, 1, which
-    )
-
-
-def _n3_family(state, N, t, window, which):
-    t = state.time if t is None else t
-    w = _window_of(state, window)
-    return _tilde_insert_sum(state, t, lambda: _nonresonant_rows(state, t, w, which), N, w)
+    return _tilde_insert_sum(state, t, N, window, resonant=True)
 
 
 def _generation_one_inserts(state, N, t, window):
@@ -542,33 +509,26 @@ def _generation_one_inserts(state, N, t, window):
     The gap kernel is linear in the inserted slot, so the resonant and the
     low-set rows are added before it runs instead of running it twice.
     """
-    w = _window_of(state, window)
-
-    def make_rows():
-        res, low = _resonant_rows(state, t, w), _nonresonant_rows(state, t, w, "low")
-        return lambda slot, boxes, mu1: res(slot, boxes, mu1) + low(slot, boxes, mu1)
-
-    return _tilde_insert_sum(state, t, make_rows, N, w)
+    return _tilde_insert_sum(state, t, N, window, resonant=True, which="low")
 
 
 def n3_state(state, N, t=None, window=None):
     """Full non-resonant insert sum at generation one (no phase restriction)."""
-    return _n3_family(state, N, t, window, "all")
+    return _tilde_insert_sum(state, t, N, window, which="all")
 
 
 def n31_state(state, N, t=None, window=None):
     """Non-resonant insert restricted to the low joint-phase set."""
-    return _n3_family(state, N, t, window, "low")
+    return _tilde_insert_sum(state, t, N, window, which="low")
 
 
 def n32_state(state, N, t=None, window=None):
     """Non-resonant insert on the high joint-phase complement (next remainder)."""
-    return _n3_family(state, N, t, window, "high")
+    return _tilde_insert_sum(state, t, N, window, which="high")
 
 
 def n22_state(state, N, t=None, window=None):
     """The substituted time-derivative term: resonant plus non-resonant inserts."""
-    t = state.time if t is None else t
     return n4_state(state, N, t, window).plus(n3_state(state, N, t, window))
 
 
@@ -624,7 +584,7 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
         insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
     elif mode in ("n1", "rem"):
         buckets = _InnerBuckets(state, t, w)
-        insert_boxes = set(buckets.tables.keys())
+        insert_boxes = set(buckets.boxes.tolist())
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
         active &= set(allowed_all)
@@ -670,28 +630,28 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
                     raise ResourceGuardError(
                         "tree-level operator sum exceeded the assignment guard"
                     )
-                for assign in assigns:
-                    base = [state.band(assign.freq[b]) for b in leaf_ids]
-                    if li is None:
-                        tup = BandTuple(tuple(base), flags)
-                        band = q_tree(tree, assign, tup, t)
+                if li is None:
+                    for assign in assigns:
+                        base = [state.band(assign.freq[b]) for b in leaf_ids]
+                        band = q_tree(tree, assign, BandTuple(tuple(base), flags), t)
                         data[n_root + g.n_max] += tsign * band.coeffs
-                        continue
-                    leaf = leaf_ids[li]
-                    box = assign.freq[leaf]
-                    if mode == "nr":
-                        ins = insert_state.band(box).coeffs
-                    else:
-                        which = "all" if mode == "rem" else "low"
-                        ins = _coupled_insert_rows(
-                            buckets, g, signs.fsgn[leaf], np.array([box]),
-                            np.array([float(assign.phases.mu_tilde[-1])]),
-                            np.array([float(assign.phases.mu[0])]),
-                            J, which,
-                        )[0]
+                    continue
+                leaf = leaf_ids[li]
+                boxes = np.array([a.freq[leaf] for a in assigns], dtype=np.int64)
+                if mode == "nr":
+                    inserts = insert_state.data[_rows(g, boxes)]
+                else:
+                    inserts = _coupled_insert_rows(
+                        buckets, signs.fsgn[leaf], boxes,
+                        np.array([float(a.phases.mu_tilde[-1]) for a in assigns]),
+                        np.array([float(a.phases.mu[0]) for a in assigns]),
+                        J, "all" if mode == "rem" else "low",
+                    )
+                for assign, ins in zip(assigns, inserts):
                     if not np.any(ins):
                         continue
-                    bands = list(base)
+                    box = assign.freq[leaf]
+                    bands = [state.band(assign.freq[b]) for b in leaf_ids]
                     bands[li] = BandCoefficients(
                         box_index=box, grid=g, coeffs=ins, start_bin=box * g.bins_per_box
                     )

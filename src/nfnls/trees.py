@@ -134,12 +134,12 @@ def build_tree(chronicle: Sequence[int]) -> OrderedTree:
     return OrderedTree(nodes=tuple(nodes), chronicle=tuple(chron))
 
 
-def enumerate_trees(J: int, j_max: int = J_MAX_ENUMERATION) -> list[OrderedTree]:
+def enumerate_trees(J: int) -> list[OrderedTree]:
     """All chronicles of J generations: (2J-1)!! trees, stable order."""
     if J < 1:
         raise DomainError(f"need J >= 1, got {J}")
-    if J > j_max:
-        raise ResourceGuardError(f"J={J} exceeds the enumeration guard {j_max}")
+    if J > J_MAX_ENUMERATION:
+        raise ResourceGuardError(f"J={J} exceeds the enumeration guard {J_MAX_ENUMERATION}")
     chronicles = [[0]]
     for _ in range(J - 1):
         grown = []

@@ -33,7 +33,9 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
+    _coupled_insert_rows,
     _generation_one_inserts,
+    _InnerBuckets,
     _max_abs_phase,
     _q1_tilde_rows,
     _triple_table,
@@ -289,6 +291,85 @@ def test_n31_n32_match_slow_oracle_and_partition():
     n22 = n22_state(v, N, window=window)
     n4 = n4_state(v, N, window=window)
     assert np.max(np.abs(n22.data - n4.data - full.data)) < 1e-12 * scale
+    # window 14 is the smallest where the high joint-phase part is nonzero
+    v = random_state(rng, span=14, t=0.05, grid=make_grid(4, 64))
+    low, high, full = (op(v, 1.0, window=14) for op in (n31_state, n32_state, n3_state))
+    assert np.any(high.data != 0)
+    scale = np.max(np.abs(full.data))
+    assert np.max(np.abs(low.data + high.data - full.data)) < 1e-10 * scale
+
+
+def test_inner_buckets_sum_matches_masked_per_box_sum():
+    # a sparse support leaves gaps between the indexed output boxes; the
+    # queries reach below, between and above them
+    g = make_grid(4, 32)
+    support = (-5, 0, 5)
+    rng = np.random.default_rng(12)
+    data = np.zeros((2 * g.n_max, g.bins_per_box), dtype=complex)
+    for n in support:
+        data[n + g.n_max] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    t, window = 0.1, 6
+    v = BoxedState(g, data, t)
+    buckets = _InnerBuckets(v, t, window)
+
+    query_boxes = np.arange(-25, 26)
+    indexed = set(buckets.boxes.tolist())
+    assert query_boxes[0] < min(indexed) and query_boxes[-1] > max(indexed)
+    assert any(min(indexed) < m < max(indexed) and m not in indexed for m in query_boxes)
+    rows = {}
+    for m in query_boxes:
+        rows[m] = [
+            (phase_value(*tr), q1(m, v.band(tr.n1), v.band(tr.n2), v.band(tr.n3), t).coeffs)
+            for tr in enumerate_triples(int(m), window, math.inf, "A_N")
+            if {tr.n1, tr.n2, tr.n3} <= set(support)
+        ]
+
+    def masked(m, lo, hi):
+        acc = np.zeros(g.bins_per_box, dtype=complex)
+        for mu, band in rows[m]:
+            if lo <= mu <= hi:
+                acc += band
+        return acc
+
+    boxes, los, his = [], [], []
+    for m in query_boxes:
+        phases = [mu for mu, _ in rows[m]] or [0]
+        a, b = min(phases), max(phases)
+        intervals = [
+            (-math.inf, math.inf),
+            (-math.inf, (a + b) / 2 + 0.5),  # non-integer upper bound
+            (a + 0.25, math.inf),  # non-integer lower bound
+            (a - 7.5, b + 7.5),  # covers every phase of the box
+            (b + 0.5, b + 30.0),  # above every phase: empty
+            (a - 30.0, a - 0.5),  # below every phase: empty
+            (a + 0.25, a + 0.75),  # no integer inside: empty
+            (phases[0], phases[0]),  # one integer phase
+        ] + [tuple(sorted(rng.uniform(a - 5, b + 5, 2))) for _ in range(4)]
+        for lo, hi in intervals:
+            boxes.append(m)
+            los.append(lo)
+            his.append(hi)
+    boxes, los, his = np.array(boxes), np.array(los), np.array(his)
+    want = np.array([masked(m, lo, hi) for m, lo, hi in zip(boxes, los, his)])
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    assert np.max(np.abs(buckets.sum(boxes, los, his) - want)) <= 1e-12 * scale
+    totals = np.array([masked(m, -math.inf, math.inf) for m in query_boxes])
+    assert np.max(np.abs(buckets.sum(query_boxes) - totals)) <= 1e-12 * scale
+
+    # "low" + "high" == "all"; radii 125 * max(|mu_prev|, |mu_first|)^0.99 up to
+    # ~250 leave rows of phase up to ~280 on both sides
+    mu_prev = rng.integers(-2, 3, len(boxes)).astype(float)
+    mu_first = rng.integers(-2, 3, len(boxes)).astype(float)
+    for sign in (+1, -1):
+        parts = [
+            _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, 1, which)
+            for which in ("low", "high", "all")
+        ]
+        assert np.any(parts[0] != 0) and np.any(parts[1] != 0)
+        assert np.max(np.abs(parts[0] + parts[1] - parts[2])) <= 1e-15 * np.max(
+            np.abs(parts[2])
+        )
 
 
 def test_generation_ops_empty_at_compliant_threshold():
