@@ -29,6 +29,15 @@ Exhaustive enumeration runs generation by generation over an integer frontier
 (one row per partial assignment, one column per node) expanded by
 ``resonance.expand_triples``; the constraints above are masks on its columns.
 ``IndexAssignment`` objects are built once, for the final frontier.
+
+Random sampling is rejection over the same kind of frontier: a block of
+attempts starts from the root row, and at each generation every surviving
+row draws (c1, c3, delta) uniformly, sets c2 = c1 + c3 - freq(a) - delta and
+is masked by the constraints.  One attempt still draws (c1, c3, delta) per
+generation uniformly and independently, and (c1, c3, delta) -> (c1, c2, c3)
+is one-to-one, so accepted attempts are uniform on the valid assignments,
+as with one attempt at a time; only the order of the random stream differs.
+Accepted rows are kept in attempt order.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ __all__ = [
 ]
 
 J_MAX_ENUMERATION = 6
+# rejection-sampling attempts drawn at once; each costs a few int64 columns,
+# and 2^15 at once already shows in the peak RSS of criterion 5
+SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -307,12 +319,19 @@ def enumerate_index_functions(
         rows, c1, c2, c3, fa, m = (x[keep] for x in (rows, c1, c2, c3, fa, m))
         if len(rows) > max_count:
             raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
-        freq = freq[rows]
-        freq[:, kids] = np.stack([c1, c2, c3], axis=1)
-        mu = np.column_stack([mu[rows], m])
-        mu_p = np.column_stack(
-            [mu_p[rows], signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)]
-        )
+        mp = signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)
+        freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
+    return _assignments(tree, n_root, freq, mu, mu_p)
+
+
+def _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp):
+    """The frontier rows ``rows``, with the children ``kids`` and their phases appended."""
+    freq = freq[rows]
+    freq[:, kids] = np.stack([c1, c2, c3], axis=1)
+    return freq, np.column_stack([mu[rows], m]), np.column_stack([mu_p[rows], mp])
+
+
+def _assignments(tree, n_root, freq, mu, mu_p) -> list[IndexAssignment]:
     return [
         IndexAssignment(
             tree=tree, freq=tuple(f), phases=PhaseRecord.from_mu(row, row_p), n_root=n_root
@@ -340,66 +359,68 @@ def sample_index_functions(
 ) -> list[IndexAssignment]:
     """Random index functions with nonsingular continuous denominators.
 
-    Generation-by-generation rejection sampling.  Beyond the index-function
-    constraints, each signed product-prefix is required to clear
-    ``min_denominator`` plus the accumulated bin-offset slop, so every
-    continuous prefix denominator met by the kernel evaluation is at least
-    ``min_denominator`` in modulus.  A nonzero ``comparability`` additionally
-    demands the continuous prefixes stay at least that fraction of the integer
-    ones (so integer denominator products certify the continuous kernel).
+    Generation-by-generation rejection sampling, ``SAMPLE_BLOCK`` attempts at
+    a time.  Beyond the index-function constraints, each signed
+    product-prefix is required to clear ``min_denominator`` plus the
+    accumulated bin-offset slop, so every continuous prefix denominator met
+    by the kernel evaluation is at least ``min_denominator`` in modulus.  A
+    nonzero ``comparability`` additionally demands the continuous prefixes
+    stay at least that fraction of the integer ones (so integer denominator
+    products certify the continuous kernel).  Accepted attempts are returned
+    in attempt order; ``ResourceGuardError`` is raised iff fewer than
+    ``count`` of the first ``max_attempts`` attempts are accepted.
     """
+    if window < 1:
+        raise BoxRangeError(f"window must be >= 1, got {window}")
+    if abs(n_root) > 3 * window + 1:
+        raise BoxRangeError(f"root box {n_root} unreachable from window {window}")
+    if count < 0 or max_attempts < 1:
+        raise DomainError(f"need count >= 0 and max_attempts >= 1, got {count}, {max_attempts}")
     signs = compute_signs(tree)
-    chron = tree.chronicle
-    nodes = tree.nodes
     out: list[IndexAssignment] = []
     attempts = 0
     while len(out) < count and attempts < max_attempts:
-        attempts += 1
-        freq = [0] * tree.size()
-        freq[0] = n_root
-        mu: list[int] = []
-        mu_p: list[int] = []
-        slop = 0
-        ok = True
-        for j, a in enumerate(chron):
-            fa = freq[a]
-            kids = nodes[a].children
-            sign = signs.fsgn[a]
-            c1 = int(rng.integers(-window, window + 1))
-            c3 = int(rng.integers(-window, window + 1))
-            if abs(c1 - fa) <= 1 or abs(c3 - fa) <= 1:
-                ok = False
-                break
-            delta = int(rng.integers(-1, 2))
-            c2 = c1 + c3 - fa - delta
-            if not (-window <= c2 <= window):
-                ok = False
-                break
-            m = sign * phase_value(fa, c1, c2, c3, convention)
-            if j == 0 and abs(m) <= N:
-                ok = False
-                break
-            mu.append(m)
-            mu_p.append(sign * phase_value(fa, c1, c2, c3, PRODUCT))
-            slop += _phase_slop_bound(fa, c1, c3)
-            # halved: continuous kernel denominators are prefix sums of
-            # (xi-xi1)(xi-xi3), i.e. product phases over 2
-            pref = abs(sum(mu_p)) / 2.0
-            if pref - slop / 2.0 < max(min_denominator, comparability * pref):
-                ok = False
-                break
-            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
-        if ok:
-            out.append(
-                IndexAssignment(
-                    tree=tree,
-                    freq=tuple(freq),
-                    phases=PhaseRecord.from_mu(mu, mu_p),
-                    n_root=n_root,
-                )
-            )
+        size = min(SAMPLE_BLOCK, max_attempts - attempts)
+        attempts += size
+        freq, mu, mu_p = _sample_block(
+            tree, signs, n_root, window, N, size, rng, convention, min_denominator, comparability
+        )
+        take = count - len(out)
+        out += _assignments(tree, n_root, freq[:take], mu[:take], mu_p[:take])
     if len(out) < count:
         raise ResourceGuardError(
             f"could only sample {len(out)}/{count} assignments in {max_attempts} attempts"
         )
     return out
+
+
+def _sample_block(
+    tree, signs, n_root, window, N, size, rng, convention, min_denominator, comparability
+):
+    """The accepted frontier of ``size`` attempts, in attempt order."""
+    freq = np.zeros((1, tree.size()), dtype=np.int64)
+    freq[0, 0] = n_root
+    mu = mu_p = np.zeros((1, 0), dtype=np.int64)
+    slop = np.zeros(1, dtype=np.int64)
+    rows = np.zeros(size, dtype=np.intp)  # every attempt starts from the root row
+    for j, a in enumerate(tree.chronicle):
+        kids = list(tree.nodes[a].children)
+        sign = signs.fsgn[a]
+        fa = freq[rows, a]
+        c1 = rng.integers(-window, window + 1, size=len(rows))
+        c3 = rng.integers(-window, window + 1, size=len(rows))
+        c2 = c1 + c3 - fa - rng.integers(-1, 2, size=len(rows))
+        m = sign * phase_value(fa, c1, c2, c3, convention)
+        mp = sign * phase_value(fa, c1, c2, c3, PRODUCT)
+        s = slop[rows] + _phase_slop_bound(fa, c1, c3)
+        # halved: continuous kernel denominators are prefix sums of
+        # (xi-xi1)(xi-xi3), i.e. product phases over 2
+        pref = np.abs(mu_p[rows].sum(axis=1) + mp) / 2.0
+        keep = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1) & (np.abs(c2) <= window)
+        keep &= pref - s / 2.0 >= np.maximum(min_denominator, comparability * pref)
+        if j == 0:
+            keep &= np.abs(m) > N
+        rows, c1, c2, c3, m, mp, slop = (x[keep] for x in (rows, c1, c2, c3, m, mp, s))
+        freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
+        rows = np.arange(len(freq))
+    return freq, mu, mu_p

@@ -1,11 +1,15 @@
 """Tree enumeration, chronicles, signs, and index-function machinery."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from nfnls.errors import ResourceGuardError
+from nfnls.errors import BoxRangeError, DomainError, ResourceGuardError
 from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
 from nfnls.trees import (
+    SAMPLE_BLOCK,
     IndexAssignment,
     PhaseRecord,
     assignment_from_freqs,
@@ -229,6 +233,30 @@ def test_sampled_assignments_respect_floor():
                 assert abs(fa - c1) > 1 and abs(fa - c3) > 1
 
 
+def test_sampled_assignments_respect_every_predicate_with_comparability():
+    rng = np.random.default_rng(4)
+    window, N, floor, comparability = 8, 2.0, 1.0, 0.5
+    for ch in ([0, 1], [0, 2], [0, 2, 4], [0, 3, 1]):
+        t = build_tree(ch)
+        assigns = sample_index_functions(
+            t, 0, window, N, 20, rng, min_denominator=floor,
+            comparability=comparability, max_attempts=2_000_000,
+        )
+        assert len(assigns) == 20
+        for a in assigns:
+            assert abs(a.phases.mu[0]) > N
+            prefix, slop = 0, 0
+            for (fa, c1, c2, c3), mp in zip(a.generation_tuples(), a.phases.mu_product):
+                assert abs(fa - c1) > 1 and abs(fa - c3) > 1
+                assert abs(c1 - c2 + c3 - fa) <= 1
+                assert -window <= c2 <= window
+                # the continuous-prefix condition, with the signed product phases
+                prefix += mp
+                slop += 2 * (abs(fa - c1) + abs(fa - c3) + 1)
+                pref = abs(prefix) / 2
+                assert pref - slop / 2 >= max(floor, comparability * pref)
+
+
 # ---------------------------------------------------------------------------
 # the per-element recursion the array frontier replaced, kept as the reference
 
@@ -394,3 +422,215 @@ def test_index_enumeration_guard():
     assert len(enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full))) == len(full)
     with pytest.raises(ResourceGuardError):
         enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the per-attempt rejection loop the batched sampler replaced, kept as the
+# reference, and a brute force over every per-generation draw
+
+
+def reference_sample_index_functions(
+    tree, n_root, window, N, count, rng, convention=QUARTIC,
+    min_denominator=1.0, comparability=0.0, max_attempts=200_000,
+):
+    """sample_index_functions as one scalar loop over attempts."""
+    signs = compute_signs(tree)
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < max_attempts:
+        attempts += 1
+        freq = [0] * tree.size()
+        freq[0] = n_root
+        mu, mu_p = [], []
+        slop = 0
+        ok = True
+        for j, a in enumerate(tree.chronicle):
+            fa = freq[a]
+            kids = tree.nodes[a].children
+            sign = signs.fsgn[a]
+            c1 = int(rng.integers(-window, window + 1))
+            c3 = int(rng.integers(-window, window + 1))
+            if abs(c1 - fa) <= 1 or abs(c3 - fa) <= 1:
+                ok = False
+                break
+            delta = int(rng.integers(-1, 2))
+            c2 = c1 + c3 - fa - delta
+            if not (-window <= c2 <= window):
+                ok = False
+                break
+            m = sign * phase_value(fa, c1, c2, c3, convention)
+            if j == 0 and abs(m) <= N:
+                ok = False
+                break
+            mu.append(m)
+            mu_p.append(sign * phase_value(fa, c1, c2, c3, PRODUCT))
+            slop += 2 * (abs(fa - c1) + abs(fa - c3) + 1)
+            pref = abs(sum(mu_p)) / 2.0
+            if pref - slop / 2.0 < max(min_denominator, comparability * pref):
+                ok = False
+                break
+            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
+        if ok:
+            out.append(
+                IndexAssignment(
+                    tree=tree, freq=tuple(freq),
+                    phases=PhaseRecord.from_mu(mu, mu_p), n_root=n_root,
+                )
+            )
+    if len(out) < count:
+        raise ResourceGuardError(f"could only sample {len(out)}/{count}")
+    return out
+
+
+def brute_valid_assignments(tree, n_root, window, N, min_denominator, comparability):
+    """{freq: PhaseRecord} over every accepted sequence of draws (c1, c3, delta)."""
+    signs = compute_signs(tree)
+    out = {}
+    freq = [0] * tree.size()
+    freq[0] = n_root
+
+    def recurse(j, mu, mu_p, slop):
+        if j == tree.J:
+            out[tuple(freq)] = PhaseRecord.from_mu(mu, mu_p)
+            return
+        a = tree.chronicle[j]
+        fa = freq[a]
+        kids = tree.nodes[a].children
+        sign = signs.fsgn[a]
+        for c1 in range(-window, window + 1):
+            for c3 in range(-window, window + 1):
+                for delta in (-1, 0, 1):
+                    c2 = c1 + c3 - fa - delta
+                    m = sign * phase_value(fa, c1, c2, c3, QUARTIC)
+                    mp = sign * phase_value(fa, c1, c2, c3, PRODUCT)
+                    s = slop + 2 * (abs(fa - c1) + abs(fa - c3) + 1)
+                    pref = abs(sum(mu_p) + mp) / 2.0
+                    if (
+                        abs(c1 - fa) <= 1 or abs(c3 - fa) <= 1 or abs(c2) > window
+                        or (j == 0 and abs(m) <= N)
+                        or pref - s / 2.0 < max(min_denominator, comparability * pref)
+                    ):
+                        continue
+                    freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
+                    recurse(j + 1, mu + [m], mu_p + [mp], s)
+
+    recurse(0, [], [], 0)
+    return out
+
+
+def chi_square_upper_tail(stat, df):
+    """P(chi2_df >= stat) by the Wilson-Hilferty cube-root normal approximation."""
+    z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+# (chronicle, window, comparability, valid-set size): a side and a middle
+# expansion; comparability 0.5 empties both at window 4 (and the side one at 6)
+EXACT_SAMPLER_CASES = [
+    ((0, 1), 4, 0.0, 144),
+    ((0, 2), 4, 0.0, 476),
+    ((0, 1), 7, 0.5, 1530),
+    ((0, 2), 6, 0.5, 868),
+]
+P_VALUE_FLOOR = 1e-3
+
+
+@pytest.mark.parametrize("chronicle,window,comparability,size", EXACT_SAMPLER_CASES)
+def test_sampler_support_and_uniformity_match_brute_force(chronicle, window, comparability, size):
+    tree = build_tree(chronicle)
+    kw = dict(min_denominator=1.0, comparability=comparability)
+    valid = brute_valid_assignments(tree, 0, window, 2.0, **kw)
+    assert len(valid) == size
+    # 20 draws per valid assignment: a cell is missed with probability e^-20
+    draws = sample_index_functions(
+        tree, 0, window, 2.0, 20 * size, np.random.default_rng(11), max_attempts=50_000_000, **kw
+    )
+    assert all(valid[a.freq] == a.phases for a in draws)
+    counts = Counter(a.freq for a in draws)
+    assert set(counts) == set(valid)
+    expected = len(draws) / size
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi_square_upper_tail(stat, size - 1) > P_VALUE_FLOOR
+    oracle = reference_sample_index_functions(
+        tree, 0, window, 2.0, 30, np.random.default_rng(12), max_attempts=1_000_000, **kw
+    )
+    assert all(valid[a.freq] == a.phases for a in oracle)
+
+
+def test_chi_square_tail_rejects_a_skewed_sample():
+    # the uniformity check above can fail: half the cells drawn twice as often
+    counts = [30] * 100 + [15] * 100
+    expected = sum(counts) / len(counts)
+    stat = sum((c - expected) ** 2 / expected for c in counts)
+    assert chi_square_upper_tail(stat, len(counts) - 1) < 1e-6
+    assert 0.4 < chi_square_upper_tail(199.0, 199) < 0.6
+
+
+def test_sampler_guards():
+    t = build_tree([0, 1])
+    rng = np.random.default_rng(0)
+    with pytest.raises(BoxRangeError):
+        sample_index_functions(t, 0, 0, 2.0, 1, rng)
+    with pytest.raises(BoxRangeError):
+        sample_index_functions(t, 14, 4, 2.0, 1, rng)
+    with pytest.raises(BoxRangeError):
+        sample_index_functions(t, -14, 4, 2.0, 1, rng)
+    with pytest.raises(DomainError):
+        sample_index_functions(t, 0, 4, 2.0, -1, rng)
+    with pytest.raises(DomainError):
+        sample_index_functions(t, 0, 4, 2.0, 1, rng, max_attempts=0)
+    assert sample_index_functions(t, 13, 4, 2.0, 0, rng) == []
+
+
+def test_sampler_raises_when_nothing_is_valid():
+    # comparability 0.5 empties the side expansion at window 6 (brute force)
+    t = build_tree([0, 1])
+    kw = dict(min_denominator=1.0, comparability=0.5)
+    assert brute_valid_assignments(t, 0, 6, 2.0, **kw) == {}
+    with pytest.raises(ResourceGuardError):
+        sample_index_functions(t, 0, 6, 2.0, 1, np.random.default_rng(0), max_attempts=100_000, **kw)
+
+
+class RecordingRng:
+    """A Generator that keeps every array of integers it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, low, high, size=None):
+        out = self.rng.integers(low, high, size=size)
+        self.draws.append(out)
+        return out
+
+
+def test_sampler_max_attempts_is_exact():
+    # J = 1: each block draws (c1, c3, delta) once, so the draws are the attempts
+    t = build_tree([0])
+    valid = brute_valid_assignments(t, 0, 4, 2.0, 1.0, 0.0)
+    max_attempts = SAMPLE_BLOCK + 100  # the second block is capped at 100
+    rec = RecordingRng(5)
+    with pytest.raises(ResourceGuardError):
+        sample_index_functions(t, 0, 4, 2.0, max_attempts, rec, max_attempts=max_attempts)
+    c1, c3, delta = (np.concatenate(rec.draws[k::3]) for k in range(3))
+    assert len(c1) == max_attempts
+    freqs = [(0, a, a + b - d, b) for a, b, d in zip(c1.tolist(), c3.tolist(), delta.tolist())]
+    accepted = [f for f in freqs if f in valid]
+    assert 0 < len(accepted) < max_attempts
+    got = sample_index_functions(
+        t, 0, 4, 2.0, len(accepted), np.random.default_rng(5), max_attempts=max_attempts
+    )
+    assert [a.freq for a in got] == accepted  # in attempt order
+    with pytest.raises(ResourceGuardError):
+        sample_index_functions(
+            t, 0, 4, 2.0, len(accepted) + 1, np.random.default_rng(5), max_attempts=max_attempts
+        )
+
+
+def test_sampler_same_seed_same_output():
+    for ch in ([0, 1], [0, 2, 4]):
+        t = build_tree(ch)
+        kw = dict(min_denominator=1.0, comparability=0.5, max_attempts=2_000_000)
+        one = sample_index_functions(t, 0, 8, 2.0, 30, np.random.default_rng(9), **kw)
+        two = sample_index_functions(t, 0, 8, 2.0, 30, np.random.default_rng(9), **kw)
+        assert one == two
