@@ -24,7 +24,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -313,13 +313,7 @@ def compare_with_reference(cfg: ExperimentConfig, params: SolverParams, J_values
     errors = {}
     reports = {}
     for J in J_values:
-        pj = SolverParams(
-            J=J, N=params.N, T=params.T, q=params.q, s=params.s, R=params.R,
-            R_tilde=params.R_tilde, K=params.K, sign=params.sign,
-            picard_tol=params.picard_tol, window=params.window,
-            empirical_c=params.empirical_c, support_trim=params.support_trim,
-        )
-        traj, rep = solve(u0, pj)
+        traj, rep = solve(u0, replace(params, J=J))
         final = traj.states[-1].to_spectrum().coeffs
         err = float(np.sqrt(np.sum(np.abs(final - ref_final) ** 2) / grid.bins_per_box))
         errors[J] = err / ref_norm
@@ -458,7 +452,7 @@ def _suite_converge(cfg, rep, rng):
 
 
 def _suite_solve(cfg, rep, rng):
-    params = choose_parameters(cfg.R, cfg.q, J=cfg.J, K=cfg.K, sign=cfg.sign)
+    params = choose_parameters(cfg.R, cfg.q, J=cfg.J, s=cfg.s, K=cfg.K, sign=cfg.sign)
     grid = make_grid(cfg.grid_B, cfg.grid_n_max)
     u0 = gaussian_field(grid, amplitude=cfg.amplitude, width=cfg.width)
     traj, info = solve(u0, params)
@@ -474,7 +468,7 @@ def _suite_solve(cfg, rep, rng):
 
 
 def _suite_compare(cfg, rep, rng):
-    params = choose_parameters(cfg.R, cfg.q, J=cfg.J, K=cfg.K, sign=cfg.sign)
+    params = choose_parameters(cfg.R, cfg.q, J=cfg.J, s=cfg.s, K=cfg.K, sign=cfg.sign)
     errors, _ = compare_with_reference(cfg, params, J_values=(1, 2, 3))
     for J, err in errors.items():
         rep.add_check(f"solver-agreement-J{J}", "reference-comparison", err, 1e-3, err <= 1e-3)

@@ -35,27 +35,39 @@ Index sums are window-bounded (windows adapt to the state's active support in
 the solver) and deterministic.  The triple tables over all output boxes come
 from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
-with the same engine.  Heavy paths are batched in numpy.  At generation one
-the high-phase table is the only emptiness test: the insert states
-(resonant sum, inner phase buckets) are built only when some high-phase row
-has live bands in its other two slots, so at compliant thresholds, where
-that set is empty on the active window, the insert operators cost one table
-lookup.  The non-resonant inserts read one flat phase index: the live q1
-bands sorted by (box, integer phase) with per-box prefix sums, so the
-"all", "low" and "high" joint-phase rows of every slot, and of every
-enumerated tree assignment, come from one vectorised lookup.  The integrand
-makes one insert pass per quadrature node at generation one: the resonant
-and low-set insert rows share the weight and the gap kernel is linear in the
-inserted slot, so their sum goes through the kernel once.  Generation >= 2
-operators use the kernel-exact tree path, skipped only when the complement
-chain cannot hold inside the window.
+with the same engine.  Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128
+table rows at a time.  The row kernels read one state at one time through a
+node: the u-picture phases exp(i t xi^2) of every box come from one table,
+and the FFTs of q1's factors are taken once per box and gathered by row.
+
+Each quadrature node is evaluated once.  At generation one a single gap pass
+over the high-phase table A_N^c gives the boundary N21 and the insert sums
+together: the gap factors X = u1/d1 and Y = u3/d3 depend only on a (box,
+gap) pair and are transformed once per pair, the boundary and the
+middle-slot insert share X * Y, and the two outer-slot inserts share one
+inverse FFT.  The structure that depends only on (grid, window, N) -- the
+rows, their phases, the pair index with its 1/d factors, the slack picks --
+is cached like the triple tables.  The high-phase table is also the only
+emptiness test: the insert states (resonant sum, inner phase buckets) are
+built only when some high-phase row has two live slots, so at compliant
+thresholds, where that set is empty on the active window, generation one
+costs one table lookup.  The non-resonant inserts read one flat phase index:
+the live q1 bands sorted by (box, integer phase) with per-box prefix sums,
+so the "all", "low" and "high" joint-phase rows of every slot, and of every
+enumerated tree assignment, come from one vectorised lookup; its rows in
+table order also give N12, the part of the integrand the boundary trades
+away.  The resonant and low-set insert rows share the weight and the gap
+kernel is linear in the inserted slot, so the integrand sends their sum
+through the pass once.  Generation >= 2 operators use the kernel-exact tree
+path, skipped only when the complement chain cannot hold inside the window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,70 +206,80 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # bin geometry and batched trilinear kernels
 
+# table rows per batch in the row kernels; bounds the (ROW_CHUNK, B, 2B)
+# temporaries of the generation-one gap pass
+ROW_CHUNK = 128
+
 
 def _rows(grid: Grid, boxes: np.ndarray) -> np.ndarray:
     return boxes + grid.n_max
 
 
-def _u_rows(B, t, v, n):
-    """Bands v at boxes n times exp(i t xi^2): into the u-picture at t, back at -t."""
-    xi = (n[:, None] * B + np.arange(B)) / B
-    return v * np.exp(1j * t * xi * xi)
+class _Node:
+    """One state at one time: its u-picture bands and their per-box transforms.
 
-
-def _q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3):
-    """Batched q1: per-row v-picture bands -> per-row output band at box n."""
-    B = grid.bins_per_box
-    u1 = _u_rows(B, t, v1, n1)
-    u3 = _u_rows(B, t, v3, n3)
-    g2 = np.conj(_u_rows(B, t, v2, n2)[:, ::-1])
-    L = 4 * B
-    conv = np.fft.ifft(
-        np.fft.fft(u1, L, axis=1) * np.fft.fft(g2, L, axis=1) * np.fft.fft(u3, L, axis=1),
-        axis=1,
-    )
-    d = n - (n1 - n2 + n3)
-    idx = (d[:, None] + 1) * B - 1 + np.arange(B)
-    out = np.take_along_axis(conv, idx, axis=1)
-    return _u_rows(B, -t, out, n) / (2.0 * np.pi * B * B)
-
-
-def _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
-    """Batched gap-kernel operator; rows as in _q1_rows, gaps must be >= 2.
-
-    Per row, output bin a sums u1[b] u3[c] g2[2B-1+a-b-c] / (d1[a,b] d3[a,c])
-    over bins b, c, with g2 placed in a 3B buffer at its slack offset and the
-    gaps d1 = (n-n1) + (a-b)/B, d3 = (n-n3) + (a-c)/B.  Each gap factor
-    depends on one of b, c only, so with X[a,b] = u1[b]/d1[a,b] and
-    Y[a,c] = u3[c]/d3[a,c] the double sum is sum_m (X * Y)[a,m] g2[2B-1+a-m],
-    where X * Y is the linear convolution over the last axis (length 2B-1,
-    taken as a zero-padded length-2B FFT product).  The sum stays exact; a row
-    costs O(B^2 log B) instead of the O(B^3) of the (b, c) double sum, and the
-    largest temporary is (chunk, B, 2B).
+    ``phase[box] = exp(i t xi^2)`` on the bins of every box takes v into the
+    u-picture (u = v * phase); its conjugate takes a row kernel's output back.
+    ``fu`` and ``fg`` are the length-4B FFTs of u and of the reversed
+    conjugate g = conj(u[::-1]), the outer and middle factors of q1.  Rows
+    gather them by box, which gives the numbers a per-row transform gives.
+    All of them are computed on first use, so a node whose rows are all dead
+    costs one liveness test.
     """
-    B = grid.bins_per_box
-    T = len(n)
-    out = np.zeros((T, B), dtype=np.complex128)
-    a_min_b = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a, b)
-    # shared gather index: padded middle blocks make the offset row-free
-    gidx = 2 * B - 1 + np.arange(B)[:, None] - np.arange(2 * B - 1)[None, :]  # (a, m)
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        sl = slice(lo, hi)
-        u1 = _u_rows(B, t, v1[sl], n1[sl])
-        u3 = _u_rows(B, t, v3[sl], n3[sl])
-        g2 = np.conj(_u_rows(B, t, v2[sl], n2[sl])[:, ::-1])
-        d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
-        d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
-        dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
-        padded = np.zeros((hi - lo, 3 * B), dtype=np.complex128)
-        cols = (1 - dd)[:, None] * B + np.arange(B)
-        np.put_along_axis(padded, cols, g2, axis=1)
-        conv = np.fft.ifft(
-            np.fft.fft(u1[:, None, :] / d1, 2 * B) * np.fft.fft(u3[:, None, :] / d3, 2 * B)
-        )[..., : 2 * B - 1]
-        out[sl] = np.einsum("tam,tam->ta", conv, padded[:, gidx])
-    return _u_rows(B, -t, out, n) / (2.0 * np.pi * B * B)
+
+    def __init__(self, state: BoxedState, t: float):
+        self.grid = state.grid
+        self.data = state.data
+        self.t = t
+        self.alive = np.any(state.data != 0, axis=1)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        g = self.grid
+        B = g.bins_per_box
+        xi = (np.arange(-g.n_max, g.n_max)[:, None] * B + np.arange(B)) / B
+        return np.exp(1j * self.t * xi * xi)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.data * self.phase
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.conj(self.u[:, ::-1])
+
+    @cached_property
+    def fu(self) -> np.ndarray:
+        return np.fft.fft(self.u, 4 * self.grid.bins_per_box, axis=1)
+
+    @cached_property
+    def fg(self) -> np.ndarray:
+        return np.fft.fft(self.g, 4 * self.grid.bins_per_box, axis=1)
+
+    def live(self, *box_arrays) -> np.ndarray:
+        """Per row, how many of its boxes hold a nonzero band."""
+        count = np.zeros(len(box_arrays[0]), dtype=np.int8)
+        for boxes in box_arrays:
+            count += self.alive[_rows(self.grid, boxes)]
+        return count
+
+    def out(self, bands: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Row bands at output boxes n back in the v-picture, normalised."""
+        B = self.grid.bins_per_box
+        return bands * np.conj(self.phase[_rows(self.grid, n)]) / (2.0 * np.pi * B * B)
+
+
+def _q1_rows(node: _Node, n, n1, n2, n3) -> np.ndarray:
+    """Batched q1 on the node's bands: per-row output band at box n."""
+    B = node.grid.bins_per_box
+    out = np.empty((len(n), B), dtype=np.complex128)
+    for lo in range(0, len(n), ROW_CHUNK):
+        sl = slice(lo, lo + ROW_CHUNK)
+        r1, r2, r3 = (_rows(node.grid, b[sl]) for b in (n1, n2, n3))
+        conv = np.fft.ifft(node.fu[r1] * node.fg[r2] * node.fu[r3], axis=1)
+        d = n[sl] - (n1[sl] - n2[sl] + n3[sl])
+        out[sl] = np.take_along_axis(conv, (d[:, None] + 1) * B - 1 + np.arange(B), axis=1)
+    return node.out(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +306,57 @@ def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
     return n, n1, n2, n3, weight
 
 
+class _GapTable(NamedTuple):
+    """What the gap pass needs of a triple table that no state changes.
+
+    Per row: its phase ``mu1``; ``pair1`` and ``pair3``, its (box, gap) pairs
+    (n1, n-n1) and (n3, n-n3), which index ``pair_box`` (state rows) and
+    ``pair_gap`` (rows of ``inv_gaps``, the factors 1 / (gap + (a-b)/B)); and
+    ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}.  ``cidx[s, a, j]`` is the
+    flat index a * 2B + m, into a row's (B, 2B) block of X * Y, of the term
+    m = sB - 1 + a - j that output bin a takes with middle bin j; pairs with
+    no such term read m = 2B - 1, the wrap-around term, which is zeroed.
+    """
+
+    rows: tuple
+    mu1: np.ndarray
+    pair1: np.ndarray
+    pair3: np.ndarray
+    pair_box: np.ndarray
+    pair_gap: np.ndarray
+    inv_gaps: np.ndarray
+    slack: np.ndarray
+    cidx: np.ndarray
+
+
+def _gap_index(grid: Grid, table) -> _GapTable:
+    B = grid.bins_per_box
+    n, n1, n2, n3, _ = table
+    pairs = np.stack([np.concatenate([n1, n3]), np.concatenate([n - n1, n - n3])], axis=1)
+    pairs, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    gap_values, pair_gap = np.unique(pairs[:, 1], return_inverse=True)
+    a, j = np.arange(B)[:, None], np.arange(B)[None, :]
+    m = np.arange(3)[:, None, None] * B - 1 + a - j  # (s, a, j)
+    return _GapTable(
+        rows=table,
+        mu1=phase_value(n, n1, n2, n3, QUARTIC),
+        pair1=inverse[: len(n)],
+        pair3=inverse[len(n) :],
+        pair_box=_rows(grid, pairs[:, 0]),
+        pair_gap=pair_gap.reshape(-1),
+        inv_gaps=1.0 / (gap_values[:, None, None] + (a - j) / B),
+        slack=n - (n1 - n2 + n3) + 1,
+        cidx=2 * B * a + np.where((m >= 0) & (m <= 2 * B - 2), m, 2 * B - 1),
+    )
+
+
+@lru_cache(maxsize=256)
+def _gap_table(grid: Grid, window: int, N_key) -> _GapTable:
+    """The gap index of the high-phase table A_N^c of the window."""
+    return _gap_index(grid, _triple_table(grid.n_max, window, N_key, "A_N_complement", QUARTIC))
+
+
 def _max_abs_phase(window: int) -> float:
     """Exact maximum of |Phi| over the slack shell of the window.
 
@@ -301,36 +374,22 @@ def _window_of(state: BoxedState, window: int | None) -> int:
     return min(max(w, 1), state.grid.n_max - 1)
 
 
-def _scatter_rows(state_grid: Grid, n_rows, bands, weights=None) -> np.ndarray:
-    out = np.zeros((2 * state_grid.n_max, state_grid.bins_per_box), dtype=np.complex128)
+def _scatter_rows(grid: Grid, n_rows, bands, weights=None, out=None) -> np.ndarray:
+    """Add the row bands (times their weights) into their output boxes."""
+    if out is None:
+        out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=np.complex128)
     if len(n_rows) == 0:
         return out
     vals = bands if weights is None else bands * weights[:, None]
-    np.add.at(out, _rows(state_grid, n_rows), vals)
+    np.add.at(out, _rows(grid, n_rows), vals)
     return out
 
 
-def _alive_mask(state: BoxedState, *box_arrays):
-    alive = np.any(state.data != 0, axis=1)
-    keep = np.ones(len(box_arrays[0]), dtype=bool)
-    for boxes in box_arrays:
-        keep &= alive[_rows(state.grid, boxes)]
-    return keep
-
-
-def _sum_q1_over(state: BoxedState, t: float, table, kernel=_q1_rows) -> np.ndarray:
-    """Sum of the row kernel over the table rows whose three bands are live."""
-    n, n1, n2, n3, w = table
-    keep = _alive_mask(state, n1, n2, n3)
-    n, n1, n2, n3, w = n[keep], n1[keep], n2[keep], n3[keep], w[keep]
-    if len(n) == 0:
-        return np.zeros_like(state.data)
-    g = state.grid
-    v1 = state.data[_rows(g, n1)]
-    v2 = state.data[_rows(g, n2)]
-    v3 = state.data[_rows(g, n3)]
-    bands = kernel(g, t, v1, v2, v3, n, n1, n2, n3)
-    return _scatter_rows(g, n, bands, w)
+def _sum_q1_over(node: _Node, table) -> np.ndarray:
+    """Sum of q1 over the table rows whose three bands are live."""
+    keep = node.live(*table[1:4]) == 3
+    n, n1, n2, n3, w = (a[keep] for a in table)
+    return _scatter_rows(node.grid, n, _q1_rows(node, n, n1, n2, n3), w)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +411,11 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
     return BoxedState(g, sliced.reshape(2 * g.n_max, g.bins_per_box), t)
 
 
-def _table_state(state, t, window, N, mode, kernel=_q1_rows) -> BoxedState:
-    """The row kernel summed over the (N, mode) triple table of the window."""
+def _table_state(state, t, window, N, mode) -> BoxedState:
+    """q1 summed over the (N, mode) triple table of the window."""
     t = state.time if t is None else t
     table = _triple_table(state.grid.n_max, _window_of(state, window), N, mode, QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(state, t, table, kernel), t)
+    return BoxedState(state.grid, _sum_q1_over(_Node(state, t), table), t)
 
 
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -382,15 +441,8 @@ def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int |
     return _table_state(state, t, window, N, "A_N_complement")
 
 
-def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
-    return _table_state(state, t, window, N, "A_N_complement", _q1_tilde_rows)
-
-
 # ---------------------------------------------------------------------------
-# inserted sums at generation one (slot signs from the conjugation parity)
-
-_SLOT_SIGNS = (+1, -1, +1)
+# the generation-one gap pass: boundary and inserts
 
 
 class _InnerBuckets:
@@ -402,19 +454,18 @@ class _InnerBuckets:
     are found by one searchsorted on int64 keys box * width + phase offset,
     ordered box-major, then by phase; a box without live rows, below, between
     or above the indexed ones, lands on a zero row and sums to zero.
+    ``rows`` keeps (n, phase, band) in table order.
     """
 
     def __init__(self, state: BoxedState, t: float, window: int):
         g = state.grid
-        n, n1, n2, n3, _ = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC)
-        keep = _alive_mask(state, n1, n2, n3)
-        n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
-        bands = _q1_rows(
-            g, t,
-            state.data[_rows(g, n1)], state.data[_rows(g, n2)], state.data[_rows(g, n3)],
-            n, n1, n2, n3,
-        )
+        node = _Node(state, t)
+        table = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC)
+        keep = node.live(*table[1:4]) == 3
+        n, n1, n2, n3 = (a[keep] for a in table[:4])
+        bands = _q1_rows(node, n, n1, n2, n3)
         phase = phase_value(n, n1, n2, n3, QUARTIC)
+        self.rows = (n, phase, bands)
         order = np.lexsort((phase, n))
         n, phase, bands = n[order], phase[order], bands[order]
         self.boxes, starts, counts = np.unique(n, return_index=True, return_counts=True)
@@ -456,80 +507,123 @@ def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
     return low if which == "low" else buckets.sum(boxes) - low
 
 
-def _tilde_insert_sum(state, t, N, window, resonant=False, which=None):
-    """sum over the high-phase set and the three slots of
-    fsgn(slot) * q1_tilde(... insert at slot ...).
+class _GenerationOne(NamedTuple):
+    boundary: BoxedState
+    inserts: BoxedState | None
+    n12: BoxedState | None
 
-    The insert is (R2 - R1)(v) if ``resonant``, plus the non-resonant q1
-    bands on the ``which`` joint-phase set ("all", "low" or "high") if
-    ``which`` is given.  It is built only if some high-phase row has both
-    other slots alive.
+
+def _generation_one(state, t, N, window, resonant=False, which=None, table=None):
+    """Generation one at one state and time, in one pass over the high-phase rows.
+
+    ``boundary`` is N21, the gap kernel summed over A_N^c.  ``inserts`` sums,
+    over A_N^c and the three slots, fsgn(slot) * q1_tilde(... insert at
+    slot ...), where the insert is (R2 - R1)(v) if ``resonant`` plus the
+    non-resonant q1 bands on the ``which`` joint-phase set ("all", "low" or
+    "high") if ``which`` is given; it is None when neither is asked for.
+    ``n12`` is N12, read off the live non-resonant q1 rows the inserts are
+    built from, when ``which`` is given.  A triple ``table`` other than A_N^c
+    of the window replaces it for the boundary and the inserts.
+
+    Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
+    (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
+    is the row's slack and d1 = (n-n1) + (a-b)/B, d3 = (n-n3) + (a-c)/B are
+    the gaps.  With X[a,b] = u1[b]/d1 and Y[a,c] = u3[c]/d3 that is
+    sum_j (X * Y)[a, sB-1+a-j] g2[j], where X * Y is the linear convolution
+    over the last axis, taken as a zero-padded length-2B FFT product.  X and Y
+    depend only on the (box, gap) pair, so they are transformed once per pair.  The boundary and the middle-slot insert
+    share X * Y; the slot-1 insert X' * Y and the slot-3 insert X * Y' both
+    contract with the live middle band and carry sign +1, so one inverse FFT
+    of FX'.FY + FX.FY' serves both.  A row chunk takes 2 forward (FX', FY')
+    and 2 inverse FFT batches; FX and FY are gathered from the per-pair
+    transforms.  Rows with fewer than two live slots are skipped (a dead band
+    contributes exact zeros); if there are none, nothing is built.
     """
     t = state.time if t is None else t
     g = state.grid
+    B = g.bins_per_box
     w = _window_of(state, window)
-    n, n1, n2, n3, wt = _triple_table(g.n_max, w, N, "A_N_complement", QUARTIC)
-    alive = np.any(state.data != 0, axis=1)
-    keeps = [alive[_rows(g, a)] & alive[_rows(g, b)] for a, b in ((n2, n3), (n1, n3), (n1, n2))]
-    total = np.zeros_like(state.data)
-    if not any(np.any(keep) for keep in keeps):
-        return BoxedState(g, total, t)
-    res = apply_resonant(state, t, w).data if resonant else None
-    buckets = _InnerBuckets(state, t, w) if which is not None else None
-    for slot, keep in enumerate(keeps):
-        if not np.any(keep):
-            continue
-        nk, n1k, n2k, n3k, wk = (a[keep] for a in (n, n1, n2, n3, wt))
-        boxes = (n1k, n2k, n3k)[slot]
-        rows = np.zeros((len(nk), g.bins_per_box), dtype=complex)
-        if resonant:
-            rows += res[_rows(g, boxes)]
+    gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
+    node = _Node(state, t)
+    n, n1, n2, n3, wt = gt.rows
+    sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
+    inserting = resonant or which is not None
+    bnd = np.zeros_like(state.data)
+    ins = np.zeros_like(state.data) if inserting else None
+    n12 = np.zeros_like(state.data) if which is not None else None
+    if len(sel):
+        res = apply_resonant(state, t, w).data if resonant else None
         if which is not None:
-            mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
-            rows += _coupled_insert_rows(buckets, _SLOT_SIGNS[slot], boxes, mu1, mu1, 1, which)
-        nz = np.any(rows != 0, axis=1)
-        if not np.any(nz):
-            continue
-        nk, n1k, n2k, n3k, wk = (a[nz] for a in (nk, n1k, n2k, n3k, wk))
-        stacks = [state.data[_rows(g, nn)] for nn in (n1k, n2k, n3k)]
-        stacks[slot] = rows[nz]
-        bands = _q1_tilde_rows(g, t, stacks[0], stacks[1], stacks[2], nk, n1k, n2k, n3k)
-        total += _SLOT_SIGNS[slot] * _scatter_rows(g, nk, bands, wk)
-    return BoxedState(g, total, t)
+            buckets = _InnerBuckets(state, t, w)
+            bn, phase, bands = buckets.rows
+            high = np.abs(phase) > N
+            _scatter_rows(g, bn[high], bands[high], out=n12)
+
+        def inserted(boxes, sign, mu1):
+            # u-picture insert rows at the boxes of slots that enter with sign
+            rows = _rows(g, boxes)
+            bands = res[rows] if resonant else 0.0
+            if which is not None:
+                bands = bands + _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
+            return bands * node.phase[rows]
+
+        F = np.fft.fft(node.u[gt.pair_box][:, None, :] * gt.inv_gaps[gt.pair_gap], 2 * B)
+        for lo in range(0, len(sel), ROW_CHUNK):
+            r = sel[lo : lo + ROW_CHUNK]
+            fx, fy = F[gt.pair1[r]], F[gt.pair3[r]]
+            # (T, B, B) picks of the terms of every row's (B, 2B) block
+            pick = gt.cidx[gt.slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
+            g2 = node.g[_rows(g, n2[r]), :, None]
+            xy = np.fft.ifft(fx * fy)
+            xy[..., -1] = 0.0  # the wrap-around term; the linear convolution has 2B-1
+            xy = xy.reshape(-1)[pick]
+            _scatter_rows(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r], out=bnd)
+            if not inserting:
+                continue
+            # slot signs (+1, -1, +1) from the conjugation parity
+            x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(gt.mu1[r], 2)), 2)
+            x2 = inserted(n2[r], -1, gt.mu1[r])
+            fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
+            fy3 = np.fft.fft(x3[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair3[r]]], 2 * B)
+            outer = np.fft.ifft(fx1 * fy + fx * fy3)
+            outer[..., -1] = 0.0
+            band = outer.reshape(-1)[pick] @ g2 - xy @ np.conj(x2[:, ::-1, None])
+            _scatter_rows(g, n[r], node.out(band[..., 0], n[r]), wt[r], out=ins)
+
+    def as_state(data):
+        return None if data is None else BoxedState(g, data, t)
+
+    return _GenerationOne(as_state(bnd), as_state(ins), as_state(n12))
+
+
+def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
+    """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
+    return _generation_one(state, t, N, window).boundary
 
 
 def n4_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant insert sum: (R2 - R1)(v) substituted at each slot."""
-    return _tilde_insert_sum(state, t, N, window, resonant=True)
-
-
-def _generation_one_inserts(state, N, t, window):
-    """generation_nr + generation_n1 at J = 1 in one insert pass.
-
-    The gap kernel is linear in the inserted slot, so the resonant and the
-    low-set rows are added before it runs instead of running it twice.
-    """
-    return _tilde_insert_sum(state, t, N, window, resonant=True, which="low")
+    return _generation_one(state, t, N, window, resonant=True).inserts
 
 
 def n3_state(state, N, t=None, window=None):
     """Full non-resonant insert sum at generation one (no phase restriction)."""
-    return _tilde_insert_sum(state, t, N, window, which="all")
+    return _generation_one(state, t, N, window, which="all").inserts
 
 
 def n31_state(state, N, t=None, window=None):
     """Non-resonant insert restricted to the low joint-phase set."""
-    return _tilde_insert_sum(state, t, N, window, which="low")
+    return _generation_one(state, t, N, window, which="low").inserts
 
 
 def n32_state(state, N, t=None, window=None):
     """Non-resonant insert on the high joint-phase complement (next remainder)."""
-    return _tilde_insert_sum(state, t, N, window, which="high")
+    return _generation_one(state, t, N, window, which="high").inserts
 
 
 def n22_state(state, N, t=None, window=None):
     """The substituted time-derivative term: resonant plus non-resonant inserts."""
-    return n4_state(state, N, t, window).plus(n3_state(state, N, t, window))
+    return _generation_one(state, t, N, window, resonant=True, which="all").inserts
 
 
 # ---------------------------------------------------------------------------
@@ -811,22 +905,27 @@ def _level_weights(j: int, sigma: int) -> tuple[complex, complex]:
 
 
 def _integrand(state, params, window):
-    """i*sigma*[(R2-R1) + N11] plus the insert sums of levels 2..J."""
+    """i*sigma*[(R2-R1) + N11] plus the insert sums of levels 2..J, and the
+    level-2 boundary N21 at the same state and time (None at J = 1)."""
     sigma = params.sign
     t = state.time
+    if params.J == 1:
+        n12, bnd = apply_n12(state, params.N, t, window), None
+    else:
+        first = _generation_one(state, t, params.N, window, resonant=True, which="low")
+        n12, bnd = first.n12, first.boundary
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
-    low = boxed_cubic(state, t).plus(apply_n12(state, params.N, t, window), -1.0)
-    total = low.scaled(1j * sigma)
+    total = boxed_cubic(state, t).plus(n12, -1.0).scaled(1j * sigma)
     for j in range(2, params.J + 1):
         _, w_ins = _level_weights(j, sigma)
         if j == 2:
-            inserts = _generation_one_inserts(state, params.N, t, window)
+            inserts = first.inserts
         else:
             inserts = generation_nr(state, j - 1, params.N, t, window).plus(
                 generation_n1(state, j - 1, params.N, t, window)
             )
         total = total.plus(inserts, w_ins)
-    return total
+    return total, bnd
 
 
 def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajectory:
@@ -834,7 +933,9 @@ def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajec
 
     Boundary terms are evaluated at the running time for v and at time zero
     for v0, exactly as the telescoped series prescribes; the time integral is
-    a composite trapezoid on the trajectory nodes.
+    a composite trapezoid on the trajectory nodes.  Each node is evaluated
+    once: its level-2 boundary comes from the same generation-one pass as its
+    integrand.
     """
     params.validate()
     times = v.times
@@ -851,20 +952,22 @@ def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajec
             generation_n0(v0.at_time(0.0), j - 1, params.N, 0.0, window), w_bnd
         )
 
-    integrands = [_integrand(st.at_time(tt), params, window) for st, tt in zip(v.states, times)]
+    nodes = [_integrand(st.at_time(tt), params, window) for st, tt in zip(v.states, times)]
 
     out_states = []
     integral = BoxedState.zero(g)
     for k, tt in enumerate(times):
         if k > 0:
             dt = times[k] - times[k - 1]
-            integral = integral.plus(integrands[k - 1], 0.5 * dt).plus(integrands[k], 0.5 * dt)
+            integral = integral.plus(nodes[k - 1][0], 0.5 * dt).plus(nodes[k][0], 0.5 * dt)
         acc = v0.data + integral.data - bnd_at_zero.data
         for j in range(2, params.J + 1):
             w_bnd, _ = _level_weights(j, sigma)
-            acc = acc + w_bnd * generation_n0(
-                v.states[k].at_time(tt), j - 1, params.N, tt, window
-            ).data
+            if j == 2:
+                bnd = nodes[k][1]
+            else:
+                bnd = generation_n0(v.states[k].at_time(tt), j - 1, params.N, tt, window)
+            acc = acc + w_bnd * bnd.data
         out_states.append(BoxedState(g, acc, tt))
     return Trajectory(times=times, states=tuple(out_states))
 

@@ -30,9 +30,10 @@ from nfnls.normal_form import (
     remainder_n2,
     solve,
     _chain_possible,
+    _generation_one,
+    _Node,
     _rows,
     _sum_q1_over,
-    _q1_tilde_rows,
     _triple_table,
 )
 from nfnls.resonance import PRODUCT, enumerate_triples, phase_phi
@@ -166,9 +167,9 @@ def test_criterion_06_decomposition_identity():
 
 def _criterion7_norms(v, N, W, q):
     g = v.grid
-    n11 = BoxedState(g, _sum_q1_over(v, 0.0, _triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
+    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), _triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
     table = _triple_table(g.n_max, W, N, "A_N_complement", PRODUCT)
-    n0 = BoxedState(g, _sum_q1_over(v, 0.0, table, _q1_tilde_rows), 0.0)
+    n0 = _generation_one(v, 0.0, N, W, table=table).boundary
     return n11.lq_norm(q), n0.lq_norm(q)
 
 

@@ -1,13 +1,14 @@
 """Reference solver, experiment runner, report determinism, CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nfnls import harness
 from nfnls.cli import main as cli_main, parse_config_text
-from nfnls.errors import ConfigurationError
+from nfnls.errors import ConfigurationError, DivergenceError
 from nfnls.grids import Field, forward, free_propagate, make_grid
 from nfnls.harness import (
     ExperimentConfig,
@@ -176,6 +177,34 @@ def test_solve_suite_uses_configured_width(monkeypatch):
     rep = run_experiment(ExperimentConfig(kind="solve", grid_B=8, grid_n_max=16, width=2.5))
     assert seen == [2.5]
     assert rep.constants["suite_error"] == "RuntimeError: stop after the initial data"
+
+
+@pytest.mark.parametrize("kind", ["solve", "compare"])
+def test_solver_s_reaches_solve(monkeypatch, kind):
+    seen = []
+
+    def spy(u0, params):
+        seen.append(params.s)
+        raise RuntimeError("stop before the fixed point")
+
+    monkeypatch.setattr(harness, "solve", spy)
+    cfg = ExperimentConfig.from_mapping(
+        kind, {"grid.B": 8, "grid.n_max": 16, "solver.K": 2, "solver.s": 0.75}
+    )
+    rep = run_experiment(cfg)
+    assert seen == [0.75]
+    assert rep.constants["suite_error"] == "RuntimeError: stop before the fixed point"
+
+
+def test_compare_keeps_picard_iteration_limit():
+    # the tiny compliant inputs do not converge in one Picard iteration
+    cfg = ExperimentConfig(kind="compare", grid_B=8, grid_n_max=16, amplitude=0.01, K=2)
+    params = replace(choose_parameters(1.0, 2.0, J=2, K=2), picard_max_iter=1)
+    u0 = gaussian_field(make_grid(8, 16), amplitude=0.01)
+    with pytest.raises(DivergenceError, match="no convergence in 1 iterations"):
+        solve(u0, params)
+    with pytest.raises(DivergenceError, match="no convergence in 1 iterations"):
+        compare_with_reference(cfg, params, J_values=(1, 2))
 
 
 def test_report_independent_of_output_directory(tmp_path):

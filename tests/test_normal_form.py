@@ -34,10 +34,11 @@ from nfnls.normal_form import (
     resonant_r2,
     threshold_from_bound,
     _coupled_insert_rows,
-    _generation_one_inserts,
+    _generation_one,
     _InnerBuckets,
     _max_abs_phase,
-    _q1_tilde_rows,
+    _Node,
+    _q1_rows,
     _triple_table,
 )
 from nfnls.resonance import (
@@ -125,29 +126,194 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
 
     monkeypatch.setattr(normal_form, "apply_resonant", refuse)
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
-    for op in (n4_state, n3_state, n31_state, n32_state):
+    for op in (n4_state, n3_state, n31_state, n32_state, n22_state, n21_state):
         assert np.all(op(v, N, window=13).data == 0)
-    assert np.all(_generation_one_inserts(v, N, 0.0, 13).data == 0)
+    first = _generation_one(v, 0.0, N, 13, resonant=True, which="low")
+    for part in first:
+        assert np.all(part.data == 0)
 
 
-@pytest.mark.parametrize(
-    "grid, span, N, window",
-    [
-        (make_grid(8, 16), 5, 16.0, 6),  # the live compare config
-        (G, 2, 44.0, 2),  # N just below max|Phi| of the window
-        (make_grid(4, 64), 14, 1.0, 14),  # smallest window where n32_state != 0
-    ],
-)
+# ---------------------------------------------------------------------------
+# the row kernels and the generation-one pass as computed before the shared
+# gap pass: per-row transforms, one gap-kernel run per slot (test oracles)
+
+
+def per_row_u(B, t, v, n):
+    """Bands v at boxes n times exp(i t xi^2), one exp per row."""
+    xi = (n[:, None] * B + np.arange(B)) / B
+    return v * np.exp(1j * t * xi * xi)
+
+
+def per_row_q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3, to_u=per_row_u):
+    """Batched q1 with the three band transforms taken row by row."""
+    B = grid.bins_per_box
+    u1 = to_u(B, t, v1, n1)
+    u3 = to_u(B, t, v3, n3)
+    g2 = np.conj(to_u(B, t, v2, n2)[:, ::-1])
+    L = 4 * B
+    conv = np.fft.ifft(
+        np.fft.fft(u1, L, axis=1) * np.fft.fft(g2, L, axis=1) * np.fft.fft(u3, L, axis=1),
+        axis=1,
+    )
+    d = n - (n1 - n2 + n3)
+    idx = (d[:, None] + 1) * B - 1 + np.arange(B)
+    out = np.take_along_axis(conv, idx, axis=1)
+    return to_u(B, -t, out, n) / (2.0 * np.pi * B * B)
+
+
+def rowwise_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
+    """The gap kernel with X = u1/d1 and Y = u3/d3 formed and transformed row
+    by row (the Toeplitz-factored form before per-pair transforms)."""
+    B = grid.bins_per_box
+    T = len(n)
+    out = np.zeros((T, B), dtype=np.complex128)
+    a_min_b = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a, b)
+    gidx = 2 * B - 1 + np.arange(B)[:, None] - np.arange(2 * B - 1)[None, :]  # (a, m)
+    for lo in range(0, T, chunk):
+        hi = min(lo + chunk, T)
+        sl = slice(lo, hi)
+        u1 = per_row_u(B, t, v1[sl], n1[sl])
+        u3 = per_row_u(B, t, v3[sl], n3[sl])
+        g2 = np.conj(per_row_u(B, t, v2[sl], n2[sl])[:, ::-1])
+        d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
+        d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
+        dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
+        padded = np.zeros((hi - lo, 3 * B), dtype=np.complex128)
+        cols = (1 - dd)[:, None] * B + np.arange(B)
+        np.put_along_axis(padded, cols, g2, axis=1)
+        conv = np.fft.ifft(
+            np.fft.fft(u1[:, None, :] / d1, 2 * B) * np.fft.fft(u3[:, None, :] / d3, 2 * B)
+        )[..., : 2 * B - 1]
+        out[sl] = np.einsum("tam,tam->ta", conv, padded[:, gidx])
+    return per_row_u(B, -t, out, n) / (2.0 * np.pi * B * B)
+
+
+def live_rows(v, table):
+    """The table rows whose three slots are live."""
+    alive = np.any(v.data != 0, axis=1)
+    n, n1, n2, n3, w = table
+    keep = alive[n1 + v.grid.n_max] & alive[n2 + v.grid.n_max] & alive[n3 + v.grid.n_max]
+    return tuple(a[keep] for a in table)
+
+
+def scatter(grid, n, bands, w):
+    out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=complex)
+    np.add.at(out, n + grid.n_max, bands * w[:, None])
+    return out
+
+
+def per_slot_n21(v, t, N, window):
+    g = v.grid
+    table = _triple_table(g.n_max, window, N, "A_N_complement", QUARTIC)
+    n, n1, n2, n3, w = live_rows(v, table)
+    bands = rowwise_q1_tilde_rows(
+        g, t, *(v.data[b + g.n_max] for b in (n1, n2, n3)), n, n1, n2, n3
+    )
+    return scatter(g, n, bands, w)
+
+
+def per_slot_inserts(v, t, N, window, resonant=False, which=None):
+    """sum over the high-phase set and the three slots of
+    fsgn(slot) * q1_tilde(... insert at slot ...), one gap-kernel run per slot
+    over the rows whose other two slots are live."""
+    g = v.grid
+    n, n1, n2, n3, wt = _triple_table(g.n_max, window, N, "A_N_complement", QUARTIC)
+    alive = np.any(v.data != 0, axis=1)
+    res = apply_resonant(v, t, window).data if resonant else None
+    buckets = _InnerBuckets(v, t, window) if which is not None else None
+    total = np.zeros_like(v.data)
+    for slot, (a, b) in enumerate(((n2, n3), (n1, n3), (n1, n2))):
+        keep = alive[a + g.n_max] & alive[b + g.n_max]
+        nk, n1k, n2k, n3k, wk = (x[keep] for x in (n, n1, n2, n3, wt))
+        boxes = (n1k, n2k, n3k)[slot]
+        rows = np.zeros((len(nk), g.bins_per_box), dtype=complex)
+        if resonant:
+            rows += res[boxes + g.n_max]
+        if which is not None:
+            mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
+            sign = (+1, -1, +1)[slot]
+            rows += _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
+        stacks = [v.data[x + g.n_max] for x in (n1k, n2k, n3k)]
+        stacks[slot] = rows
+        bands = rowwise_q1_tilde_rows(g, t, *stacks, nk, n1k, n2k, n3k)
+        total += (+1, -1, +1)[slot] * scatter(g, nk, bands, wk)
+    return total
+
+
+# the live compare config; N just below max|Phi| of window 2; the smallest
+# window where n32_state != 0
+GENERATION_ONE_CONFIGS = [
+    (make_grid(8, 16), 5, 16.0, 6),
+    (G, 2, 44.0, 2),
+    (make_grid(4, 64), 14, 1.0, 14),
+]
+
+
+@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
 def test_fused_generation_one_inserts(grid, span, N, window):
+    # one gap pass gives the boundary and generation_nr + generation_n1 at J = 1
     rng = np.random.default_rng(14)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    got = _generation_one_inserts(v, N, 0.2, window).data
-    want = (
-        generation_nr(v, 1, N, window=window).data
-        + generation_n1(v, 1, N, window=window).data
+    got = _generation_one(v, 0.2, N, window, resonant=True, which="low")
+    want_bnd = per_slot_n21(v, 0.2, N, window)
+    want_ins = per_slot_inserts(v, 0.2, N, window, resonant=True) + per_slot_inserts(
+        v, 0.2, N, window, which="low"
     )
+    for part, want in ((got.boundary, want_bnd), (got.inserts, want_ins)):
+        assert np.any(want != 0) and np.any(part.data != 0)
+        assert np.max(np.abs(part.data - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
+def test_generation_one_operators_match_per_slot_oracle(grid, span, N, window):
+    rng = np.random.default_rng(15)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    ops = {
+        n4_state: dict(resonant=True),
+        n3_state: dict(which="all"),
+        n31_state: dict(which="low"),
+        n32_state: dict(which="high"),
+    }
+    for op, kw in ops.items():
+        got = op(v, N, 0.2, window).data
+        want = per_slot_inserts(v, 0.2, N, window, **kw)
+        scale = np.max(np.abs(want))
+        if op is n32_state and window < 14:
+            assert scale == 0 and np.all(got == 0)  # structurally empty below window 14
+            continue
+        assert scale > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
+def test_n12_from_shared_rows_matches_apply_n12(grid, span, N, window):
+    rng = np.random.default_rng(16)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    got = _generation_one(v, 0.2, N, window, which="low").n12.data
+    want = apply_n12(v, N, 0.2, window).data
     assert np.any(want != 0)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid, span, window", [(make_grid(8, 16), 5, 6), (make_grid(4, 64), 14, 14)])
+def test_state_gathered_q1_rows_equal_per_row_transforms(grid, span, window):
+    # per-box transforms gathered by row are the per-row transforms of the
+    # same bands; the per-row exp of the old kernel agrees to round-off
+    rng = np.random.default_rng(17)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    node = _Node(v, 0.2)
+    n, n1, n2, n3, _ = _triple_table(grid.n_max, window, math.inf, "A_N", QUARTIC)
+    assert len(n) > normal_form.ROW_CHUNK
+    bands = [v.data[b + grid.n_max] for b in (n1, n2, n3)]
+    got = _q1_rows(node, n, n1, n2, n3)
+
+    def table_u(B, t, bands, boxes):
+        phase = node.phase[boxes + grid.n_max]
+        return bands * (phase if t > 0 else np.conj(phase))
+
+    assert np.array_equal(got, per_row_q1_rows(grid, 0.2, *bands, n, n1, n2, n3, to_u=table_u))
+    want = per_row_q1_rows(grid, 0.2, *bands, n, n1, n2, n3)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_r1_single_band_matches_brute_force():
@@ -549,28 +715,44 @@ def gap_kernel_rows(rng, T):
 
 
 @pytest.mark.parametrize("B", [4, 8, 16])
-def test_gap_kernel_matches_gather_and_per_triple_oracles(B):
+def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
+    # the boundary of the gap pass, row by row (one-row tables) and over
+    # tables below, equal to and not a multiple of the chunk
     grid = make_grid(B, 32)
     rng = np.random.default_rng(B)
     t, chunk = 0.37, 12
+    monkeypatch.setattr(normal_form, "ROW_CHUNK", chunk)
+    data = rng.standard_normal((2 * grid.n_max, B)) + 1j * rng.standard_normal((2 * grid.n_max, B))
+    v = BoxedState(grid, data, t)
 
-    def band(box, coeffs):
-        return BandCoefficients(box_index=int(box), grid=grid, coeffs=coeffs, start_bin=int(box) * B)
+    def band(box):
+        return v.band(int(box))
 
-    for T in (5, chunk, 29):  # below, equal to and not a multiple of the chunk
+    def boundary(table):
+        return _generation_one(v, t, None, None, table=table).boundary.data
+
+    for T in (5, chunk, 29):
         n, n1, n2, n3 = gap_kernel_rows(rng, T)
-        v1, v2, v3 = (
-            rng.standard_normal((T, B)) + 1j * rng.standard_normal((T, B)) for _ in range(3)
-        )
-        got = _q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=chunk)
-        gathered = gather_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3)
+        w = np.ones(T)
+        stacks = [data[b + grid.n_max] for b in (n1, n2, n3)]
         per_triple = np.array([
-            q1_tilde(int(n[i]), band(n1[i], v1[i]), band(n2[i], v2[i]), band(n3[i], v3[i]), t).coeffs
+            q1_tilde(int(n[i]), band(n1[i]), band(n2[i]), band(n3[i]), t).coeffs
             for i in range(T)
         ])
-        for want in (gathered, per_triple):
+        got = np.array([
+            boundary(tuple(a[i : i + 1] for a in (n, n1, n2, n3, w)))[n[i] + grid.n_max]
+            for i in range(T)
+        ])
+        for want in (
+            gather_q1_tilde_rows(grid, t, *stacks, n, n1, n2, n3),
+            rowwise_q1_tilde_rows(grid, t, *stacks, n, n1, n2, n3),
+            per_triple,
+        ):
             scale = np.max(np.abs(want), axis=1)
             assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
+        want = scatter(grid, n, per_triple, w)
+        got = boundary((n, n1, n2, n3, w))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def per_n_triple_table(n_max, window, N, mode, convention):
