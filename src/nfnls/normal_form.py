@@ -938,19 +938,31 @@ def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajec
     integrand.
     """
     params.validate()
-    times = v.times
-    if abs(times[-1] - params.T) > 1e-12 * max(1.0, params.T):
+    if abs(v.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise ConfigurationError("trajectory must live on [0, T]")
+    return _gamma_partial(v0, v, params, _boundary_at_zero(v0, params))
+
+
+def _boundary_at_zero(v0: BoxedState, params: SolverParams) -> BoxedState:
+    """The weighted boundary terms of v0 at time zero, fixed within a solve."""
+    out = BoxedState.zero(v0.grid)
+    for j in range(2, params.J + 1):
+        w_bnd, _ = _level_weights(j, params.sign)
+        out = out.plus(
+            generation_n0(v0.at_time(0.0), j - 1, params.N, 0.0, params.window), w_bnd
+        )
+    return out
+
+
+def _gamma_partial(
+    v0: BoxedState, v: Trajectory, params: SolverParams, bnd_at_zero: BoxedState
+) -> Trajectory:
+    """``gamma_partial`` on a trajectory over [0, T], with the time-zero
+    boundary of v0 given."""
+    times = v.times
     sigma = params.sign
     window = params.window
     g = v0.grid
-
-    bnd_at_zero = BoxedState.zero(g)
-    for j in range(2, params.J + 1):
-        w_bnd, _ = _level_weights(j, sigma)
-        bnd_at_zero = bnd_at_zero.plus(
-            generation_n0(v0.at_time(0.0), j - 1, params.N, 0.0, window), w_bnd
-        )
 
     nodes = [_integrand(st.at_time(tt), params, window) for st, tt in zip(v.states, times)]
 
@@ -1012,10 +1024,11 @@ def solve(u0, params: SolverParams):
         )
     times = np.linspace(0.0, params.T, params.K + 1)
     current = Trajectory(times=times, states=tuple(v0.at_time(t) for t in times))
+    bnd_at_zero = _boundary_at_zero(v0, params)
     diffs: list[float] = []
     ratios: list[float] = []
     for it in range(params.picard_max_iter):
-        nxt = gamma_partial(v0, current, params)
+        nxt = _gamma_partial(v0, current, params, bnd_at_zero)
         if params.support_trim > 0.0:
             nxt = Trajectory(
                 times=nxt.times,

@@ -8,6 +8,8 @@ from nfnls.grids import Spectrum, forward, free_propagate, inverse, make_grid
 from nfnls.modulation import BandCoefficients, reconstruct
 from nfnls.multilinear import (
     BandTuple,
+    _check_band,
+    _u_block,
     certify_tree_bound,
     coherent_band,
     q1,
@@ -20,6 +22,7 @@ from nfnls.trees import (
     assignment_from_freqs,
     build_tree,
     compute_signs,
+    enumerate_index_functions,
     enumerate_trees,
     sample_index_functions,
 )
@@ -375,3 +378,190 @@ def test_kernel_guards():
     )
     with pytest.raises(ResourceGuardError):
         q_tree(tree3, assign, tup, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the full-mesh tree operator and the draw-by-draw certification as oracles
+
+
+def mesh_q_tree(tree, assign, leaves, t, min_denominator=0.5):
+    """q_tree on the full B^(2J+1) leaf-bin mesh, masked node by node."""
+    B = leaves.bands[0].grid.bins_per_box
+    leaf_ids = tree.terminal_ids()
+    L = len(leaf_ids)
+    signs = compute_signs(tree)
+    K = {}
+    values = None
+    for i, b in enumerate(leaf_ids):
+        band = leaves.bands[i]
+        _check_band(band, leaves.bands[0].grid)
+        assert band.box_index == assign.freq[b]
+        shape = [1] * L
+        shape[i] = B
+        K[b] = (band.start_bin + np.arange(B)).reshape(shape)
+        ub = _u_block(band, t)
+        if leaves.conjugated[i]:
+            ub = np.conj(ub)
+        v = ub.reshape(shape)
+        values = v if values is None else values * v
+
+    def k_of(node_id):
+        if node_id not in K:
+            c1, c2, c3 = tree.nodes[node_id].children
+            K[node_id] = k_of(c1) - k_of(c2) + k_of(c3)
+        return K[node_id]
+
+    mask = values != 0
+    for a in tree.chronicle:
+        ka = k_of(a)
+        na = assign.freq[a]
+        mask = mask & (ka >= na * B) & (ka < (na + 1) * B)
+    kernel = np.ones((1,) * L)
+    prefix = np.zeros((1,) * L)
+    for a in tree.chronicle:
+        c1, _, c3 = tree.nodes[a].children
+        m = signs.fsgn[a] * ((k_of(a) - k_of(c1)) / B) * ((k_of(a) - k_of(c3)) / B)
+        prefix = prefix + m
+        if np.any(mask & (np.abs(prefix) < min_denominator)):
+            raise PreconditionError(
+                "singular prefix denominator met by nonzero data inside the windows"
+            )
+        kernel = kernel / np.where(mask & (prefix != 0), prefix, 1.0)
+    contrib = np.where(mask, values * kernel, 0.0) * (2.0 * np.pi * B * B) ** (-tree.J)
+    flat_idx = (np.broadcast_to(k_of(0), contrib.shape) - assign.n_root * B).ravel()
+    flat = contrib.ravel()
+    keep = (flat_idx >= 0) & (flat_idx < B)
+    out = np.zeros(B, dtype=np.complex128)
+    np.add.at(out, flat_idx[keep], flat[keep])
+    xi_out = (assign.n_root * B + np.arange(B)) / B
+    return out * np.exp(-1j * t * xi_out * xi_out)
+
+
+def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
+    """Certification one draw at a time: coherent first, then random bands."""
+    signs = compute_signs(tree)
+    leaf_ids = tree.terminal_ids()
+    den = 1.0
+    for mt in np.cumsum(np.asarray(assign.phases.mu_product) / 2.0):
+        den *= abs(mt)
+    flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
+    measured = 0.0
+    for kind in ["coherent"] + ["random"] * trials:
+        if kind == "coherent":
+            bands = [coherent_band(grid, assign.freq[b]) for b in leaf_ids]
+        else:
+            bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
+        out = mesh_q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
+        measured = max(measured, float(np.sqrt(np.sum(np.abs(out) ** 2) / grid.bins_per_box)) * den)
+    return measured
+
+
+def _rel_err(got, want):
+    scale = np.max(np.abs(want))
+    if scale == 0:
+        return float(np.max(np.abs(got)))
+    return float(np.max(np.abs(got - want)) / scale)
+
+
+def _sampled(tree, count, rng, window=8):
+    return sample_index_functions(
+        tree, 0, window, 2.0, count, rng,
+        min_denominator=1.0, comparability=0.5, max_attempts=2_000_000,
+    )
+
+
+def _sparse_enumerated(tree, count):
+    """Criterion-8 plans: leaves on a sparse support, one insert leaf and the
+    internal nodes on its reach."""
+    support = {-2, 0, 2, 22, 27}
+    reach = support | {a - b + c + d for a in support for b in support
+                       for c in support for d in (-1, 0, 1)}
+    leaf_ids = tree.terminal_ids()
+    out = []
+    for insert in leaf_ids:
+        plan = {a: reach for a in tree.chronicle[1:]}
+        plan.update({b: support for b in leaf_ids})
+        plan[insert] = reach
+        for n_root in (0, 24):
+            out += enumerate_index_functions(tree, n_root, 48, 1.0, allowed_boxes=plan)[:count]
+    return out
+
+
+def _tree_cases():
+    rng = np.random.default_rng(20)
+    for J in (1, 2, 3):
+        for k, tree in enumerate(enumerate_trees(J)):
+            assigns = _sampled(tree, 2, rng)
+            # unfiltered chains also reach singular prefix denominators
+            window = 4 if J <= 2 else 2
+            assigns += enumerate_index_functions(
+                tree, 1, window, 2.0, cJ_filter="none")[::97][:4]
+            if J <= 2:  # criterion 8's level 3 is structurally empty
+                assigns += _sparse_enumerated(tree, 1)
+            yield pytest.param(tree, assigns, id=f"J{J}-tree{k}")
+
+
+@pytest.mark.parametrize("tree,assigns", list(_tree_cases()))
+def test_q_tree_matches_mesh_oracle(tree, assigns):
+    rng = np.random.default_rng(21)
+    grid = make_grid(4, 32)
+    signs = compute_signs(tree)
+    leaf_ids = tree.terminal_ids()
+    flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
+    assert assigns
+    for assign in assigns:
+        bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
+        zeroed = list(bands)
+        dead = int(rng.integers(len(leaf_ids)))
+        zeroed[dead] = band(assign.freq[leaf_ids[dead]], np.zeros(4), grid=grid)
+        for tup_bands in (bands, zeroed):
+            tup = BandTuple(tuple(tup_bands), flags)
+            for t in (0.0, 0.37):
+                try:
+                    want = mesh_q_tree(tree, assign, tup, t)
+                except PreconditionError:
+                    with pytest.raises(PreconditionError, match="singular prefix"):
+                        q_tree(tree, assign, tup, t)
+                    continue
+                got = q_tree(tree, assign, tup, t).coeffs
+                assert _rel_err(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("J", [2, 3])
+def test_certify_tree_bound_matches_loop_oracle_and_stream(J):
+    grid = make_grid(4, 32)
+    sampler = np.random.default_rng(22)
+    for tree in enumerate_trees(J)[:4]:
+        for assign in _sampled(tree, 2, sampler):
+            # from t ~ 1 on the random draws, not the coherent one, set the sup
+            for t in (0.0, 1.3, 3.7):
+                rng = np.random.default_rng(23)
+                oracle_rng = np.random.default_rng(23)
+                got = certify_tree_bound(tree, assign, 3, grid, rng, t)
+                want = loop_certify_tree_bound(tree, assign, 3, grid, oracle_rng, t)
+                assert abs(got - want) <= 1e-14 * want
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_q_tree_singular_prefix_precondition():
+    # the single-bin tuple of the hand check: prefixes m1 = -21, m1 + m2 = -5
+    tree = build_tree([0, 1])
+    freq = [0, 7, 4, -3, 3, -1, 3]
+    assign = assignment_from_freqs(tree, freq)
+    flags = (False, True, False, True, False)
+    leaves = [single_bin_band(f, 0, 1.0) for f in (3, -1, 3, 4, -3)]
+    tup = BandTuple(tuple(leaves), flags)
+    with pytest.raises(PreconditionError, match="singular prefix"):
+        q_tree(tree, assign, tup, 0.0, min_denominator=6.0)
+    assert np.any(q_tree(tree, assign, tup, 0.0, min_denominator=4.0).coeffs)
+    leaves[3] = single_bin_band(4, 0, 0.0)
+    out = q_tree(tree, assign, BandTuple(tuple(leaves), flags), 0.0, min_denominator=6.0)
+    assert not np.any(out.coeffs)
+    # coherent bands: every surviving tuple carries data, so a large floor raises
+    grid = make_grid(4, 32)
+    coherent = [coherent_band(grid, f) for f in (3, -1, 3, 4, -3)]
+    with pytest.raises(PreconditionError, match="singular prefix"):
+        q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0, min_denominator=1e6)
+    coherent[3] = band(4, np.zeros(4), grid=grid)
+    out = q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0, min_denominator=1e6)
+    assert not np.any(out.coeffs)
