@@ -26,16 +26,20 @@ equal.
                  continuous half-phases m_j = fsgn(a_j)*(xi_a - xi_a1)*(xi_a - xi_a3).
                  For J=1 this reduces to q1_tilde bin by bin.
 
-The tree operator is split in two.  ``_tree_plan`` depends only on the tree,
-the assignment and B: it joins the children's surviving tuples bottom-up and
-keeps, of the B^(2J+1) leaf-bin tuples, those inside every window, with
-their kernels, root bins and smallest prefix denominators.  A window keeps
-about 2/3 of the tuples below it when its children's boxes sum to its box
-and about 1/6 when they miss it by one (criterion 5's 750 index functions
-at B=4, J=3 keep a median of 201 and a mean of 563 of the 16,384 tuples).  The
-evaluator takes a (D, L, B) stack of leaf draws, gathers the leaf products
-per tuple and scatters each draw to its root bins; ``certify_tree_bound``
-builds one plan per assignment and evaluates all its draws as one batch.
+The tree operator is split in two.  A node's window test depends only on its
+slack f(a1) - f(a2) + f(a3) - f(a) in {-1, 0, 1} and on the bin offsets
+within the boxes, so ``_slack_plan`` depends only on the tree, the slack
+pattern (at most 3^J of them) and B: it joins the children's surviving
+tuples bottom-up and keeps those inside every window (criterion 5's 750
+index functions at B=4, J=3 keep a median of 201 and a mean of 563 of the
+16,384 tuples), with their root bins and the bin-offset differences of
+every node.  Plans are cached across calls.  Only the kernel 1/prod_j m~_j
+depends on the boxes; it is computed per index function from the integer
+bin differences.  The evaluator gathers the leaf products per tuple from a
+(R, L, B) stack of leaf rows, applies each row's kernel and scatters the
+rows to their root bins.  ``q_tree`` (one row), ``certify_tree_bound`` (one
+index function, all its draws) and the tree-level sums of ``normal_form``
+(every index function of a tree, grouped by slack pattern) share them.
 
 Kernel-exact evaluation is guarded: J <= 3 and B^(2J+1) within a flat budget
 (the harness uses small B for J=3 cells).  The sums are deterministic: the
@@ -45,6 +49,7 @@ tuples are summed in the lexicographic order of their leaf bins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +79,10 @@ __all__ = [
 TREE_KERNEL_J_MAX = 3
 TREE_KERNEL_BUDGET = 1 << 24  # max leaf-bin combinations per evaluation
 MIN_PREFIX_DENOMINATOR = 0.5
+# slack-pattern plans kept across calls: all 27 of one J = 3 tree
+PLAN_CACHE = 27
+# leaf-bin tuples times leaf rows per evaluation batch
+EVAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -182,29 +191,37 @@ def q1_tilde(
 
 
 class _TreePlan(NamedTuple):
-    """The leaf-bin tuples of one (tree, assignment) that survive every window.
+    """The leaf-bin tuples of one (tree, slack pattern) that survive every window.
 
-    Row s reads bin ``offsets[i][s]`` of leaf i's box (leaves in depth-first
-    order) and lands on bin ``root[s]`` of the root box with kernel
-    ``kernel[s]`` = 1/prod_j m~_j; ``min_prefix[s]`` is min_j |m~_j|.  Rows
-    are in the lexicographic order of their leaf offsets.  ``conjugated[i]``
-    says whether leaf i enters conjugated (fsgn = -1).
+    Row s reads bin ``offsets[i, s]`` of leaf i's box (leaves in depth-first
+    order) and lands on bin ``root[s]`` of the root box.  At the j-th node a
+    of the chronicle, with children a1, a3 and bin offsets o within their
+    boxes, ``d1[j, s]`` = o_a - o_a1 and ``d3[j, s]`` = o_a - o_a3; the bin
+    differences of an index function f are then k_a - k_a1 = (f(a) - f(a1))*B
+    + d1 and k_a - k_a3 = (f(a) - f(a3))*B + d3.  ``fsgn[j, 0]`` signs that
+    node's half-phase.  Rows are in the lexicographic order of their leaf
+    offsets.  ``conjugated[i]`` says whether leaf i enters conjugated.  The
+    bin arrays are int16 (B^3 <= budget keeps B <= 256), so cached plans
+    stay small.
     """
 
-    offsets: list[np.ndarray]
-    kernel: np.ndarray
+    offsets: np.ndarray
     root: np.ndarray
-    min_prefix: np.ndarray
-    conjugated: list[bool]
+    d1: np.ndarray
+    d3: np.ndarray
+    fsgn: np.ndarray
+    conjugated: tuple[bool, ...]
 
 
-def _tree_plan(tree: OrderedTree, assign: IndexAssignment, B: int) -> _TreePlan:
+@lru_cache(maxsize=PLAN_CACHE)
+def _slack_plan(tree: OrderedTree, slack: tuple[int, ...], B: int) -> _TreePlan:
     """Join the children's surviving tuples bottom-up, window by window.
 
-    In reverse chronicle order every internal node's children are leaves or
-    already joined, so each node takes the product of its three children's
-    tuples and keeps the rows whose propagated bin k_a = k_a1 - k_a2 + k_a3
-    lies in [n_a*B, (n_a+1)*B).
+    ``slack[j]`` = f(a1) - f(a2) + f(a3) - f(a) at the j-th node a of the
+    chronicle.  In reverse chronicle order every internal node's children are
+    leaves or already joined, so each node takes the product of its three
+    children's tuples and keeps the rows whose propagated bin offset
+    o_a = o_a1 - o_a2 + o_a3 + slack*B lies in [0, B).
     """
     J = tree.J
     if J > TREE_KERNEL_J_MAX:
@@ -215,57 +232,119 @@ def _tree_plan(tree: OrderedTree, assign: IndexAssignment, B: int) -> _TreePlan:
         )
     signs = compute_signs(tree)
     leaf_ids = tree.terminal_ids()
-    # per subtree: its root's bin k, its leaves' offsets, the half-phases m_a
-    # of its internal nodes, one row per surviving tuple
-    bins = np.arange(B)
-    sub = {b: (assign.freq[b] * B + bins, [bins], {}) for b in leaf_ids}
-    for a in reversed(tree.chronicle):
-        (k1, o1, m1), (k2, o2, m2), (k3, o3, m3) = (
-            sub.pop(c) for c in tree.nodes[a].children
-        )
-        ka = k1[:, None, None] - k2[None, :, None] + k3[None, None, :]
-        na = assign.freq[a]
-        i1, i2, i3 = np.nonzero((ka >= na * B) & (ka < (na + 1) * B))
-        k = ka[i1, i2, i3]
-        m = {j: col[i1] for j, col in m1.items()}
-        m.update({j: col[i2] for j, col in m2.items()})
-        m.update({j: col[i3] for j, col in m3.items()})
-        m[a] = signs.fsgn[a] * ((k - k1[i1]) / B) * ((k - k3[i3]) / B)
-        offsets = [o[i1] for o in o1] + [o[i2] for o in o2] + [o[i3] for o in o3]
-        sub[a] = (k, offsets, m)
-    k, offsets, m = sub[0]
-    kernel, prefix, min_prefix = 1.0, 0.0, np.inf
-    for a in tree.chronicle:
-        prefix = prefix + m[a]
-        min_prefix = np.minimum(min_prefix, np.abs(prefix))
-        kernel = kernel / np.where(prefix != 0, prefix, 1.0)
-    conjugated = [signs.fsgn[b] == -1 for b in leaf_ids]
-    return _TreePlan(offsets, kernel, k - assign.n_root * B, min_prefix, conjugated)
+    # per subtree: its root's bin offset, its leaves' offsets and the bin
+    # differences (d1, d3) of its internal nodes, one row per surviving tuple
+    bins = np.arange(B, dtype=np.int16)
+    sub = {b: (bins, [bins], {}) for b in leaf_ids}
+    for a, delta in zip(reversed(tree.chronicle), reversed(slack)):
+        (o1, f1, e1), (o2, f2, e2), (o3, f3, e3) = (sub.pop(c) for c in tree.nodes[a].children)
+        oa = o1[:, None, None] - o2[None, :, None] + o3[None, None, :] + delta * B
+        i1, i2, i3 = np.nonzero((oa >= 0) & (oa < B))
+        o = oa[i1, i2, i3]
+        d = {j: (x[i1], y[i1]) for j, (x, y) in e1.items()}
+        d.update({j: (x[i2], y[i2]) for j, (x, y) in e2.items()})
+        d.update({j: (x[i3], y[i3]) for j, (x, y) in e3.items()})
+        d[a] = (o - o1[i1], o - o3[i3])
+        offsets = [f[i1] for f in f1] + [f[i2] for f in f2] + [f[i3] for f in f3]
+        sub[a] = (o, offsets, d)
+    root, offsets, d = sub[0]
+    return _TreePlan(
+        np.stack(offsets),
+        root,
+        np.stack([d[a][0] for a in tree.chronicle]),
+        np.stack([d[a][1] for a in tree.chronicle]),
+        np.array([[signs.fsgn[a]] for a in tree.chronicle]),
+        tuple(signs.fsgn[b] == -1 for b in leaf_ids),
+    )
 
 
-def _evaluate_plan(plan: _TreePlan, u: np.ndarray, min_denominator: float) -> np.ndarray:
-    """Root-box bins, before the output phase, of a (D, L, B) stack of draws.
+def _node_gaps(tree: OrderedTree, freq: np.ndarray):
+    """(A, J) slacks, f(a) - f(a1) and f(a) - f(a3) of the chronicle nodes of
+    A rows of node boxes."""
+    a = np.array(tree.chronicle)
+    c1, c2, c3 = np.array([tree.nodes[x].children for x in tree.chronicle]).T
+    fa = freq[:, a]
+    return freq[:, c1] - freq[:, c2] + freq[:, c3] - fa, fa - freq[:, c1], fa - freq[:, c3]
 
-    ``u`` holds u-picture leaf values with the conjugations applied.  Raises
-    if a draw's nonzero data meet a prefix denominator below
+
+def _kernel(plan: _TreePlan, gap1: np.ndarray, gap3: np.ndarray, B: int):
+    """(A, S) kernels 1/prod_j m~_j and smallest prefix moduli min_j |m~_j|
+    of A rows of box gaps, from the integer bin differences.
+
+    The half-phases m_j are accumulated, and the kernel divided by the
+    prefixes, in chronicle order.
+    """
+    k1 = gap1[:, :, None] * B + plan.d1
+    k3 = gap3[:, :, None] * B + plan.d3
+    prefix = np.cumsum(plan.fsgn * (k1 / B) * (k3 / B), axis=1)
+    denominators = np.where(prefix != 0, prefix, 1.0)
+    kernel = 1.0 / denominators[:, 0]
+    for j in range(1, denominators.shape[1]):
+        kernel = kernel / denominators[:, j]
+    return kernel, np.abs(prefix).min(axis=1)
+
+
+def _evaluate(plan, gap1, gap3, u, min_denominator, target, size, scale=1.0):
+    """Root-box bins, before the output phase, of a (R, L, B) stack of leaf rows.
+
+    Row r of ``u`` holds u-picture leaf values with the conjugations applied;
+    it takes the kernel of row r of the box gaps (or of their only row) and
+    is added, times ``scale``, into row ``target[r]`` of the (size, B)
+    output.  Raises if nonzero data meet a prefix denominator below
     ``min_denominator``.
     """
-    D, L, B = u.shape
-    values = u[:, 0, plan.offsets[0]]
-    for i in range(1, L):
-        values = values * u[:, i, plan.offsets[i]]
-    if np.any(values[:, plan.min_prefix < min_denominator]):
-        raise PreconditionError(
-            "singular prefix denominator met by nonzero data inside the windows"
+    R, L, B = u.shape
+    weight = scale * (2.0 * np.pi * B * B) ** (-len(plan.fsgn))
+    shared = len(gap1) == 1
+    if shared:
+        kernel, min_prefix = _kernel(plan, gap1, gap3, B)
+    out = np.zeros(size * B, dtype=np.complex128)
+    step = max(1, EVAL_CHUNK // max(1, len(plan.root)))
+    for lo in range(0, R, step):
+        sl = slice(lo, lo + step)
+        if not shared:
+            kernel, min_prefix = _kernel(plan, gap1[sl], gap3[sl], B)
+        values = u[sl, 0].take(plan.offsets[0], axis=1)
+        for i in range(1, L):
+            values = values * u[sl, i].take(plan.offsets[i], axis=1)
+        small = min_prefix < min_denominator
+        if small.any() and np.any(small & (values != 0)):
+            raise PreconditionError(
+                "singular prefix denominator met by nonzero data inside the windows"
+            )
+        contrib = (values * kernel * weight).ravel()
+        idx = (plan.root + B * target[sl, None]).ravel()
+        out.real += np.bincount(idx, weights=contrib.real, minlength=size * B)
+        out.imag += np.bincount(idx, weights=contrib.imag, minlength=size * B)
+    return out.reshape(size, B)
+
+
+def _tree_sum(tree, freq, u, target, size, scale=1.0, min_denominator=MIN_PREFIX_DENOMINATOR):
+    """The tree operator of every row of index functions, summed by target row.
+
+    Row r of ``freq`` (A, nodes) is an index function and row r of ``u`` (A,
+    L, B) its u-picture leaf values with the conjugations applied; the
+    result is the (size, B) sum of ``scale`` times row r's root-box bins,
+    before the output phase, over the rows with target[r] = row.  Rows are
+    evaluated per slack pattern, one plan each.
+    """
+    B = u.shape[2]
+    slack, gap1, gap3 = _node_gaps(tree, freq)
+    patterns, group = np.unique(slack, axis=0, return_inverse=True)
+    out = np.zeros((size, B), dtype=np.complex128)
+    for k, pattern in enumerate(patterns):
+        rows = np.flatnonzero(group.reshape(-1) == k)
+        plan = _slack_plan(tree, tuple(pattern.tolist()), B)
+        out += _evaluate(
+            plan, gap1[rows], gap3[rows], u[rows], min_denominator, target[rows], size, scale
         )
-    J = (L - 1) // 2
-    weight = (2.0 * np.pi * B * B) ** (-J)
-    contrib = (values * plan.kernel * weight).ravel()
-    idx = (plan.root + B * np.arange(D)[:, None]).ravel()
-    out = np.empty(D * B, dtype=np.complex128)
-    out.real = np.bincount(idx, weights=contrib.real, minlength=D * B)
-    out.imag = np.bincount(idx, weights=contrib.imag, minlength=D * B)
-    return out.reshape(D, B)
+    return out
+
+
+def _assignment_plan(tree: OrderedTree, assign: IndexAssignment, B: int):
+    """The plan of one index function and its (1, J) box gaps."""
+    slack, gap1, gap3 = _node_gaps(tree, np.array([assign.freq]))
+    return _slack_plan(tree, tuple(slack[0].tolist()), B), gap1, gap3
 
 
 def _output_phase(n: int, B: int, t: float) -> np.ndarray:
@@ -284,7 +363,7 @@ def q_tree(
     """Kernel-exact evaluation of the generation-J tree operator.
 
     Sum over the leaf bin tuples that survive the sharp window of every
-    internal node on the propagated natural frequency (``_tree_plan``), with
+    internal node on the propagated natural frequency (``_slack_plan``), with
     conjugation per fsgn, kernel 1/prod_j m~_j on signed continuous
     half-phase prefix sums and weight (2*pi*B^2)^{-J}.  Raises a resource
     guard for J > 3 or B^(2J+1) over the budget and a precondition error if
@@ -295,7 +374,7 @@ def q_tree(
         raise ResourceGuardError(f"kernel-exact path is capped at J={TREE_KERNEL_J_MAX}")
     grid = leaves.bands[0].grid
     B = grid.bins_per_box
-    plan = _tree_plan(tree, assign, B)
+    plan, gap1, gap3 = _assignment_plan(tree, assign, B)
     leaf_ids = tree.terminal_ids()
     u = np.empty((1, len(leaf_ids), B), dtype=np.complex128)
     for i, b in enumerate(leaf_ids):
@@ -305,13 +384,12 @@ def q_tree(
             raise PreconditionError("leaf band boxes must match the assignment")
         if band.start_bin != band.box_index * B:
             raise PreconditionError("tree operators need bands on the bins of their box")
+        if leaves.conjugated[i] != plan.conjugated[i]:
+            raise PreconditionError("conjugation flags disagree with the sign table")
         ub = _u_block(band, t)
-        if leaves.conjugated[i]:
-            if not plan.conjugated[i]:
-                raise PreconditionError("conjugation flags disagree with the sign table")
-            ub = np.conj(ub)
-        u[0, i] = ub
-    out = _evaluate_plan(plan, u, min_denominator)[0] * _output_phase(assign.n_root, B, t)
+        u[0, i] = np.conj(ub) if plan.conjugated[i] else ub
+    out = _evaluate(plan, gap1, gap3, u, min_denominator, np.zeros(1, dtype=np.intp), 1)
+    out = out[0] * _output_phase(assign.n_root, B, t)
     return BandCoefficients(
         box_index=assign.n_root, grid=grid, coeffs=out, start_bin=assign.n_root * B
     )
@@ -391,15 +469,16 @@ def certify_tree_bound(
     half-phases in chronicle order), matching the kernel convention.  One
     coherent (all-ones) tuple comes first; the ``trials`` random tuples are
     drawn with one ``standard_normal`` call, which reads the stream in the
-    order of a draw-by-draw, leaf-by-leaf ``random_band`` loop.  The plan is
-    built once and all draws are evaluated as one batch.
+    order of a draw-by-draw, leaf-by-leaf ``random_band`` loop.  All draws
+    are evaluated as one batch on the plan of the index function's slack
+    pattern.
     """
     leaf_ids = tree.terminal_ids()
     B = grid.bins_per_box
     den = 1.0
     for mt in np.cumsum(np.asarray(assign.phases.mu_product) / 2.0):
         den *= abs(mt)
-    plan = _tree_plan(tree, assign, B)
+    plan, gap1, gap3 = _assignment_plan(tree, assign, B)
     z = rng.standard_normal((trials, len(leaf_ids), 2, B))
     drawn = z[:, :, 0] + 1j * z[:, :, 1]
     drawn = drawn / np.sqrt(np.sum(np.abs(drawn) ** 2, axis=-1, keepdims=True) / B)
@@ -407,7 +486,10 @@ def certify_tree_bound(
     start = np.array([assign.freq[b] * B for b in leaf_ids])
     xi = (start[:, None] + np.arange(B)) / B
     u = coeffs * np.exp(1j * t * xi * xi)
-    u[:, plan.conjugated] = np.conj(u[:, plan.conjugated])
-    out = _evaluate_plan(plan, u, MIN_PREFIX_DENOMINATOR) * _output_phase(assign.n_root, B, t)
+    conj = list(plan.conjugated)
+    u[:, conj] = np.conj(u[:, conj])
+    D = len(u)
+    out = _evaluate(plan, gap1, gap3, u, MIN_PREFIX_DENOMINATOR, np.arange(D), D)
+    out = out * _output_phase(assign.n_root, B, t)
     norms = np.sqrt(np.sum(np.abs(out) ** 2, axis=1) / B)
     return float(np.max(norms) * den)

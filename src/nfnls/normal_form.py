@@ -59,7 +59,9 @@ table order also give N12, the part of the integrand the boundary trades
 away.  The resonant and low-set insert rows share the weight and the gap
 kernel is linear in the inserted slot, so the integrand sends their sum
 through the pass once.  Generation >= 2 operators use the kernel-exact tree
-path, skipped only when the complement chain cannot hold inside the window.
+path, skipped only when the complement chain cannot hold inside the window:
+per tree and insert leaf, one index-function frontier over every root box
+and one batched tree-kernel evaluation (``multilinear._tree_sum``).
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ from .errors import (
 )
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
 from .modulation import BandCoefficients, modulation_norm
-from .multilinear import BandTuple, q_tree
+from .multilinear import _tree_sum
 from .resonance import QUARTIC, _mode_mask, expand_triples, phase_value
-from .trees import compute_signs, enumerate_trees, enumerate_index_functions
+from .trees import _frontier, compute_signs, enumerate_trees
 
 __all__ = [
     "BoxedState",
@@ -661,6 +663,14 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     mode: "n0" plain, "nr" resonant insert, "n1" low-set insert,
     "rem" unrestricted insert.  ``allowed_all``, when given, becomes the
     operative box window for every node of every tree (sparse-support runs).
+
+    Per tree and insert leaf, one frontier over every candidate root gives
+    all index functions as integer rows; the leaf rows are gathered from one
+    u-picture table of the state (and its conjugate), the insert rows from
+    the resonant state or the inner phase buckets, rows whose insert is
+    exactly zero are dropped, and ``multilinear._tree_sum`` evaluates the
+    rest per slack pattern and scatters them to their root boxes.  The
+    output phase is applied once, to the sum.
     """
     g = state.grid
     w = _window_of(state, window)
@@ -684,7 +694,6 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
         active &= set(allowed_all)
         if mode != "n0":
             insert_boxes &= set(allowed_all)
-    data = np.zeros_like(state.data)
     out_lim = min(3 * w + 1, g.n_max - 1)
     universe = set(active)
     if mode != "n0":
@@ -694,65 +703,51 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     uni = np.array(sorted(universe))
     sums = np.unique(uni[:, None, None] - uni[None, :, None] + uni[None, None, :])
     sums = np.unique(np.concatenate([sums - 1, sums, sums + 1]))
-    root_candidates = [int(r) for r in sums if -out_lim <= r <= out_lim]
+    roots = sums[(sums >= -out_lim) & (sums <= out_lim)]
+    node = _Node(state, t)
+    # u-picture leaf values, plain (index 0) and conjugated (index 1)
+    table = np.stack([node.u, np.conj(node.u)])
+    data = np.zeros_like(state.data)
     count = 0
     for tree in enumerate_trees(J):
         signs = compute_signs(tree)
         tsign = _tree_sign(tree, signs)
-        leaf_ids = tree.terminal_ids()
-        flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
-        base_plan = {a: internal_allowed for a in tree.chronicle[1:]}
-        base_plan.update({b: active for b in leaf_ids})
-        if mode == "n0":
-            plans = [(None, base_plan)]
-        else:
-            plans = []
-            for li, leaf in enumerate(leaf_ids):
-                p = dict(base_plan)
-                p[leaf] = insert_boxes
-                plans.append((li, p))
-        for n_root in root_candidates:
-            for li, plan in plans:
-                assigns = enumerate_index_functions(
-                    tree, n_root, w, N,
-                    cJ_filter="C_complement_chain",
-                    allowed_boxes=plan,
-                    max_count=ASSIGNMENT_GUARD,
-                )
-                count += len(assigns)
-                if count > ASSIGNMENT_GUARD:
-                    raise ResourceGuardError(
-                        "tree-level operator sum exceeded the assignment guard"
-                    )
-                if li is None:
-                    for assign in assigns:
-                        base = [state.band(assign.freq[b]) for b in leaf_ids]
-                        band = q_tree(tree, assign, BandTuple(tuple(base), flags), t)
-                        data[n_root + g.n_max] += tsign * band.coeffs
-                    continue
+        leaf_ids = list(tree.terminal_ids())
+        conj = np.array([signs.fsgn[b] == -1 for b in leaf_ids], dtype=np.intp)
+        sets = {a: internal_allowed for a in tree.chronicle[1:]}
+        sets.update({b: active for b in leaf_ids})
+        for li in [None] if mode == "n0" else range(len(leaf_ids)):
+            node_sets = dict(sets)
+            if li is not None:
+                node_sets[leaf_ids[li]] = insert_boxes
+            freq, mu, _ = _frontier(
+                tree, roots, w, N, node_sets.get, "C_complement_chain", QUARTIC,
+                ASSIGNMENT_GUARD,
+            )
+            count += len(freq)
+            if count > ASSIGNMENT_GUARD:
+                raise ResourceGuardError("tree-level operator sum exceeded the assignment guard")
+            leaf_rows = _rows(g, freq[:, leaf_ids])
+            sign = tsign
+            if li is not None:
                 leaf = leaf_ids[li]
-                boxes = np.array([a.freq[leaf] for a in assigns], dtype=np.int64)
                 if mode == "nr":
-                    inserts = insert_state.data[_rows(g, boxes)]
+                    inserts = insert_state.data[leaf_rows[:, li]]
                 else:
                     inserts = _coupled_insert_rows(
-                        buckets, signs.fsgn[leaf], boxes,
-                        np.array([float(a.phases.mu_tilde[-1]) for a in assigns]),
-                        np.array([float(a.phases.mu[0]) for a in assigns]),
+                        buckets, signs.fsgn[leaf], freq[:, leaf],
+                        mu.sum(axis=1).astype(float), mu[:, 0].astype(float),
                         J, "all" if mode == "rem" else "low",
                     )
-                for assign, ins in zip(assigns, inserts):
-                    if not np.any(ins):
-                        continue
-                    box = assign.freq[leaf]
-                    bands = [state.band(assign.freq[b]) for b in leaf_ids]
-                    bands[li] = BandCoefficients(
-                        box_index=box, grid=g, coeffs=ins, start_bin=box * g.bins_per_box
-                    )
-                    tup = BandTuple(tuple(bands), flags)
-                    band = q_tree(tree, assign, tup, t)
-                    data[n_root + g.n_max] += tsign * signs.fsgn[leaf] * band.coeffs
-    return BoxedState(g, data, t)
+                live = np.any(inserts != 0, axis=1)
+                freq, leaf_rows, inserts = freq[live], leaf_rows[live], inserts[live]
+                sign *= signs.fsgn[leaf]
+            u = table[conj, leaf_rows]
+            if li is not None:
+                inserts = inserts * node.phase[leaf_rows[:, li]]
+                u[:, li] = np.conj(inserts) if conj[li] else inserts
+            data += _tree_sum(tree, freq, u, _rows(g, freq[:, 0]), len(data), sign)
+    return BoxedState(g, data * np.conj(node.phase), t)
 
 
 def generation_n0(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:

@@ -27,8 +27,11 @@ order, in both the default (quartic) and the product phase conventions.
 
 Exhaustive enumeration runs generation by generation over an integer frontier
 (one row per partial assignment, one column per node) expanded by
-``resonance.expand_triples``; the constraints above are masks on its columns.
-``IndexAssignment`` objects are built once, for the final frontier.
+``resonance.expand_triples``; the constraints above are masks on its columns,
+row by row, so one frontier serves any number of root boxes.
+``IndexAssignment`` objects are built once, for the final frontier of one
+root; the tree-level sums of ``normal_form`` read the integer frontier of all
+their roots directly.
 
 Random sampling is rejection over the same kind of frontier: a block of
 attempts starts from the root row, and at each generation every surviving
@@ -291,7 +294,6 @@ def enumerate_index_functions(
         raise BoxRangeError(f"window must be >= 1, got {window}")
     if abs(n_root) > 3 * window + 1:
         raise BoxRangeError(f"root box {n_root} unreachable from window {window}")
-    signs = compute_signs(tree)
     if isinstance(allowed_boxes, dict):
         node_set = allowed_boxes.get
     else:
@@ -300,11 +302,26 @@ def enumerate_index_functions(
         def node_set(c):
             return allowed_boxes if c in leaves else None
 
-    # the frontier: one row per partial assignment, signed phases per generation
-    freq = np.zeros((1, tree.size()), dtype=np.int64)
-    freq[0, 0] = n_root
-    mu = np.zeros((1, 0), dtype=np.int64)
-    mu_p = np.zeros((1, 0), dtype=np.int64)
+    freq, mu, mu_p = _frontier(
+        tree, [n_root], window, N, node_set, cJ_filter, convention, max_count
+    )
+    return _assignments(tree, n_root, freq, mu, mu_p)
+
+
+def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count):
+    """The complete frontier of every root: (freq, mu, mu_p) integer arrays.
+
+    One row per index function, one ``freq`` column per node and one signed
+    phase column per generation, rows grouped by root in the order of
+    ``roots`` and lexicographic within a root, so the rows are those of
+    per-root enumerations, concatenated.  ``node_set(c)`` is node c's box set
+    (None: the full window).  More than ``max_count`` partial or complete rows
+    raise ``ResourceGuardError``.
+    """
+    signs = compute_signs(tree)
+    freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
+    freq[:, 0] = roots
+    mu = mu_p = np.zeros((len(roots), 0), dtype=np.int64)
     for j, a in enumerate(tree.chronicle):
         kids = list(tree.nodes[a].children)
         rows, c1, c2, c3 = expand_triples(freq[:, a], window, [node_set(c) for c in kids])
@@ -321,7 +338,7 @@ def enumerate_index_functions(
             raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
         mp = signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)
         freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
-    return _assignments(tree, n_root, freq, mu, mu_p)
+    return freq, mu, mu_p
 
 
 def _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp):

@@ -8,7 +8,10 @@ from nfnls.grids import Spectrum, forward, free_propagate, inverse, make_grid
 from nfnls.modulation import BandCoefficients, reconstruct
 from nfnls.multilinear import (
     BandTuple,
+    _assignment_plan,
     _check_band,
+    _kernel,
+    _tree_sum,
     _u_block,
     certify_tree_bound,
     coherent_band,
@@ -186,6 +189,19 @@ def test_q_tree_j1_reduces_to_q1_tilde():
         got = q_tree(tree, assign, tup, t).coeffs
         want = q1_tilde(0, b1, b2, b3, t).coeffs
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_q_tree_rejects_flags_that_disagree_with_signs():
+    # leaf 2 is the conjugated middle slot (fsgn = -1); flags that leave it
+    # plain, or conjugate a plain leaf, are refused instead of giving a wrong band
+    rng = np.random.default_rng(5)
+    tree = enumerate_trees(1)[0]
+    assign = assignment_from_freqs(tree, [0, 3, 6, 3])
+    bands = (band(3, rng=rng), band(6, rng=rng), band(3, rng=rng))
+    assert np.any(q_tree(tree, assign, BandTuple(bands, (False, True, False)), 0.2).coeffs)
+    for flags in [(False, False, False), (True, True, False), (False, True, True)]:
+        with pytest.raises(PreconditionError, match="conjugation flags disagree"):
+            q_tree(tree, assign, BandTuple(bands, flags), 0.2)
 
 
 def test_q_tree_left_expansion_denominator_hand_check():
@@ -437,6 +453,35 @@ def mesh_q_tree(tree, assign, leaves, t, min_denominator=0.5):
     return out * np.exp(-1j * t * xi_out * xi_out)
 
 
+def per_assignment_tree_plan(tree, assign, B):
+    """The surviving tuples of one index function, joined on absolute bins:
+    (leaf offsets, kernel, root bins, smallest prefix moduli)."""
+    signs = compute_signs(tree)
+    bins = np.arange(B)
+    sub = {b: (assign.freq[b] * B + bins, [bins], {}) for b in tree.terminal_ids()}
+    for a in reversed(tree.chronicle):
+        (k1, o1, m1), (k2, o2, m2), (k3, o3, m3) = (
+            sub.pop(c) for c in tree.nodes[a].children
+        )
+        ka = k1[:, None, None] - k2[None, :, None] + k3[None, None, :]
+        na = assign.freq[a]
+        i1, i2, i3 = np.nonzero((ka >= na * B) & (ka < (na + 1) * B))
+        k = ka[i1, i2, i3]
+        m = {j: col[i1] for j, col in m1.items()}
+        m.update({j: col[i2] for j, col in m2.items()})
+        m.update({j: col[i3] for j, col in m3.items()})
+        m[a] = signs.fsgn[a] * ((k - k1[i1]) / B) * ((k - k3[i3]) / B)
+        offsets = [o[i1] for o in o1] + [o[i2] for o in o2] + [o[i3] for o in o3]
+        sub[a] = (k, offsets, m)
+    k, offsets, m = sub[0]
+    kernel, prefix, min_prefix = 1.0, 0.0, np.inf
+    for a in tree.chronicle:
+        prefix = prefix + m[a]
+        min_prefix = np.minimum(min_prefix, np.abs(prefix))
+        kernel = kernel / np.where(prefix != 0, prefix, 1.0)
+    return offsets, kernel, k - assign.n_root * B, min_prefix
+
+
 def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
     """Certification one draw at a time: coherent first, then random bands."""
     signs = compute_signs(tree)
@@ -565,3 +610,56 @@ def test_q_tree_singular_prefix_precondition():
     coherent[3] = band(4, np.zeros(4), grid=grid)
     out = q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0, min_denominator=1e6)
     assert not np.any(out.coeffs)
+
+
+@pytest.mark.parametrize("tree,assigns", list(_tree_cases()))
+def test_slack_plan_equals_per_assignment_plan(tree, assigns):
+    # same tuples in the same order, and the same kernel bits: both come from
+    # the same integer bin differences
+    for assign in assigns:
+        offsets, kernel, root, min_prefix = per_assignment_tree_plan(tree, assign, 4)
+        plan, gap1, gap3 = _assignment_plan(tree, assign, 4)
+        got_kernel, got_min = _kernel(plan, gap1, gap3, 4)
+        assert np.array_equal(plan.offsets, np.array(offsets).reshape(len(offsets), -1))
+        assert np.array_equal(plan.root, root)
+        assert np.array_equal(got_kernel[0], kernel)
+        assert np.array_equal(got_min[0], min_prefix)
+
+
+def test_tree_sum_groups_rows_by_slack_pattern():
+    # many index functions of one tree in one call equal one q_tree each,
+    # summed per root box; a row with a zero leaf adds nothing
+    rng = np.random.default_rng(24)
+    grid = make_grid(4, 32)
+    tree = build_tree([0, 2])
+    assigns = [
+        a for n_root in (0, 1, -2) for a in sample_index_functions(
+            tree, n_root, 8, 2.0, 12, rng, min_denominator=1.0, comparability=0.5,
+            max_attempts=2_000_000,
+        )
+    ]
+    signs = compute_signs(tree)
+    leaf_ids = tree.terminal_ids()
+    flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
+    slacks = {
+        tuple(a.freq[c1] - a.freq[c2] + a.freq[c3] - a.freq[n]
+              for n in tree.chronicle for c1, c2, c3 in [tree.nodes[n].children])
+        for a in assigns
+    }
+    assert len(slacks) >= 4
+    roots = sorted({a.n_root for a in assigns})
+    want = np.zeros((len(roots), 4), dtype=complex)
+    u = np.empty((len(assigns), len(leaf_ids), 4), dtype=complex)
+    for r, assign in enumerate(assigns):
+        bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
+        if r % 7 == 0:
+            bands[r % len(bands)] = band(assign.freq[leaf_ids[r % len(bands)]], np.zeros(4), grid=grid)
+        out = q_tree(tree, assign, BandTuple(tuple(bands), flags), 0.0)
+        want[roots.index(assign.n_root)] -= out.coeffs
+        for i, bnd in enumerate(bands):
+            u[r, i] = np.conj(bnd.coeffs) if flags[i] else bnd.coeffs
+    freq = np.array([a.freq for a in assigns])
+    target = np.array([roots.index(a.n_root) for a in assigns])
+    got = _tree_sum(tree, freq, u, target, len(roots), scale=-1.0)
+    assert _rel_err(got, want) <= 1e-14
+    assert np.any(want)

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nfnls.errors import ConfigurationError, DomainError
+from nfnls.errors import (
+    ConfigurationError,
+    DomainError,
+    PreconditionError,
+    ResourceGuardError,
+)
 from nfnls.grids import make_grid
 from nfnls.modulation import BandCoefficients
-from nfnls.multilinear import q1, q1_tilde
+from nfnls.multilinear import BandTuple, _tree_sum, q1, q1_tilde, q_tree
 import nfnls.normal_form as normal_form
 from nfnls.normal_form import (
     BoxedState,
@@ -33,13 +38,17 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
+    _chain_possible,
     _coupled_insert_rows,
     _generation_one,
     _InnerBuckets,
     _max_abs_phase,
     _Node,
     _q1_rows,
+    _tree_level_sum,
+    _tree_sign,
     _triple_table,
+    _window_of,
 )
 from nfnls.resonance import (
     PRODUCT,
@@ -49,6 +58,7 @@ from nfnls.resonance import (
     expand_triples,
     phase_value,
 )
+from nfnls.trees import compute_signs, enumerate_index_functions, enumerate_trees
 
 G = make_grid(16, 32)
 
@@ -784,3 +794,178 @@ def test_triple_table_identical_to_per_n_tables(mode, convention):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# the tree-level sum as computed before the batched pass: one enumeration per
+# (tree, root, insert leaf) and one q_tree call per index function (test oracle)
+
+
+def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
+    g = state.grid
+    w = _window_of(state, window)
+    out = BoxedState.zero(g, t)
+    if not _chain_possible(J, N, w):
+        return out
+    boxes_axis = np.arange(-g.n_max, g.n_max)
+    active = {int(b) for b in boxes_axis[state.box_norms() > 0]}
+    if not active:
+        return out
+    if mode == "nr":
+        insert_state = apply_resonant(state, t, w)
+        insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
+    elif mode in ("n1", "rem"):
+        buckets = _InnerBuckets(state, t, w)
+        insert_boxes = set(buckets.boxes.tolist())
+    internal_allowed = set(allowed_all) if allowed_all is not None else None
+    if allowed_all is not None:
+        active &= set(allowed_all)
+        if mode != "n0":
+            insert_boxes &= set(allowed_all)
+    data = np.zeros_like(state.data)
+    out_lim = min(3 * w + 1, g.n_max - 1)
+    universe = set(active)
+    if mode != "n0":
+        universe |= insert_boxes
+    if internal_allowed is not None:
+        universe |= internal_allowed
+    uni = np.array(sorted(universe))
+    sums = np.unique(uni[:, None, None] - uni[None, :, None] + uni[None, None, :])
+    sums = np.unique(np.concatenate([sums - 1, sums, sums + 1]))
+    root_candidates = [int(r) for r in sums if -out_lim <= r <= out_lim]
+    count = 0
+    for tree in enumerate_trees(J):
+        signs = compute_signs(tree)
+        tsign = _tree_sign(tree, signs)
+        leaf_ids = tree.terminal_ids()
+        flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
+        base_plan = {a: internal_allowed for a in tree.chronicle[1:]}
+        base_plan.update({b: active for b in leaf_ids})
+        if mode == "n0":
+            plans = [(None, base_plan)]
+        else:
+            plans = []
+            for li, leaf in enumerate(leaf_ids):
+                p = dict(base_plan)
+                p[leaf] = insert_boxes
+                plans.append((li, p))
+        for n_root in root_candidates:
+            for li, plan in plans:
+                assigns = enumerate_index_functions(
+                    tree, n_root, w, N, allowed_boxes=plan,
+                    max_count=normal_form.ASSIGNMENT_GUARD,
+                )
+                count += len(assigns)
+                if count > normal_form.ASSIGNMENT_GUARD:
+                    raise ResourceGuardError("tree-level operator sum exceeded the assignment guard")
+                if li is None:
+                    for assign in assigns:
+                        base = [state.band(assign.freq[b]) for b in leaf_ids]
+                        band = q_tree(tree, assign, BandTuple(tuple(base), flags), t)
+                        data[n_root + g.n_max] += tsign * band.coeffs
+                    continue
+                leaf = leaf_ids[li]
+                boxes = np.array([a.freq[leaf] for a in assigns], dtype=np.int64)
+                if mode == "nr":
+                    inserts = insert_state.data[boxes + g.n_max]
+                else:
+                    inserts = _coupled_insert_rows(
+                        buckets, signs.fsgn[leaf], boxes,
+                        np.array([float(a.phases.mu_tilde[-1]) for a in assigns]),
+                        np.array([float(a.phases.mu[0]) for a in assigns]),
+                        J, "all" if mode == "rem" else "low",
+                    )
+                for assign, ins in zip(assigns, inserts):
+                    if not np.any(ins):
+                        continue
+                    box = assign.freq[leaf]
+                    bands = [state.band(assign.freq[b]) for b in leaf_ids]
+                    bands[li] = BandCoefficients(
+                        box_index=box, grid=g, coeffs=ins, start_bin=box * g.bins_per_box
+                    )
+                    band = q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
+                    data[n_root + g.n_max] += tsign * signs.fsgn[leaf] * band.coeffs
+    return BoxedState(g, data, t)
+
+
+def tiny_remainder_inputs():
+    """Criterion 8 at small size: a sparse support, window 16, and the boxes
+    every node may use."""
+    g = make_grid(4, 64)
+    support = [-2, 0, 2, 9, 12]
+    reach = {a - b + c + d for a in support for b in support for c in support for d in (-1, 0, 1)}
+    rng = np.random.default_rng(1)
+    data = np.zeros((128, 4), dtype=complex)
+    for n in support:
+        data[n + 64] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v = BoxedState(g, data, 0.0)
+    return v.scaled(0.5 / v.lq_norm(2.0)), sorted(set(support) | reach)
+
+
+def batched_tree_level_sum(v, J, t, mode, allowed):
+    """The public operator where it reaches the tree path, else the private sum."""
+    if J >= 2 and allowed is None:
+        op = {"n0": generation_n0, "nr": generation_nr, "n1": generation_n1, "rem": remainder_n2}
+        return op[mode](v, J, 1.0, t, 16)
+    if mode == "rem":
+        return remainder_n2(v, J, 1.0, t, 16, allowed_all=allowed)
+    return _tree_level_sum(v, J, 1.0, t, 16, mode, allowed_all=allowed)
+
+
+# the nonzero cases: every mode at J = 1; at J = 2 the chain filter leaves only
+# index functions whose low-set and unrestricted inserts are live
+LIVE_TREE_CASES = {("n0", 1), ("nr", 1), ("n1", 1), ("rem", 1), ("n1", 2), ("rem", 2)}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37])
+@pytest.mark.parametrize("restricted", [True, False])
+@pytest.mark.parametrize("J", [1, 2])
+@pytest.mark.parametrize("mode", ["n0", "nr", "n1", "rem"])
+def test_batched_tree_level_sum_matches_per_assignment_oracle(mode, J, restricted, t):
+    v, allowed = tiny_remainder_inputs()
+    allowed = allowed if restricted else None
+    got = batched_tree_level_sum(v.at_time(t), J, t, mode, allowed).data
+    want = per_assignment_tree_level_sum(v, J, 1.0, t, 16, mode, allowed).data
+    if (mode, J) in LIVE_TREE_CASES:
+        assert np.any(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    else:
+        assert not np.any(want) and not np.any(got)
+
+
+def test_tree_level_sum_assignment_guard(monkeypatch):
+    v, allowed = tiny_remainder_inputs()
+    monkeypatch.setattr(normal_form, "ASSIGNMENT_GUARD", 200)
+    with pytest.raises(ResourceGuardError):
+        remainder_n2(v, 2, 1.0, window=16, allowed_all=allowed)
+    with pytest.raises(ResourceGuardError):
+        per_assignment_tree_level_sum(v, 2, 1.0, 0.0, 16, "rem", allowed)
+
+
+def test_tree_level_sum_singular_prefix_and_zero_inserts(monkeypatch):
+    # a prefix floor no tuple clears: nonzero data raise as in q_tree, and
+    # rows whose insert is exactly zero never reach the check
+    v, allowed = tiny_remainder_inputs()
+
+    def strict(*args, **kwargs):
+        return _tree_sum(*args, **kwargs, min_denominator=1e6)
+
+    monkeypatch.setattr(normal_form, "_tree_sum", strict)
+    with pytest.raises(PreconditionError, match="singular prefix") as batched:
+        remainder_n2(v, 1, 1.0, window=16, allowed_all=allowed)
+    tree = enumerate_trees(1)[0]
+    assign = next(
+        a for a in enumerate_index_functions(tree, 0, 16, 1.0, allowed_boxes=[-2, 0, 2, 9, 12])
+        if all(np.any(v.band(a.freq[b]).coeffs) for b in tree.terminal_ids())
+    )
+    bands = tuple(v.band(assign.freq[b]) for b in tree.terminal_ids())
+    with pytest.raises(PreconditionError) as single:
+        q_tree(tree, assign, BandTuple(bands, (False, True, False)), 0.0, min_denominator=1e6)
+    assert str(batched.value) == str(single.value)
+
+    def no_inserts(buckets, sign, boxes, *args):
+        return np.zeros((len(boxes), v.grid.bins_per_box), dtype=complex)
+
+    monkeypatch.setattr(normal_form, "_coupled_insert_rows", no_inserts)
+    for J in (1, 2):
+        assert not np.any(remainder_n2(v, J, 1.0, window=16, allowed_all=allowed).data)

@@ -10,6 +10,7 @@ from nfnls.errors import BoxRangeError, DomainError, ResourceGuardError
 from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
 from nfnls.trees import (
     SAMPLE_BLOCK,
+    _frontier,
     IndexAssignment,
     PhaseRecord,
     assignment_from_freqs,
@@ -413,6 +414,64 @@ def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter):
     got = enumerate_index_functions(t, 0, **kw)
     assert got
     _same_assignments(got, reference_index_functions(t, 0, **kw))
+
+
+def _leaf_set(tree, allowed):
+    leaves = set(tree.terminal_ids())
+    return lambda c: allowed if c in leaves else None
+
+
+# (J, window, N, roots): roots include the outermost reachable boxes +-(3w+1)
+MULTI_ROOT_CASES = [
+    (1, 3, 2.0, (-10, -3, -1, 0, 2, 5, 10)),
+    (1, 6, 9.0, (-19, -1, 0, 4, 19)),
+    (2, 3, 2.0, (-10, -3, 0, 2, 5)),
+    (2, 4, 12.0, (-1, 0, 2)),
+    (3, 2, 0.5, (-7, -1, 0, 2, 7)),
+    (3, 3, 14.0, (0, 2)),
+]
+
+
+@pytest.mark.parametrize("J,window,N,roots", MULTI_ROOT_CASES)
+def test_multi_root_frontier_is_concatenated_enumerations(J, window, N, roots):
+    # one frontier from many roots = the per-root enumerations, in root order
+    leaf_set = [-2, 0, 1, 3]
+    nonempty = 0
+    for tree in enumerate_trees(J):
+        per_node = {a: {-3, -1, 0, 2, 4} for a in tree.chronicle[1:]}
+        per_node.update({b: leaf_set for b in tree.terminal_ids()})
+        per_node[tree.terminal_ids()[-1]] = None
+        for allowed, node_set in (
+            (None, _leaf_set(tree, None)),
+            (leaf_set, _leaf_set(tree, leaf_set)),
+            (per_node, per_node.get),
+        ):
+            for cJ_filter in ("C_complement_chain", "none"):
+                want = [
+                    a for r in roots for a in enumerate_index_functions(
+                        tree, r, window, N, cJ_filter, allowed_boxes=allowed
+                    )
+                ]
+                freq, mu, mu_p = _frontier(
+                    tree, roots, window, N, node_set, cJ_filter, QUARTIC, 2_000_000
+                )
+                assert freq.tolist() == [list(a.freq) for a in want]
+                assert mu.tolist() == [list(a.phases.mu) for a in want]
+                assert mu_p.tolist() == [list(a.phases.mu_product) for a in want]
+                nonempty += len(want) > 0
+    assert nonempty
+
+
+def test_public_enumeration_still_raises_typed_errors():
+    t = build_tree([0, 1])
+    with pytest.raises(BoxRangeError):
+        enumerate_index_functions(t, 0, 0, 2.0)
+    with pytest.raises(BoxRangeError):
+        enumerate_index_functions(t, 14, 4, 2.0)
+    with pytest.raises(DomainError):
+        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="chain")
+    with pytest.raises(ResourceGuardError):
+        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=10)
 
 
 def test_index_enumeration_guard():
