@@ -52,7 +52,9 @@ emptiness test: the insert states (resonant sum, inner phase buckets) are
 built only when some high-phase row has two live slots, so at compliant
 thresholds, where that set is empty on the active window, generation one
 costs one table lookup.  The non-resonant inserts read one flat phase index:
-the live q1 bands sorted by (box, integer phase) with per-box prefix sums,
+the live q1 bands (from a non-resonant table expanded over the live boxes
+only, cached on the live set) sorted by (box, integer phase) with per-box
+prefix sums,
 so the "all", "low" and "high" joint-phase rows of every slot, and of every
 enumerated tree assignment, come from one vectorised lookup; its rows in
 table order also give N12, the part of the integrand the boundary trades
@@ -289,16 +291,19 @@ def _q1_rows(node: _Node, n, n1, n2, n3) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
+def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str, live=None):
     """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes.
 
     Lexicographic in (n, n1, n2, n3).  The R2 weight is two on the doubly
     matched overlap (n1 ~ n and n3 ~ n), one elsewhere and in every other mode.
+    A tuple ``live`` restricts the three children to those boxes: the rows
+    are then those of the full table whose children are all in ``live``,
+    in the same order, expanded from the live boxes only.
     """
     N = None if N_key is None else float(N_key)
     out_lim = min(3 * window + 1, n_max - 1)
     boxes = np.arange(-out_lim, out_lim + 1, dtype=np.int64)
-    rows, n1, n2, n3 = expand_triples(boxes, window)
+    rows, n1, n2, n3 = expand_triples(boxes, window, [live] * 3)
     n = boxes[rows]
     keep = _mode_mask(n, n1, n2, n3, mode, N, convention)
     n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
@@ -450,6 +455,11 @@ def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int |
 class _InnerBuckets:
     """Live non-resonant q1 bands in one flat index sorted by (box, integer phase).
 
+    The rows are the non-resonant triples whose three boxes hold nonzero
+    bands, from a table expanded over the live boxes only and cached on the
+    live set (``_triple_table`` with ``live``), not masked out of the table
+    of the whole window.
+
     ``prefix`` holds, box after box, a zero row and then the running sums of
     that box's bands, and ends with one more zero row, so the bands of a box
     with phase in [lo, hi] sum to the difference of two prefix rows.  The rows
@@ -462,9 +472,8 @@ class _InnerBuckets:
     def __init__(self, state: BoxedState, t: float, window: int):
         g = state.grid
         node = _Node(state, t)
-        table = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC)
-        keep = node.live(*table[1:4]) == 3
-        n, n1, n2, n3 = (a[keep] for a in table[:4])
+        live = tuple((np.flatnonzero(node.alive) - g.n_max).tolist())
+        n, n1, n2, n3, _ = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC, live)
         bands = _q1_rows(node, n, n1, n2, n3)
         phase = phase_value(n, n1, n2, n3, QUARTIC)
         self.rows = (n, phase, bands)
@@ -635,10 +644,15 @@ def n22_state(state, N, t=None, window=None):
 def _chain_possible(J: int, N: float, window: int) -> bool:
     """Can the complement chain hold for all j = 2..J inside the window?
 
+    A necessary prefilter, not a sufficient one: False means no index function
+    of J generations exists, so the tree path returns zero without
+    enumerating; True means only that the bounds below do not exclude one.
     Recursive lower bounds: the level-j prefix must exceed
     (2j+1)^3 * max(L_{j-1}, L_1)^{0.99} where L_{j-1} bounds the previous
     prefix from below, while |mu~_j| <= j * max|Phi|(window), with the exact
-    window maximum from ``_max_abs_phase``.
+    window maximum from ``_max_abs_phase``.  Both bounds are loose (non-resonance
+    keeps |mu_1| well above N + 1), so the exact emptiness test is the
+    frontier's own tail count.
     """
     cap = _max_abs_phase(window)
     L = math.floor(N) + 1.0  # integer phases above the threshold

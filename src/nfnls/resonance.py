@@ -25,10 +25,12 @@ used for the operator tables in ``normal_form``):
 All enumeration goes through one array engine, :func:`expand_triples`: given
 an array of parent boxes and an optional box set per child it returns, as
 integer columns, every child triple on the slack shell inside the window, in
-lexicographic order.  Callers apply their set definitions as masks on those
-columns: the modes above (``enumerate_triples`` and the operator tables) and
-the index-function constraints (``trees.enumerate_index_functions``, one call
-per tree generation over the whole frontier).  Enumeration is window-bounded
+lexicographic order.  The modes above are masks on those columns
+(``enumerate_triples`` and the operator tables).  The index-function frontier
+of ``trees`` expands the distinct parent boxes of a generation once and
+indexes their non-resonant children by signed phase, so its threshold and
+chain tests pick phase intervals rather than mask the whole shell of every
+row; ``c_set_radius`` gives the chain's bound.  Enumeration is window-bounded
 and deterministic; truncation to the window is the sole deviation from
 infinite sums.  All functions here are pure.
 """
@@ -54,6 +56,7 @@ __all__ = [
     "expand_triples",
     "enumerate_triples",
     "c_set_member",
+    "c_set_radius",
     "c_chain_ok",
     "divisor_choice_count",
 ]
@@ -223,12 +226,19 @@ def c_set_member(J: int, mu_tilde_J: float, mu_tilde_J1: float, mu_1: float) -> 
     with exponent exactly 1 - 1/100; J = 1 gives the constant 5^3.  Works
     elementwise on arrays of phases.
     """
+    return abs(mu_tilde_J1) <= c_set_radius(J, mu_tilde_J, mu_1)
+
+
+def c_set_radius(J: int, mu_tilde_J, mu_1):
+    """The radius (2J+3)^3 max(|mu~_J|, |mu_1|)^{1-1/100} of C_J around zero.
+
+    |mu~_{J+1}| is in C_J iff it is at most this float; elementwise on arrays.
+    """
     if J < 1:
         raise DomainError(f"generation index must be >= 1, got {J}")
     k = float(2 * J + 3) ** 3
     e = 1.0 - 1.0 / 100.0
-    lhs = abs(mu_tilde_J1)
-    return (lhs <= k * abs(mu_tilde_J) ** e) | (lhs <= k * abs(mu_1) ** e)
+    return np.maximum(k * abs(mu_tilde_J) ** e, k * abs(mu_1) ** e)
 
 
 def c_chain_ok(mu_tilde: "np.ndarray | list[float]") -> bool:

@@ -796,6 +796,25 @@ def test_triple_table_identical_to_per_n_tables(mode, convention):
             np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("mode", ["resonant_R2", "A_N", "A_N_complement"])
+def test_live_triple_table_is_the_masked_full_table(mode):
+    # expanded from the live boxes only: the rows of the full table whose
+    # children are all live, in the same order; boxes outside the window and
+    # an empty live set included
+    cases = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
+             (16, 3, ())]
+    nonempty = 0
+    for n_max, window, live in cases:
+        full = _triple_table(n_max, window, 12.0, mode, QUARTIC)
+        keep = np.all(np.isin(np.stack(full[1:4]), live), axis=0)
+        got = _triple_table(n_max, window, 12.0, mode, QUARTIC, live)
+        for g, w in zip(got, full):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w[keep])
+        nonempty += len(got[0]) > 0
+    assert nonempty >= 2
+
+
 # ---------------------------------------------------------------------------
 # the tree-level sum as computed before the batched pass: one enumeration per
 # (tree, root, insert leaf) and one q_tree call per index function (test oracle)

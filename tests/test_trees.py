@@ -5,9 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nfnls import normal_form, resonance, trees
 from nfnls.errors import BoxRangeError, DomainError, ResourceGuardError
-from nfnls.resonance import PRODUCT, QUARTIC, c_set_member, enumerate_triples, phase_value
+from nfnls.normal_form import _chain_possible, remainder_n2
+from nfnls.resonance import (
+    PRODUCT,
+    QUARTIC,
+    c_set_member,
+    enumerate_triples,
+    expand_triples,
+    phase_value,
+)
 from nfnls.trees import (
     SAMPLE_BLOCK,
     _frontier,
@@ -416,6 +427,44 @@ def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter):
     _same_assignments(got, reference_index_functions(t, 0, **kw))
 
 
+# ---------------------------------------------------------------------------
+# the frontier that masked the whole expand_triples shell of every row, kept
+# as the reference for the phase-indexed one
+
+
+def reference_frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count):
+    """trees._frontier as masks over every candidate child of every row."""
+    signs = compute_signs(tree)
+    freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
+    freq[:, 0] = roots
+    mu = mu_p = np.zeros((len(roots), 0), dtype=np.int64)
+    for j, a in enumerate(tree.chronicle):
+        kids = list(tree.nodes[a].children)
+        rows, c1, c2, c3 = expand_triples(freq[:, a], window, [node_set(c) for c in kids])
+        fa = freq[rows, a]
+        m = signs.fsgn[a] * phase_value(fa, c1, c2, c3, convention)
+        keep = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
+        if j == 0:
+            keep &= np.abs(m) > N
+        elif cJ_filter == "C_complement_chain":
+            prev = mu[rows].sum(axis=1)
+            keep &= ~c_set_member(j, prev, prev + m, mu[rows, 0])
+        rows, c1, c2, c3, fa, m = (x[keep] for x in (rows, c1, c2, c3, fa, m))
+        if len(rows) > max_count:
+            raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
+        mp = signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)
+        freq = freq[rows]
+        freq[:, kids] = np.stack([c1, c2, c3], axis=1)
+        mu, mu_p = np.column_stack([mu[rows], m]), np.column_stack([mu_p[rows], mp])
+    return freq, mu, mu_p
+
+
+def _same_frontier(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def _leaf_set(tree, allowed):
     leaves = set(tree.terminal_ids())
     return lambda c: allowed if c in leaves else None
@@ -447,19 +496,121 @@ def test_multi_root_frontier_is_concatenated_enumerations(J, window, N, roots):
             (per_node, per_node.get),
         ):
             for cJ_filter in ("C_complement_chain", "none"):
-                want = [
-                    a for r in roots for a in enumerate_index_functions(
-                        tree, r, window, N, cJ_filter, allowed_boxes=allowed
-                    )
-                ]
-                freq, mu, mu_p = _frontier(
-                    tree, roots, window, N, node_set, cJ_filter, QUARTIC, 2_000_000
-                )
-                assert freq.tolist() == [list(a.freq) for a in want]
-                assert mu.tolist() == [list(a.phases.mu) for a in want]
-                assert mu_p.tolist() == [list(a.phases.mu_product) for a in want]
-                nonempty += len(want) > 0
+                args = (window, N, node_set, cJ_filter, QUARTIC, 2_000_000)
+                per_root = [reference_frontier(tree, [r], *args) for r in roots]
+                want = [np.concatenate(cols) for cols in zip(*per_root)]
+                _same_frontier(_frontier(tree, roots, *args), want)
+                nonempty += len(want[0]) > 0
     assert nonempty
+
+
+def _replay_criterion8_frontiers(monkeypatch):
+    """(args, new frontier, reference frontier) of every frontier call of
+    criterion 8's remainder_n2 at J = 1 and 2."""
+    from test_acceptance import criterion8_inputs
+
+    calls = []
+
+    def both(*args):
+        got = _frontier(*args)
+        calls.append((args, got, reference_frontier(*args)))
+        return got
+
+    monkeypatch.setattr(normal_form, "_frontier", both)
+    v, allowed = criterion8_inputs()
+    for J in (1, 2):
+        remainder_n2(v, J, 1.0, window=48, allowed_all=allowed)
+    return calls
+
+
+def test_frontier_matches_reference_on_criterion_8(monkeypatch):
+    calls = _replay_criterion8_frontiers(monkeypatch)
+    assert {args[0].J for args, _, _ in calls} == {1, 2}
+    for _, got, want in calls:
+        _same_frontier(got, want)
+    # the chain is live at J = 2: some generation-2 rows survive it
+    assert sum(len(got[0]) for args, got, _ in calls if args[0].J == 2) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_frontier_matches_reference_property(data):
+    J = data.draw(st.integers(1, 3), label="J")
+    window = data.draw(st.integers(1, 6), label="window")
+    tree = data.draw(st.sampled_from(enumerate_trees(J)), label="tree")
+    reach = 3 * window + 1
+    roots = data.draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=4), label="roots")
+    # per-node box sets, boxes outside the window included; None: the full window
+    box_set = st.frozensets(st.integers(-window - 1, window + 1), min_size=window + 1)
+    node_set = st.none() | st.none() | box_set
+    sets = {c: data.draw(node_set, label=f"set {c}") for c in range(1, tree.size())}
+    # thresholds on integer phase boundaries, and below zero
+    N = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 14.0]), label="N")
+    cJ_filter = data.draw(st.sampled_from(["C_complement_chain", "none"]), label="filter")
+    convention = data.draw(st.sampled_from([QUARTIC, PRODUCT]), label="convention")
+    # the true C-set radius is out of reach in windows this small; a scaled
+    # max(|mu~_j|, |mu_1|) keeps chain survivors and puts phases exactly on it
+    scale = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5]), label="radius scale")
+    args = (tree, roots, window, N, sets.get, cJ_filter, convention, 5_000)
+    with pytest.MonkeyPatch.context() as mp:
+        if scale is not None:
+
+            def radius(J, mu_tilde_J, mu_1):
+                return scale * np.maximum(abs(mu_tilde_J), abs(mu_1)).astype(float)
+
+            mp.setattr(resonance, "c_set_radius", radius)
+            mp.setattr(trees, "c_set_radius", radius)
+        try:
+            want = reference_frontier(*args)
+        except ResourceGuardError:
+            with pytest.raises(ResourceGuardError):
+                _frontier(*args)
+            return
+        _same_frontier(_frontier(*args), want)
+
+
+def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
+    # every generation's exact row count passes as max_count, one less raises,
+    # and the raising generation gathers nothing
+    full = build_tree([0, 2, 5])
+    leaf_set = {-2, -1, 1, 2}
+    args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None, "none", QUARTIC)
+    grows = []
+    real_grow = trees._grow
+    monkeypatch.setattr(trees, "_grow", lambda *a: grows.append(1) or real_grow(*a))
+    counts = []
+    for g in range(1, full.J + 1):
+        tree = build_tree(full.chronicle[:g])  # the frontier of the first g generations
+        counts.append(len(_frontier(tree, [-1, 0, 3], *args, 10**9)[0]))
+        assert counts == sorted(set(counts)), "row counts must grow"
+        got = _frontier(tree, [-1, 0, 3], *args, counts[-1])
+        _same_frontier(got, reference_frontier(tree, [-1, 0, 3], *args, counts[-1]))
+        grows.clear()
+        with pytest.raises(ResourceGuardError):
+            _frontier(tree, [-1, 0, 3], *args, counts[-1] - 1)
+        assert len(grows) == g - 1
+    assert counts[0] > 0
+
+
+def test_chain_possible_wherever_the_frontier_is_nonempty(monkeypatch):
+    # _chain_possible is a necessary prefilter only: it may say True where the
+    # frontier is empty, never False where it is not
+    seen = 0
+    for J, window, N, roots in FRONTIER_CASES:
+        for tree in enumerate_trees(J):
+            for convention in (QUARTIC, PRODUCT):
+                freq, _, _ = _frontier(
+                    tree, roots, window, N, lambda c: None, "C_complement_chain",
+                    convention, 2_000_000,
+                )
+                if len(freq):
+                    seen += 1
+                    assert _chain_possible(J, N, window)
+    for args, got, _ in _replay_criterion8_frontiers(monkeypatch):
+        if len(got[0]):
+            seen += 1
+            assert _chain_possible(args[0].J, args[3], args[2])
+    assert seen
 
 
 def test_public_enumeration_still_raises_typed_errors():
