@@ -35,23 +35,30 @@ Index sums are window-bounded (windows adapt to the state's active support in
 the solver) and deterministic.  The triple tables over all output boxes come
 from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
-with the same engine.  Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128
+with the same engine.  R2 - R1 is one q1 pass over the rows of both tables
+with signed weights.  Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128
 table rows at a time.  The row kernels read one state at one time through a
 node: the u-picture phases exp(i t xi^2) of every box come from one table,
 and the FFTs of q1's factors are taken once per box and gathered by row.
 
-Each quadrature node is evaluated once.  At generation one a single gap pass
-over the high-phase table A_N^c gives the boundary N21 and the insert sums
-together: the gap factors X = u1/d1 and Y = u3/d3 depend only on a (box,
-gap) pair and are transformed once per pair, the boundary and the
-middle-slot insert share X * Y, and the two outer-slot inserts share one
-inverse FFT.  The structure that depends only on (grid, window, N) -- the
-rows, their phases, the pair index with its 1/d factors, the slack picks --
-is cached like the triple tables.  The high-phase table is also the only
-emptiness test: the insert states (resonant sum, inner phase buckets) are
-built only when some high-phase row has two live slots, so at compliant
-thresholds, where that set is empty on the active window, generation one
-costs one table lookup.  The non-resonant inserts read one flat phase index:
+Each quadrature node is evaluated once, and node 0, which is v0 at every
+Picard iterate, once per solve.  At generation one a single gap pass over the
+high-phase table A_N^c gives the boundary N21 and the insert sums together,
+and no row takes a transform of its own: the gap factors X = u1/d1 and
+Y = u3/d3 depend only on a (box, gap) pair and are transformed once per pair,
+and one contraction table per B (``_contraction``) holds the inverse FFT and
+the pick of the valid convolution terms, so the middle band enters through a
+per-box contraction and a row's output is one sum over 2B frequencies.  A slot
+insert depends on its box alone -- the resonant sum plus the box's full inner
+sum -- except where the row's low set cuts the box's inner phases; those
+(row, slot) pairs, which occur only at large windows, are formed and
+transformed row by row.  The structure that depends only on (grid, window,
+N) -- the rows, their phases, the pair index with its 1/d factors, the slacks
+-- is cached like the triple tables.  The high-phase table is also the only
+emptiness test: the insert states (resonant sum, inner phase buckets) and
+the contraction table are built only when some high-phase row has two live
+slots, so at compliant thresholds, where that set is empty on the active
+window, generation one costs one table lookup.  The non-resonant inserts read one flat phase index:
 the live q1 bands (from a non-resonant table expanded over the live boxes
 only, cached on the live set) sorted by (box, integer phase) with per-box
 prefix sums,
@@ -319,10 +326,8 @@ class _GapTable(NamedTuple):
     Per row: its phase ``mu1``; ``pair1`` and ``pair3``, its (box, gap) pairs
     (n1, n-n1) and (n3, n-n3), which index ``pair_box`` (state rows) and
     ``pair_gap`` (rows of ``inv_gaps``, the factors 1 / (gap + (a-b)/B)); and
-    ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}.  ``cidx[s, a, j]`` is the
-    flat index a * 2B + m, into a row's (B, 2B) block of X * Y, of the term
-    m = sB - 1 + a - j that output bin a takes with middle bin j; pairs with
-    no such term read m = 2B - 1, the wrap-around term, which is zeroed.
+    ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}, which selects the
+    contraction table ``_contraction(B)[slack]`` of the row.
     """
 
     rows: tuple
@@ -333,7 +338,6 @@ class _GapTable(NamedTuple):
     pair_gap: np.ndarray
     inv_gaps: np.ndarray
     slack: np.ndarray
-    cidx: np.ndarray
 
 
 def _gap_index(grid: Grid, table) -> _GapTable:
@@ -343,8 +347,7 @@ def _gap_index(grid: Grid, table) -> _GapTable:
     pairs, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     gap_values, pair_gap = np.unique(pairs[:, 1], return_inverse=True)
-    a, j = np.arange(B)[:, None], np.arange(B)[None, :]
-    m = np.arange(3)[:, None, None] * B - 1 + a - j  # (s, a, j)
+    a, b = np.arange(B)[:, None], np.arange(B)[None, :]
     return _GapTable(
         rows=table,
         mu1=phase_value(n, n1, n2, n3, QUARTIC),
@@ -352,9 +355,8 @@ def _gap_index(grid: Grid, table) -> _GapTable:
         pair3=inverse[len(n) :],
         pair_box=_rows(grid, pairs[:, 0]),
         pair_gap=pair_gap.reshape(-1),
-        inv_gaps=1.0 / (gap_values[:, None, None] + (a - j) / B),
+        inv_gaps=1.0 / (gap_values[:, None, None] + (a - b) / B),
         slack=n - (n1 - n2 + n3) + 1,
-        cidx=2 * B * a + np.where((m >= 0) & (m <= 2 * B - 2), m, 2 * B - 1),
     )
 
 
@@ -362,6 +364,29 @@ def _gap_index(grid: Grid, table) -> _GapTable:
 def _gap_table(grid: Grid, window: int, N_key) -> _GapTable:
     """The gap index of the high-phase table A_N^c of the window."""
     return _gap_index(grid, _triple_table(grid.n_max, window, N_key, "A_N_complement", QUARTIC))
+
+
+@lru_cache(maxsize=None)
+def _contraction(B: int) -> np.ndarray:
+    """W[s, j, a, k] = exp(2 pi i m k / 2B) / 2B on m = sB - 1 + a - j in
+    [0, 2B - 2], zero elsewhere.
+
+    For a length-2B spectrum P[a, k] of a linear convolution C[a, m],
+    sum_k P[a, k] sum_j g[j] W[s, j, a, k] = sum_j C[a, sB-1+a-j] g[j]: the
+    inverse FFT and the pick of the valid terms in one table, which holds no
+    wrap-around term m = 2B - 1.
+    """
+    s, j, a, k = np.ogrid[:3, :B, :B, : 2 * B]
+    m = s * B - 1 + a - j
+    w = np.exp(2j * np.pi * (m * k % (2 * B)) / (2 * B)) / (2 * B)
+    return np.where((m >= 0) & (m <= 2 * B - 2), w, 0.0)
+
+
+def _hat(bands: np.ndarray) -> np.ndarray:
+    """(T, 3, B, 2B): bands[t] @ W[s] for every slack s (``_contraction``)."""
+    T, B = bands.shape
+    W = _contraction(B).transpose(1, 0, 2, 3).reshape(B, -1)
+    return (bands @ W).reshape(T, 3, B, 2 * B)
 
 
 def _max_abs_phase(window: int) -> float:
@@ -382,13 +407,23 @@ def _window_of(state: BoxedState, window: int | None) -> int:
 
 
 def _scatter_rows(grid: Grid, n_rows, bands, weights=None, out=None) -> np.ndarray:
-    """Add the row bands (times their weights) into their output boxes."""
+    """Add the row bands (times their weights) into their output boxes.
+
+    The rows of a box are one segment when ``n_rows`` is non-decreasing, as
+    in every table lexicographic in n; each segment is summed by one
+    ``np.add.reduceat``.  Rows out of that order are sorted first.
+    """
     if out is None:
         out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=np.complex128)
     if len(n_rows) == 0:
         return out
+    rows = _rows(grid, n_rows)
     vals = bands if weights is None else bands * weights[:, None]
-    np.add.at(out, _rows(grid, n_rows), vals)
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, vals = rows[order], vals[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    out[rows[starts]] += np.add.reduceat(vals, starts, axis=0)
     return out
 
 
@@ -425,11 +460,22 @@ def _table_state(state, t, window, N, mode) -> BoxedState:
     return BoxedState(state.grid, _sum_q1_over(_Node(state, t), table), t)
 
 
+@lru_cache(maxsize=256)
+def _resonant_table(n_max: int, window: int):
+    """The R2 rows with their weights and the R1 rows with weight -1, in one
+    table lexicographic in n (R2 rows ahead of R1 rows within a box)."""
+    r2 = _triple_table(n_max, window, None, "resonant_R2", QUARTIC)
+    r1 = _triple_table(n_max, window, None, "resonant_R1", QUARTIC)
+    cols = [np.concatenate([a, b]) for a, b in zip(r2, r1[:4] + (-r1[4],))]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(c[order] for c in cols)
+
+
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
-    """R2 - R1 over all boxes (the resonant part of the cubic)."""
-    r2 = _table_state(state, t, window, None, "resonant_R2")
-    r1 = _table_state(state, t, window, None, "resonant_R1")
-    return r2.plus(r1, -1.0)
+    """R2 - R1 over all boxes (the resonant part of the cubic), in one q1 pass."""
+    t = state.time if t is None else t
+    table = _resonant_table(state.grid.n_max, _window_of(state, window))
+    return BoxedState(state.grid, _sum_q1_over(_Node(state, t), table), t)
 
 
 def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
@@ -492,30 +538,64 @@ class _InnerBuckets:
         off = np.clip(phase - self.offset, 0, self.width - 1).astype(np.int64)
         return boxes * self.width + off
 
-    def sum(self, boxes, lo=-np.inf, hi=np.inf) -> np.ndarray:
-        """(T, B) band sums over the rows of box boxes[i] with lo[i] <= phase <= hi[i].
-
-        The bounds may be non-integer or infinite; lo <= hi.
-        """
+    def _span(self, boxes, lo=-np.inf, hi=np.inf):
+        """Prefix rows (i, j): the rows of box boxes[t] with lo[t] <= phase <= hi[t]
+        sum to prefix[j] - prefix[i]."""
         k = np.searchsorted(self.boxes, boxes)  # zero rows ahead of the box's rows
         i = np.searchsorted(self.keys, self._key(boxes, np.ceil(lo)), side="left")
         j = np.searchsorted(self.keys, self._key(boxes, np.floor(hi)), side="right")
-        return self.prefix[j + k] - self.prefix[i + k]
+        return i + k, j + k
+
+    def sum(self, boxes, lo=-np.inf, hi=np.inf) -> np.ndarray:
+        """(T, B) band sums over the rows of box boxes[t] with lo[t] <= phase <= hi[t].
+
+        The bounds may be non-integer or infinite; lo <= hi.
+        """
+        i, j = self._span(boxes, lo, hi)
+        return self.prefix[j] - self.prefix[i]
+
+    def covers(self, boxes, lo, hi) -> np.ndarray:
+        """Per t, whether [lo[t], hi[t]] holds the phase of every row of box
+        boxes[t]: then ``sum(boxes, lo, hi)`` is the box's full sum, read off
+        the same two prefix rows."""
+        (i, j), (i_all, j_all) = self._span(boxes, lo, hi), self._span(boxes)
+        return (i == i_all) & (j == j_all)
+
+
+def _low_set(sign, mu_prev, mu_first, J):
+    """Bounds [lo, hi] of the inner phases mu in the level-J low set
+    |mu_prev + sign*mu| <= (2J+3)^3 max(|mu_prev|,|mu_first|)^0.99."""
+    K = (2 * J + 3) ** 3 * np.maximum(np.abs(mu_prev), np.abs(mu_first)) ** 0.99
+    center = -sign * np.asarray(mu_prev, dtype=float)
+    return center - K, center + K
 
 
 def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
     """(T, B) insert rows, restricted by the level-J phase set.
 
-    ``sign`` is the conjugation sign the insert enters with: the kept set for
-    which = "low" is |mu_prev + sign*mu| <= (2J+3)^3 max(|mu_prev|,|mu_first|)^0.99;
-    "high" keeps the complement, "all" applies no restriction.
+    ``sign`` is the conjugation sign the insert enters with: which = "low"
+    keeps the ``_low_set``, "high" its complement, "all" applies no
+    restriction.
     """
     if which == "all":
         return buckets.sum(boxes)
-    K = (2 * J + 3) ** 3 * np.maximum(np.abs(mu_prev), np.abs(mu_first)) ** 0.99
-    center = -sign * np.asarray(mu_prev, dtype=float)
-    low = buckets.sum(boxes, center - K, center + K)
+    low = buckets.sum(boxes, *_low_set(sign, mu_prev, mu_first, J))
     return low if which == "low" else buckets.sum(boxes) - low
+
+
+def _cut_pairs(buckets: _InnerBuckets, gt: _GapTable, sel: np.ndarray) -> np.ndarray:
+    """(3, len(sel)) mask, slot by row: True where the level-1 low set of row
+    sel[i] at that slot leaves out some inner phase of the slot's box.
+
+    Decided exactly, on the prefix rows of ``_InnerBuckets.covers``.  Only at
+    such (row, slot) pairs do the "low" and "high" inserts differ from the
+    box's full and empty inner sums.
+    """
+    _, n1, n2, n3, _ = gt.rows
+    mu1 = np.tile(gt.mu1[sel], 3)
+    signs = np.repeat([1, -1, 1], len(sel))  # the slots' conjugation signs
+    boxes = np.concatenate([n1[sel], n2[sel], n3[sel]])
+    return ~buckets.covers(boxes, *_low_set(signs, mu1, mu1, 1)).reshape(3, -1)
 
 
 class _GenerationOne(NamedTuple):
@@ -541,14 +621,23 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
     is the row's slack and d1 = (n-n1) + (a-b)/B, d3 = (n-n3) + (a-c)/B are
     the gaps.  With X[a,b] = u1[b]/d1 and Y[a,c] = u3[c]/d3 that is
     sum_j (X * Y)[a, sB-1+a-j] g2[j], where X * Y is the linear convolution
-    over the last axis, taken as a zero-padded length-2B FFT product.  X and Y
-    depend only on the (box, gap) pair, so they are transformed once per pair.  The boundary and the middle-slot insert
-    share X * Y; the slot-1 insert X' * Y and the slot-3 insert X * Y' both
-    contract with the live middle band and carry sign +1, so one inverse FFT
-    of FX'.FY + FX.FY' serves both.  A row chunk takes 2 forward (FX', FY')
-    and 2 inverse FFT batches; FX and FY are gathered from the per-pair
-    transforms.  Rows with fewer than two live slots are skipped (a dead band
-    contributes exact zeros); if there are none, nothing is built.
+    over the last axis, whose zero-padded length-2B spectrum is FX.FY.  The
+    contraction table W = ``_contraction(B)`` holds the inverse FFT and the
+    pick of the valid terms, so the row's output is sum_k FX.FY.G^ with
+    G^ = g2 @ W[s].  FX and FY depend only on the (box, gap) pair and G^ only
+    on the (box, slack) pair; each is computed once per pair and gathered by
+    row, and no row takes a transform of its own.
+
+    A slot insert is the same for every row at a box -- (R2 - R1)(v), plus
+    the box's full inner sum for which = "low" or "all" -- except at the
+    (row, slot) pairs whose level-1 low set does not hold every inner phase
+    of the slot's box (``_cut_pairs``; only for "low" and "high").
+    The per-box insert is transformed with u, once per (box, gap) pair (FX',
+    FY'), and contracted per box into H^ = conj(x[::-1]) @ W[s]; the cut
+    pairs form and transform their insert row by row.  With slot signs
+    (+1, -1, +1) a row's insert is sum_k [(FX'.FY + FX.FY').G^ - FX.FY.H^].
+    Rows with fewer than two live slots are skipped (a dead band contributes
+    exact zeros); if there are none, nothing is built.
     """
     t = state.time if t is None else t
     g = state.grid
@@ -563,43 +652,77 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
     ins = np.zeros_like(state.data) if inserting else None
     n12 = np.zeros_like(state.data) if which is not None else None
     if len(sel):
-        res = apply_resonant(state, t, w).data if resonant else None
+        # per-box factors in the u-picture: u, then the per-box insert
+        factors = [node.u]
+        all_boxes = np.arange(-g.n_max, g.n_max)
+        res = apply_resonant(state, t, w).data if resonant else np.zeros_like(state.data)
+        cut = None
         if which is not None:
             buckets = _InnerBuckets(state, t, w)
             bn, phase, bands = buckets.rows
             high = np.abs(phase) > N
             _scatter_rows(g, bn[high], bands[high], out=n12)
+            if which != "all":
+                cut = _cut_pairs(buckets, gt, sel)
+        if inserting:
+            full = which in ("all", "low")
+            box_ins = res + buckets.sum(all_boxes) if full else res
+            factors.append(box_ins * node.phase)
 
-        def inserted(boxes, sign, mu1):
-            # u-picture insert rows at the boxes of slots that enter with sign
-            rows = _rows(g, boxes)
-            bands = res[rows] if resonant else 0.0
-            if which is not None:
-                bands = bands + _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
-            return bands * node.phase[rows]
+        def gathered(src, idx, slot, r, cut_r):
+            # a chunk's FX', H^ or FY' rows (slot 0, 1 or 2) from the per-box
+            # insert; a cut (row, slot) pair forms its own insert and transforms it
+            block = src[idx]
+            if cut_r is None or not cut_r[slot].any():
+                return block
+            rc = r[cut_r[slot]]
+            boxes = (n1, n2, n3)[slot][rc]
+            sign = -1 if slot == 1 else +1
+            bands = _coupled_insert_rows(buckets, sign, boxes, gt.mu1[rc], gt.mu1[rc], 1, which)
+            x = (res[_rows(g, boxes)] + bands) * node.phase[_rows(g, boxes)]
+            if slot == 1:
+                block[cut_r[slot]] = _hat(np.conj(x[:, ::-1]))[np.arange(len(rc)), gt.slack[rc]]
+            else:
+                pair = (gt.pair1 if slot == 0 else gt.pair3)[rc]
+                block[cut_r[slot]] = np.fft.fft(x[:, None, :] * gt.inv_gaps[gt.pair_gap[pair]], 2 * B)
+            return block
 
-        F = np.fft.fft(node.u[gt.pair_box][:, None, :] * gt.inv_gaps[gt.pair_gap], 2 * B)
+        # FX of every factor and (box, gap) pair: X zero-padded to 2B, in place
+        F = np.zeros((len(factors), len(gt.pair_box), B, 2 * B), dtype=np.complex128)
+        for f, x in zip(factors, F):
+            np.multiply(f[gt.pair_box, None, :], gt.inv_gaps[gt.pair_gap], out=x[..., :B])
+        np.fft.fft(F, axis=-1, out=F)
+        # G^ (and H^) of the middle boxes the rows reach, at row 3 * (n2 - m0) + slack
+        m0, m1 = _rows(g, n2[sel].min()), _rows(g, n2[sel].max()) + 1
+        hats = _hat(np.concatenate([np.conj(f[m0:m1, ::-1]) for f in factors]))
+        hats = hats.reshape(len(factors), -1, B, 2 * B)
+        # per box, the summed boundary and insert rows
+        acc = np.zeros((len(state.data), len(factors), B), dtype=np.complex128)
         for lo in range(0, len(sel), ROW_CHUNK):
             r = sel[lo : lo + ROW_CHUNK]
-            fx, fy = F[gt.pair1[r]], F[gt.pair3[r]]
-            # (T, B, B) picks of the terms of every row's (B, 2B) block
-            pick = gt.cidx[gt.slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
-            g2 = node.g[_rows(g, n2[r]), :, None]
-            xy = np.fft.ifft(fx * fy)
-            xy[..., -1] = 0.0  # the wrap-around term; the linear convolution has 2B-1
-            xy = xy.reshape(-1)[pick]
-            _scatter_rows(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r], out=bnd)
-            if not inserting:
-                continue
-            # slot signs (+1, -1, +1) from the conjugation parity
-            x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(gt.mu1[r], 2)), 2)
-            x2 = inserted(n2[r], -1, gt.mu1[r])
-            fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
-            fy3 = np.fft.fft(x3[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair3[r]]], 2 * B)
-            outer = np.fft.ifft(fx1 * fy + fx * fy3)
-            outer[..., -1] = 0.0
-            band = outer.reshape(-1)[pick] @ g2 - xy @ np.conj(x2[:, ::-1, None])
-            _scatter_rows(g, n[r], node.out(band[..., 0], n[r]), wt[r], out=ins)
+            p1, p3, q2 = gt.pair1[r], gt.pair3[r], 3 * (_rows(g, n2[r]) - m0) + gt.slack[r]
+            band = np.empty((len(r), len(factors), B), dtype=np.complex128)
+            fx, fy, g2 = F[0, p1], F[0, p3], hats[0, q2]
+            fyg = fy * g2
+            band[:, 0] = np.einsum("tak,tak->ta", fx, fyg)
+            if inserting:
+                # each (chunk, B, 2B) block is released after its last use, so
+                # at most five are alive: FX, FY, G^, FY.G^ and one insert block
+                c = None if cut is None else cut[:, lo : lo + ROW_CHUNK]
+                band[:, 1] = np.einsum("tak,tak->ta", gathered(F[1], p1, 0, r, c), fyg)
+                del fyg
+                fy3 = gathered(F[1], p3, 2, r, c)
+                fy3 *= g2
+                del g2
+                h2 = gathered(hats[1], q2, 1, r, c)
+                h2 *= fy
+                fy3 -= h2  # FY'.G^ - FY.H^
+                del h2, fy
+                band[:, 1] += np.einsum("tak,tak->ta", fx, fy3)
+            _scatter_rows(g, n[r], band.reshape(len(r), -1), wt[r], out=acc.reshape(len(acc), -1))
+        # the output phase and normalisation depend on the box alone
+        for k, out in enumerate((bnd, ins)[: len(factors)]):
+            out[:] = node.out(acc[:, k], all_boxes)
 
     def as_state(data):
         return None if data is None else BoxedState(g, data, t)
@@ -944,44 +1067,62 @@ def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajec
     for v0, exactly as the telescoped series prescribes; the time integral is
     a composite trapezoid on the trajectory nodes.  Each node is evaluated
     once: its level-2 boundary comes from the same generation-one pass as its
-    integrand.
+    integrand.  Where v(0) = v0 the map is v0 at node 0, exactly: the
+    integral there is empty and the two boundaries cancel.
     """
     params.validate()
     if abs(v.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise ConfigurationError("trajectory must live on [0, T]")
-    return _gamma_partial(v0, v, params, _boundary_at_zero(v0, params))
+    return _gamma_partial(v0, v, params, _start(v0, params))
 
 
-def _boundary_at_zero(v0: BoxedState, params: SolverParams) -> BoxedState:
-    """The weighted boundary terms of v0 at time zero, fixed within a solve."""
+class _Start(NamedTuple):
+    """What a solve evaluates of v0 once: its ``_integrand`` pair at time
+    zero and its weighted time-zero boundary terms."""
+
+    node: tuple
+    boundary: BoxedState
+
+
+def _start(v0: BoxedState, params: SolverParams) -> _Start:
+    """v0's node and boundary terms; the level-2 boundary is the one of the
+    generation-one pass that gives v0's integrand."""
+    v0 = v0.at_time(0.0)
+    node = _integrand(v0, params, params.window)
     out = BoxedState.zero(v0.grid)
     for j in range(2, params.J + 1):
         w_bnd, _ = _level_weights(j, params.sign)
-        out = out.plus(
-            generation_n0(v0.at_time(0.0), j - 1, params.N, 0.0, params.window), w_bnd
-        )
-    return out
+        bnd = node[1] if j == 2 else generation_n0(v0, j - 1, params.N, 0.0, params.window)
+        out = out.plus(bnd, w_bnd)
+    return _Start(node, out)
 
 
-def _gamma_partial(
-    v0: BoxedState, v: Trajectory, params: SolverParams, bnd_at_zero: BoxedState
-) -> Trajectory:
-    """``gamma_partial`` on a trajectory over [0, T], with the time-zero
-    boundary of v0 given."""
+def _gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams, start: _Start) -> Trajectory:
+    """``gamma_partial`` on a trajectory over [0, T], with v0's ``_start`` given.
+
+    Where v(0) = v0, as at every Picard iterate of ``solve``, node 0 maps to
+    v0 and takes v0's integrand; otherwise it is evaluated like the others.
+    """
     times = v.times
     sigma = params.sign
     window = params.window
     g = v0.grid
-
-    nodes = [_integrand(st.at_time(tt), params, window) for st, tt in zip(v.states, times)]
+    from_v0 = np.array_equal(v.states[0].data, v0.data)
+    nodes = [
+        start.node if k == 0 and from_v0 else _integrand(st.at_time(tt), params, window)
+        for k, (st, tt) in enumerate(zip(v.states, times))
+    ]
 
     out_states = []
     integral = BoxedState.zero(g)
     for k, tt in enumerate(times):
+        if k == 0 and from_v0:
+            out_states.append(v0.at_time(tt))
+            continue
         if k > 0:
             dt = times[k] - times[k - 1]
             integral = integral.plus(nodes[k - 1][0], 0.5 * dt).plus(nodes[k][0], 0.5 * dt)
-        acc = v0.data + integral.data - bnd_at_zero.data
+        acc = v0.data + integral.data - start.boundary.data
         for j in range(2, params.J + 1):
             w_bnd, _ = _level_weights(j, sigma)
             if j == 2:
@@ -1033,11 +1174,11 @@ def solve(u0, params: SolverParams):
         )
     times = np.linspace(0.0, params.T, params.K + 1)
     current = Trajectory(times=times, states=tuple(v0.at_time(t) for t in times))
-    bnd_at_zero = _boundary_at_zero(v0, params)
+    start = _start(v0, params)
     diffs: list[float] = []
     ratios: list[float] = []
     for it in range(params.picard_max_iter):
-        nxt = _gamma_partial(v0, current, params, bnd_at_zero)
+        nxt = _gamma_partial(v0, current, params, start)
         if params.support_trim > 0.0:
             nxt = Trajectory(
                 times=nxt.times,

@@ -39,8 +39,12 @@ from nfnls.normal_form import (
     resonant_r2,
     threshold_from_bound,
     _chain_possible,
+    _contraction,
     _coupled_insert_rows,
+    _cut_pairs,
+    _gap_table,
     _generation_one,
+    _hat,
     _InnerBuckets,
     _max_abs_phase,
     _Node,
@@ -293,6 +297,143 @@ def test_generation_one_operators_match_per_slot_oracle(grid, span, N, window):
             continue
         assert scale > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None):
+    """The gap pass with per-row inserts: every (row, slot) pair searches its
+    insert and transforms it, and two inverse FFTs per chunk with a pick of
+    the valid terms replace the contraction table (test oracle)."""
+    g = state.grid
+    B = g.bins_per_box
+    w = _window_of(state, window)
+    gt = _gap_table(g, w, N)
+    node = _Node(state, t)
+    n, n1, n2, n3, wt = gt.rows
+    sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
+    # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
+    # row's (B, 2B) block, or of the zeroed wrap-around term 2B - 1
+    a, j = np.arange(B)[:, None], np.arange(B)[None, :]
+    m = np.arange(3)[:, None, None] * B - 1 + a - j
+    cidx = 2 * B * a + np.where((m >= 0) & (m <= 2 * B - 2), m, 2 * B - 1)
+    bnd, ins = np.zeros_like(state.data), np.zeros_like(state.data)
+    res = apply_resonant(state, t, w).data if resonant else None
+    buckets = _InnerBuckets(state, t, w) if which is not None else None
+
+    def inserted(boxes, sign, mu1):
+        rows = boxes + g.n_max
+        bands = res[rows] if resonant else 0.0
+        if which is not None:
+            bands = bands + _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
+        return bands * node.phase[rows]
+
+    F = np.fft.fft(node.u[gt.pair_box][:, None, :] * gt.inv_gaps[gt.pair_gap], 2 * B)
+    for lo in range(0, len(sel), 128):
+        r = sel[lo : lo + 128]
+        fx, fy = F[gt.pair1[r]], F[gt.pair3[r]]
+        pick = cidx[gt.slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
+        g2 = node.g[n2[r] + g.n_max, :, None]
+        xy = np.fft.ifft(fx * fy)
+        xy[..., -1] = 0.0
+        xy = xy.reshape(-1)[pick]
+        bnd += scatter(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r])
+        x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(gt.mu1[r], 2)), 2)
+        x2 = inserted(n2[r], -1, gt.mu1[r])
+        fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
+        fy3 = np.fft.fft(x3[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair3[r]]], 2 * B)
+        outer = np.fft.ifft(fx1 * fy + fx * fy3)
+        outer[..., -1] = 0.0
+        band = outer.reshape(-1)[pick] @ g2 - xy @ np.conj(x2[:, ::-1, None])
+        ins += scatter(g, n[r], node.out(band[..., 0], n[r]), wt[r])
+    return bnd, ins
+
+
+@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
+def test_gap_pass_matches_inverse_fft_pick_oracle(grid, span, N, window):
+    # per-box inserts and the contraction table give the numbers of per-row
+    # inserts, per-row transforms and the inverse-FFT picks
+    rng = np.random.default_rng(18)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    for kw in (dict(resonant=True, which="low"), dict(which="all"), dict(which="high"),
+               dict(resonant=True)):
+        got = _generation_one(v, 0.2, N, window, **kw)
+        want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, N, window, **kw)
+        assert np.any(want_bnd != 0)
+        assert np.max(np.abs(got.boundary.data - want_bnd)) <= 1e-13 * np.max(np.abs(want_bnd))
+        scale = np.max(np.abs(want_ins))
+        if kw.get("which") == "high" and window < 14:
+            assert scale == 0 and np.all(got.inserts.data == 0)
+            continue
+        assert scale > 0
+        assert np.max(np.abs(got.inserts.data - want_ins)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("config, cut_any", [(0, False), (2, True)])
+def test_cut_pairs_only_where_the_low_set_is_narrow(config, cut_any):
+    # on the live compare config every low set holds all inner phases of the
+    # slot box; window 14 has pairs of both kinds
+    grid, span, N, window = GENERATION_ONE_CONFIGS[config]
+    rng = np.random.default_rng(18)
+    v = random_state(rng, span=span, t=0.2, grid=grid)
+    gt = _gap_table(grid, window, N)
+    sel = np.flatnonzero(_Node(v, 0.2).live(*gt.rows[1:4]) >= 2)
+    cut = _cut_pairs(_InnerBuckets(v, 0.2, window), gt, sel)
+    assert cut.shape == (3, len(sel)) and len(sel) > 0
+    assert np.any(cut) == cut_any
+    assert not np.all(cut)
+
+
+@pytest.mark.parametrize("B", [4, 8, 16])
+def test_contraction_table_equals_inverse_fft_and_pick(B):
+    # random spectra, whose inverse FFTs have a nonzero wrap-around term
+    rng = np.random.default_rng(B)
+    T = 9
+    P = rng.standard_normal((T, B, 2 * B)) + 1j * rng.standard_normal((T, B, 2 * B))
+    g2 = rng.standard_normal((T, B)) + 1j * rng.standard_normal((T, B))
+    slack = np.arange(T) % 3
+    conv = np.fft.ifft(P)
+    want = np.zeros((T, B), dtype=complex)
+    for t in range(T):
+        for a in range(B):
+            for j in range(B):
+                m = slack[t] * B - 1 + a - j
+                if 0 <= m <= 2 * B - 2:
+                    want[t, a] += conv[t, a, m] * g2[t, j]
+    got = np.einsum("tak,tak->ta", P, _hat(g2)[np.arange(T), slack])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    W = _contraction(B)
+    s, j, a = np.ogrid[:3, :B, :B]
+    m = s * B - 1 + a - j
+    assert W.shape == (3, B, B, 2 * B)
+    assert np.all(W[(m < 0) | (m > 2 * B - 2)] == 0)
+
+
+def test_scatter_rows_segment_sum_matches_add_at():
+    rng = np.random.default_rng(19)
+    grid = make_grid(4, 8)
+    n = np.sort(rng.integers(-8, 8, 300))
+    bands = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+    w = rng.uniform(-2, 2, 300)
+    want = scatter(grid, n, bands, w)
+    scale = np.max(np.abs(want))
+    for order in (np.arange(300), rng.permutation(300)):
+        got = normal_form._scatter_rows(grid, n[order], bands[order], w[order])
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    out = np.ones_like(want)
+    normal_form._scatter_rows(grid, n, bands, w, out=out)
+    assert np.max(np.abs(out - 1 - want)) <= 1e-14 * scale
+
+
+def test_resonant_one_pass_is_r2_minus_r1():
+    rng = np.random.default_rng(20)
+    v = random_state(rng, span=5, t=0.3)
+    node = _Node(v, 0.3)
+    r2, r1 = (
+        normal_form._sum_q1_over(node, _triple_table(G.n_max, 7, None, mode, QUARTIC))
+        for mode in ("resonant_R2", "resonant_R1")
+    )
+    want = r2 - r1
+    got = apply_resonant(v, window=7).data
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
@@ -648,6 +789,51 @@ def test_solve_zero_data_single_iteration():
     assert info["iterations"] == 1
     for st in traj.states:
         assert np.all(st.data == 0)
+
+
+def test_solve_evaluates_node_zero_once(monkeypatch):
+    # the live compare inputs (test_harness.test_constants_visible_at_moderate_threshold):
+    # v(0) = v0 at every iterate, so node 0 maps to v0 exactly and its
+    # generation-one pass, which also gives the time-zero boundary, runs once
+    from nfnls.grids import forward
+    from nfnls.harness import gaussian_field
+    from nfnls.normal_form import solve
+
+    grid = make_grid(8, 16)
+    u0 = gaussian_field(grid, amplitude=0.5, width=2.0)
+    params = SolverParams(
+        J=2, N=16.0, T=0.03, q=2.0, R=1.0, R_tilde=1.0, K=6, picard_tol=1e-13,
+        window=6, support_trim=1e-8,
+    )
+    calls = []
+    gen1 = normal_form._generation_one
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return gen1(*args, **kwargs)
+
+    monkeypatch.setattr(normal_form, "_generation_one", counted)
+    traj, report = solve(u0, params)
+    assert report["iterations"] == 6
+    assert len(calls) == 1 + report["iterations"] * params.K
+    assert calls.count(0.0) == 1
+    v0 = normal_form._trim_state(BoxedState.from_spectrum(forward(u0)), params.support_trim)
+    assert np.array_equal(traj.states[0].data, v0.data)
+
+    # public gamma_partial on a trajectory that starts elsewhere: node 0 is
+    # v0 - B(v0) + B(v(0)), with B the weighted level-2 boundary
+    times = np.linspace(0.0, params.T, params.K + 1)
+    w = v0.scaled(1.1)
+    out = gamma_partial(v0, Trajectory(times, tuple(w.at_time(t) for t in times)), params)
+    w_bnd, _ = normal_form._level_weights(2, params.sign)
+    jump = n21_state(w, params.N, 0.0, params.window).plus(
+        n21_state(v0, params.N, 0.0, params.window), -1.0
+    )
+    want = v0.data + w_bnd * jump.data
+    assert np.any(jump.data != 0)
+    assert np.max(np.abs(out.states[0].data - want)) <= 1e-15 * np.max(np.abs(want))
+    same = gamma_partial(v0, Trajectory(times, tuple(v0.at_time(t) for t in times)), params)
+    assert np.array_equal(same.states[0].data, v0.data)
 
 
 def test_choose_parameters_q1_limit():
