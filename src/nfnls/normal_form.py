@@ -58,19 +58,20 @@ N) -- the rows, their phases, the pair index with its 1/d factors, the slacks
 emptiness test: the insert states (resonant sum, inner phase buckets) and
 the contraction table are built only when some high-phase row has two live
 slots, so at compliant thresholds, where that set is empty on the active
-window, generation one costs one table lookup.  The non-resonant inserts read one flat phase index:
-the live q1 bands (from a non-resonant table expanded over the live boxes
-only, cached on the live set) sorted by (box, integer phase) with per-box
-prefix sums,
-so the "all", "low" and "high" joint-phase rows of every slot, and of every
-enumerated tree assignment, come from one vectorised lookup; its rows in
-table order also give N12, the part of the integrand the boundary trades
-away.  The resonant and low-set insert rows share the weight and the gap
-kernel is linear in the inserted slot, so the integrand sends their sum
-through the pass once.  Generation >= 2 operators use the kernel-exact tree
-path, skipped only when the complement chain cannot hold inside the window:
-per tree and insert leaf, one index-function frontier over every root box
-and one batched tree-kernel evaluation (``multilinear._tree_sum``).
+window, generation one costs one table lookup.  The non-resonant inserts read
+the live q1 bands of the one phase table (``resonance.phase_table``, also
+the tree frontier's index) of the output boxes over the live boxes, with
+per-box prefix sums, so the "all", "low" and "high" joint-phase rows of
+every slot, and of every tree assignment, come from one vectorised lookup;
+its rows in table order also give N12, the part of the integrand the
+boundary trades away.  The resonant and low-set insert
+rows share the weight and the gap kernel is linear in the inserted slot, so
+the integrand sends their sum through the pass once.  Generation >= 2
+operators use the kernel-exact tree path, skipped only when the complement
+chain cannot hold inside the window: per tree and insert leaf, one
+index-function frontier with every output box as a root (its exact tail
+count drops the roots without an index function) and one batched
+tree-kernel evaluation (``multilinear._tree_sum``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from .errors import (
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
 from .modulation import BandCoefficients, modulation_norm
 from .multilinear import _tree_sum
-from .resonance import QUARTIC, _mode_mask, expand_triples, phase_value
+from .resonance import QUARTIC, _mode_mask, c_set_radius, expand_triples, phase_table, phase_value
 from .trees import _frontier, compute_signs, enumerate_trees
 
 __all__ = [
@@ -297,20 +298,22 @@ def _q1_rows(node: _Node, n, n1, n2, n3) -> np.ndarray:
 # triple tables (cached across calls)
 
 
+def _output_boxes(n_max: int, window: int) -> np.ndarray:
+    """The output boxes |n| <= 3*window + 1 of a window, clipped to the grid."""
+    lim = min(3 * window + 1, n_max - 1)
+    return np.arange(-lim, lim + 1, dtype=np.int64)
+
+
 @lru_cache(maxsize=256)
-def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str, live=None):
+def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
     """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes.
 
     Lexicographic in (n, n1, n2, n3).  The R2 weight is two on the doubly
     matched overlap (n1 ~ n and n3 ~ n), one elsewhere and in every other mode.
-    A tuple ``live`` restricts the three children to those boxes: the rows
-    are then those of the full table whose children are all in ``live``,
-    in the same order, expanded from the live boxes only.
     """
     N = None if N_key is None else float(N_key)
-    out_lim = min(3 * window + 1, n_max - 1)
-    boxes = np.arange(-out_lim, out_lim + 1, dtype=np.int64)
-    rows, n1, n2, n3 = expand_triples(boxes, window, [live] * 3)
+    boxes = _output_boxes(n_max, window)
+    rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
     keep = _mode_mask(n, n1, n2, n3, mode, N, convention)
     n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
@@ -499,73 +502,47 @@ def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int |
 
 
 class _InnerBuckets:
-    """Live non-resonant q1 bands in one flat index sorted by (box, integer phase).
+    """Live non-resonant q1 bands, summed over phase intervals per box.
 
-    The rows are the non-resonant triples whose three boxes hold nonzero
-    bands, from a table expanded over the live boxes only and cached on the
-    live set (``_triple_table`` with ``live``), not masked out of the table
-    of the whole window.
-
-    ``prefix`` holds, box after box, a zero row and then the running sums of
-    that box's bands, and ends with one more zero row, so the bands of a box
-    with phase in [lo, hi] sum to the difference of two prefix rows.  The rows
-    are found by one searchsorted on int64 keys box * width + phase offset,
-    ordered box-major, then by phase; a box without live rows, below, between
-    or above the indexed ones, lands on a zero row and sums to zero.
-    ``rows`` keeps (n, phase, band) in table order.
+    The rows are those of the cached phase table (``resonance.phase_table``)
+    of the output boxes over the live boxes: the non-resonant triples whose
+    three boxes hold nonzero bands.  ``rows`` keeps (n, phase, band) in table
+    order.  ``prefix`` holds, parent box after parent box, a zero row and the
+    running sums of the box's bands in the table's phase order (a cumsum per
+    box, so small boxes do not cancel against large ones), and one more zero
+    row; a ``span`` run of a box, shifted by the zero rows ahead of it, sums
+    to the difference of two prefix rows, and to zero for a box without rows.
     """
 
     def __init__(self, state: BoxedState, t: float, window: int):
         g = state.grid
         node = _Node(state, t)
         live = tuple((np.flatnonzero(node.alive) - g.n_max).tolist())
-        n, n1, n2, n3, _ = _triple_table(g.n_max, window, math.inf, "A_N", QUARTIC, live)
-        bands = _q1_rows(node, n, n1, n2, n3)
-        phase = phase_value(n, n1, n2, n3, QUARTIC)
-        self.rows = (n, phase, bands)
-        order = np.lexsort((phase, n))
-        n, phase, bands = n[order], phase[order], bands[order]
-        self.boxes, starts, counts = np.unique(n, return_index=True, return_counts=True)
-        # phase offsets run over 1..width-2; 0 and width-1 take clipped bounds
-        self.offset = int(phase.min(initial=0)) - 1
-        self.width = int(phase.max(initial=0)) - self.offset + 2
-        self.keys = n * self.width + (phase - self.offset)
-        self.prefix = np.zeros((len(n) + len(self.boxes) + 1, g.bins_per_box), complex)
-        for k, (a, c) in enumerate(zip(starts, counts)):
-            np.cumsum(bands[a : a + c], axis=0, out=self.prefix[a + k + 1 : a + k + c + 1])
-
-    def _key(self, boxes, phase):
-        off = np.clip(phase - self.offset, 0, self.width - 1).astype(np.int64)
-        return boxes * self.width + off
-
-    def _span(self, boxes, lo=-np.inf, hi=np.inf):
-        """Prefix rows (i, j): the rows of box boxes[t] with lo[t] <= phase <= hi[t]
-        sum to prefix[j] - prefix[i]."""
-        k = np.searchsorted(self.boxes, boxes)  # zero rows ahead of the box's rows
-        i = np.searchsorted(self.keys, self._key(boxes, np.ceil(lo)), side="left")
-        j = np.searchsorted(self.keys, self._key(boxes, np.floor(hi)), side="right")
-        return i + k, j + k
+        parents = tuple(_output_boxes(g.n_max, window).tolist())
+        self.table = tab = phase_table(parents, window, (live,) * 3, 1, QUARTIC)
+        n = tab.parents[tab.row]
+        bands = _q1_rows(node, n, tab.c1, tab.c2, tab.c3)
+        self.rows = (n, tab.m, bands)
+        self.boxes = tab.parents[tab.stop > tab.start]
+        self.prefix = np.zeros((len(n) + len(parents) + 1, g.bins_per_box), complex)
+        for k in np.flatnonzero(tab.stop > tab.start):
+            a, b = tab.start[k], tab.stop[k]
+            np.cumsum(bands[tab.order[a:b]], axis=0, out=self.prefix[a + k + 1 : b + k + 1])
 
     def sum(self, boxes, lo=-np.inf, hi=np.inf) -> np.ndarray:
         """(T, B) band sums over the rows of box boxes[t] with lo[t] <= phase <= hi[t].
 
-        The bounds may be non-integer or infinite; lo <= hi.
+        The bounds may be non-integer or infinite.
         """
-        i, j = self._span(boxes, lo, hi)
-        return self.prefix[j] - self.prefix[i]
-
-    def covers(self, boxes, lo, hi) -> np.ndarray:
-        """Per t, whether [lo[t], hi[t]] holds the phase of every row of box
-        boxes[t]: then ``sum(boxes, lo, hi)`` is the box's full sum, read off
-        the same two prefix rows."""
-        (i, j), (i_all, j_all) = self._span(boxes, lo, hi), self._span(boxes)
-        return (i == i_all) & (j == j_all)
+        i, j = self.table.span(boxes, lo, hi)
+        k = np.searchsorted(self.table.parents, boxes)  # zero rows ahead of the box's rows
+        return self.prefix[j + k] - self.prefix[i + k]
 
 
 def _low_set(sign, mu_prev, mu_first, J):
     """Bounds [lo, hi] of the inner phases mu in the level-J low set
-    |mu_prev + sign*mu| <= (2J+3)^3 max(|mu_prev|,|mu_first|)^0.99."""
-    K = (2 * J + 3) ** 3 * np.maximum(np.abs(mu_prev), np.abs(mu_first)) ** 0.99
+    |mu_prev + sign*mu| <= ``c_set_radius(J, mu_prev, mu_first)``."""
+    K = c_set_radius(J, mu_prev, mu_first)
     center = -sign * np.asarray(mu_prev, dtype=float)
     return center - K, center + K
 
@@ -587,15 +564,17 @@ def _cut_pairs(buckets: _InnerBuckets, gt: _GapTable, sel: np.ndarray) -> np.nda
     """(3, len(sel)) mask, slot by row: True where the level-1 low set of row
     sel[i] at that slot leaves out some inner phase of the slot's box.
 
-    Decided exactly, on the prefix rows of ``_InnerBuckets.covers``.  Only at
-    such (row, slot) pairs do the "low" and "high" inserts differ from the
-    box's full and empty inner sums.
+    Decided exactly: the low set's run in the inner phase table differs from
+    the box's whole run.  Only at such (row, slot) pairs do the "low" and
+    "high" inserts differ from the box's full and empty inner sums.
     """
     _, n1, n2, n3, _ = gt.rows
     mu1 = np.tile(gt.mu1[sel], 3)
     signs = np.repeat([1, -1, 1], len(sel))  # the slots' conjugation signs
     boxes = np.concatenate([n1[sel], n2[sel], n3[sel]])
-    return ~buckets.covers(boxes, *_low_set(signs, mu1, mu1, 1)).reshape(3, -1)
+    tab = buckets.table
+    (i, j), (i_all, j_all) = tab.span(boxes, *_low_set(signs, mu1, mu1, 1)), tab.span(boxes)
+    return ((i != i_all) | (j != j_all)).reshape(3, -1)
 
 
 class _GenerationOne(NamedTuple):
@@ -801,8 +780,8 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     "rem" unrestricted insert.  ``allowed_all``, when given, becomes the
     operative box window for every node of every tree (sparse-support runs).
 
-    Per tree and insert leaf, one frontier over every candidate root gives
-    all index functions as integer rows; the leaf rows are gathered from one
+    Per tree and insert leaf, one frontier with every output box as a root
+    gives all index functions as integer rows; the leaf rows come from one
     u-picture table of the state (and its conjugate), the insert rows from
     the resonant state or the inner phase buckets, rows whose insert is
     exactly zero are dropped, and ``multilinear._tree_sum`` evaluates the
@@ -828,19 +807,10 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
         insert_boxes = set(buckets.boxes.tolist())
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
-        active &= set(allowed_all)
+        active &= internal_allowed
         if mode != "n0":
-            insert_boxes &= set(allowed_all)
-    out_lim = min(3 * w + 1, g.n_max - 1)
-    universe = set(active)
-    if mode != "n0":
-        universe |= insert_boxes
-    if internal_allowed is not None:
-        universe |= internal_allowed
-    uni = np.array(sorted(universe))
-    sums = np.unique(uni[:, None, None] - uni[None, :, None] + uni[None, None, :])
-    sums = np.unique(np.concatenate([sums - 1, sums, sums + 1]))
-    roots = sums[(sums >= -out_lim) & (sums <= out_lim)]
+            insert_boxes &= internal_allowed
+    roots = _output_boxes(g.n_max, w)
     node = _Node(state, t)
     # u-picture leaf values, plain (index 0) and conjugated (index 1)
     table = np.stack([node.u, np.conj(node.u)])

@@ -26,23 +26,25 @@ All enumeration goes through one array engine, :func:`expand_triples`: given
 an array of parent boxes and an optional box set per child it returns, as
 integer columns, every child triple on the slack shell inside the window, in
 lexicographic order.  The modes above are masks on those columns
-(``enumerate_triples`` and the operator tables).  The index-function frontier
-of ``trees`` expands the distinct parent boxes of a generation once and
-indexes their non-resonant children by signed phase, so its threshold and
-chain tests pick phase intervals rather than mask the whole shell of every
-row; ``c_set_radius`` gives the chain's bound.  Enumeration is window-bounded
-and deterministic; truncation to the window is the sole deviation from
-infinite sums.  All functions here are pure.
+(``enumerate_triples`` and the operator tables).  The band C_J of radius
+``c_set_radius`` is read from both sides, its complement by the frontier of
+``trees`` and its inside by the low-set inserts of ``normal_form``, and both
+search the one phase table, :class:`PhaseTable`: non-resonant children
+sorted per parent box by signed phase, so a phase interval of any box is one
+run found by two searchsorted calls.  Enumeration is window-bounded and
+deterministic; truncation to the window is the sole deviation from infinite
+sums.  All functions here are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoxRangeError, DomainError
+from .errors import BoxRangeError, DomainError, ResourceGuardError
 
 __all__ = [
     "FrequencyTriple",
@@ -54,6 +56,8 @@ __all__ = [
     "divisor_count",
     "divisor_sieve",
     "expand_triples",
+    "PhaseTable",
+    "phase_table",
     "enumerate_triples",
     "c_set_member",
     "c_set_radius",
@@ -177,6 +181,78 @@ def expand_triples(parents, window: int, child_sets=(None, None, None)):
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty
     return tuple(np.concatenate(c) for c in zip(*cols))
+
+
+class PhaseTable:
+    """The non-resonant children of strictly increasing ``parents``, by phase.
+
+    ``row`` (the parent's index), ``c1``, ``c2``, ``c3``, ``m`` (the phase
+    under the convention) and ``mp`` (the product phase), both times ``sign``,
+    are in lexicographic order of (parent, c1, c2, c3).  ``order`` sorts them
+    by (parent, m), ties lexicographic; ``start``/``stop`` are each parent's
+    block in it.
+    """
+
+    def __init__(self, parents, window, child_sets, sign, convention):
+        self.parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+        row, c1, c2, c3 = expand_triples(self.parents, window, child_sets)
+        fa = self.parents[row]
+        nonres = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
+        self.row, fa, self.c1, self.c2, self.c3 = (x[nonres] for x in (row, fa, c1, c2, c3))
+        self.m = sign * phase_value(fa, self.c1, self.c2, self.c3, convention)
+        self.mp = sign * phase_value(fa, self.c1, self.c2, self.c3, PRODUCT)
+        self.order = np.lexsort((self.m, self.row))
+        # keys parent * width + (m - offset), sorted; phase offsets run over
+        # 1..width-2, so 0 and width-1 take clipped bounds and a box without
+        # children falls between the blocks
+        self._offset = int(self.m.min(initial=0)) - 1
+        self._width = int(self.m.max(initial=0)) - self._offset + 2
+        self._keys = fa[self.order] * self._width + (self.m[self.order] - self._offset)
+        sizes = np.bincount(self.row, minlength=len(self.parents))
+        self.stop = np.cumsum(sizes)
+        self.start = self.stop - sizes
+
+    def _find(self, boxes, bound, side):
+        off = np.clip(bound - self._offset, 0, self._width - 1).astype(np.int64)
+        return np.searchsorted(self._keys, boxes * self._width + off, side=side)
+
+    def span(self, boxes, lo=-np.inf, hi=np.inf):
+        """(i, j): the children of box boxes[t] with lo[t] <= m <= hi[t] are
+        order[i[t]:j[t]], an empty run for a box that is not a parent.  The
+        bounds may be non-integer, infinite or empty."""
+        boxes = np.asarray(boxes, dtype=np.int64)
+        i = self._find(boxes, np.ceil(lo), "left")
+        j = self._find(boxes, np.floor(hi), "right")
+        return i, np.maximum(i, j)
+
+    def outside(self, block, below, above, max_count):
+        """Children with m <= below or m >= above of rows with parent index
+        ``block``, for integer-valued float bounds per row or shared.
+
+        Returns the row of each kept child and its lexicographic position,
+        sorted by (row, position); more than ``max_count`` of them raise
+        ``ResourceGuardError`` before anything is gathered.
+        """
+        boxes = self.parents[block]
+        start, stop = self.start[block], self.stop[block]
+        left = self._find(boxes, below, "right")
+        right = np.maximum(self._find(boxes, above, "left"), left)  # the tails never overlap
+        starts = np.stack([start, right], axis=1).reshape(-1)
+        sizes = np.stack([left - start, stop - right], axis=1).reshape(-1)
+        total = int(sizes.sum())
+        if total > max_count:
+            raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
+        ends = np.cumsum(sizes)
+        idx = np.arange(total) + np.repeat(starts - (ends - sizes), sizes)
+        rows = np.repeat(np.arange(len(block)), sizes.reshape(-1, 2).sum(axis=1))
+        stride = max(1, len(self.order))
+        key = np.sort(rows * stride + self.order[idx])
+        return key // stride, key % stride
+
+
+# phase_table(parents, window, child_sets, sign, convention): a cached
+# PhaseTable, for hashable arguments (tuples of boxes, None for no set)
+phase_table = lru_cache(maxsize=256)(PhaseTable)
 
 
 def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None, convention: str):

@@ -27,15 +27,15 @@ order, in both the default (quartic) and the product phase conventions.
 
 Exhaustive enumeration runs generation by generation over an integer frontier
 (one row per partial assignment, one column per node).  At each generation
-the distinct parent boxes of the frontier are expanded once by
-``resonance.expand_triples``, the resonant children dropped and each parent's
-children sorted by signed phase.  The root threshold and the chain step then
-keep two tails of a row's block, found by two searchsorted calls, so the
-exact row count is known before anything is gathered (and checked against the
-guard there) and only the kept children are built.  Rows are independent, so
-one frontier serves any number of root boxes.  ``IndexAssignment`` objects
-are built once, for the final frontier of one root; the tree-level sums of
-``normal_form`` read the integer frontier of all their roots directly.
+the distinct parent boxes of the frontier are expanded once into a
+``resonance.PhaseTable``, their non-resonant children sorted by signed phase.
+The root threshold and the chain step then keep two tails of a row's block,
+found by two searchsorted calls, so the exact row count is known before
+anything is gathered (and checked against the guard there) and only the kept
+children are built.  Rows are independent, so one frontier serves any number
+of root boxes.  ``IndexAssignment`` objects are built once, for the final
+frontier of one root; the tree-level sums of ``normal_form`` read the integer
+frontier of all their roots directly.
 
 Random sampling is rejection over the same kind of frontier: a block of
 attempts starts from the root row, and at each generation every surviving
@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoxRangeError, DomainError, PreconditionError, ResourceGuardError
-from .resonance import PRODUCT, QUARTIC, c_set_radius, expand_triples, phase_value
+from .resonance import PRODUCT, QUARTIC, PhaseTable, c_set_radius, phase_value
 
 __all__ = [
     "TreeNode",
@@ -323,12 +323,13 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count
     raise ``ResourceGuardError``, before they are gathered.
 
     At each generation the distinct parent boxes of the frontier are expanded
-    once (``_ChildTable``), and every filter keeps the children whose signed
-    phase m lies outside an interval: |m| > N at the root, and
+    once (a ``resonance.PhaseTable``, built afresh: cached tables would hold
+    every generation's children), and every filter keeps the children whose
+    signed phase m lies outside an interval: |m| > N at the root, and
     |prev + m| > X with X the radius of the C set (``c_set_radius``) on the
     chain.  So a row's children are two tails of its parent's block, sorted
-    by m, found by two searchsorted calls; their lengths are the exact row
-    count, and only the kept children are gathered.
+    by m, found by two searchsorted calls (``PhaseTable.outside``); their
+    lengths are the exact row count, and only the kept children are gathered.
     """
     signs = compute_signs(tree)
     freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
@@ -337,7 +338,7 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count
     for j, a in enumerate(tree.chronicle):
         kids = list(tree.nodes[a].children)
         parents, block = np.unique(freq[:, a], return_inverse=True)
-        table = _ChildTable(
+        table = PhaseTable(
             parents, window, [node_set(c) for c in kids], signs.fsgn[a], convention
         )
         # keep |m - center| > X for integer m: m <= center - F - 1 or
@@ -353,59 +354,6 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count
         c1, c2, c3, m, mp = (x[pos] for x in (table.c1, table.c2, table.c3, table.m, table.mp))
         freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
     return freq, mu, mu_p
-
-
-class _ChildTable:
-    """The non-resonant children of each parent box, indexed by signed phase.
-
-    ``c1``, ``c2``, ``c3``, ``m`` (the phase under the convention) and ``mp``
-    (the product phase), both times ``sign``, are in lexicographic order of
-    (parent, c1, c2, c3).  ``keys`` holds parent * width + (m - offset)
-    sorted, ``order`` the lexicographic position of each sorted entry, and
-    ``start``/``stop`` each parent's block in it.
-    """
-
-    def __init__(self, parents, window, child_sets, sign, convention):
-        row, c1, c2, c3 = expand_triples(parents, window, child_sets)
-        fa = parents[row]
-        nonres = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
-        row, fa, self.c1, self.c2, self.c3 = (x[nonres] for x in (row, fa, c1, c2, c3))
-        self.m = sign * phase_value(fa, self.c1, self.c2, self.c3, convention)
-        self.mp = sign * phase_value(fa, self.c1, self.c2, self.c3, PRODUCT)
-        # phase offsets run over 1..width-2; 0 and width-1 take clipped bounds
-        self.offset = int(self.m.min(initial=0)) - 1
-        self.width = int(self.m.max(initial=0)) - self.offset + 2
-        self.order = np.lexsort((self.m, row))
-        self.keys = row[self.order] * self.width + (self.m[self.order] - self.offset)
-        sizes = np.bincount(row, minlength=len(parents))
-        self.stop = np.cumsum(sizes)
-        self.start = self.stop - sizes
-
-    def _find(self, block, bound, side):
-        off = np.clip(bound - self.offset, 0, self.width - 1).astype(np.int64)
-        return np.searchsorted(self.keys, block * self.width + off, side=side)
-
-    def outside(self, block, below, above, max_count):
-        """Children with m <= below or m >= above of rows with parent ``block``.
-
-        The bounds are integer-valued floats, per row or shared.  Returns the
-        row of each kept child and its lexicographic position, sorted by
-        (row, position); more than ``max_count`` of them raise
-        ``ResourceGuardError`` before anything is gathered.
-        """
-        left = self._find(block, below, "right")
-        right = np.maximum(self._find(block, above, "left"), left)  # the tails never overlap
-        starts = np.stack([self.start[block], right], axis=1).reshape(-1)
-        sizes = np.stack([left - self.start[block], self.stop[block] - right], axis=1).reshape(-1)
-        total = int(sizes.sum())
-        if total > max_count:
-            raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
-        ends = np.cumsum(sizes)
-        idx = np.arange(total) + np.repeat(starts - (ends - sizes), sizes)
-        rows = np.repeat(np.arange(len(block)), sizes.reshape(-1, 2).sum(axis=1))
-        span = max(1, len(self.order))
-        key = np.sort(rows * span + self.order[idx])
-        return key // span, key % span
 
 
 def _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp):

@@ -60,6 +60,7 @@ from nfnls.resonance import (
     c_set_member,
     enumerate_triples,
     expand_triples,
+    phase_table,
     phase_value,
 )
 from nfnls.trees import compute_signs, enumerate_index_functions, enumerate_trees
@@ -982,22 +983,26 @@ def test_triple_table_identical_to_per_n_tables(mode, convention):
             np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("mode", ["resonant_R2", "A_N", "A_N_complement"])
-def test_live_triple_table_is_the_masked_full_table(mode):
-    # expanded from the live boxes only: the rows of the full table whose
-    # children are all live, in the same order; boxes outside the window and
-    # an empty live set included
+@pytest.mark.parametrize("convention", [QUARTIC, PRODUCT])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_live_phase_table_is_the_masked_full_table(sign, convention):
+    # expanded from the live boxes only: the rows of the full non-resonant
+    # table whose children are all live, in the same order; boxes outside the
+    # window and an empty live set included
     cases = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
              (16, 3, ())]
     nonempty = 0
     for n_max, window, live in cases:
-        full = _triple_table(n_max, window, 12.0, mode, QUARTIC)
-        keep = np.all(np.isin(np.stack(full[1:4]), live), axis=0)
-        got = _triple_table(n_max, window, 12.0, mode, QUARTIC, live)
-        for g, w in zip(got, full):
+        n, n1, n2, n3, _ = _triple_table(n_max, window, math.inf, "A_N", convention)
+        keep = np.all(np.isin(np.stack([n1, n2, n3]), live), axis=0)
+        lim = min(3 * window + 1, n_max - 1)  # the output boxes of _triple_table
+        tab = phase_table(tuple(range(-lim, lim + 1)), window, (live,) * 3, sign, convention)
+        got = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3, tab.m)
+        want = (n, n1, n2, n3, sign * phase_value(n, n1, n2, n3, convention))
+        for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w[keep])
-        nonempty += len(got[0]) > 0
+        nonempty += len(tab.row) > 0
     assert nonempty >= 2
 
 
@@ -1029,15 +1034,6 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
             insert_boxes &= set(allowed_all)
     data = np.zeros_like(state.data)
     out_lim = min(3 * w + 1, g.n_max - 1)
-    universe = set(active)
-    if mode != "n0":
-        universe |= insert_boxes
-    if internal_allowed is not None:
-        universe |= internal_allowed
-    uni = np.array(sorted(universe))
-    sums = np.unique(uni[:, None, None] - uni[None, :, None] + uni[None, None, :])
-    sums = np.unique(np.concatenate([sums - 1, sums, sums + 1]))
-    root_candidates = [int(r) for r in sums if -out_lim <= r <= out_lim]
     count = 0
     for tree in enumerate_trees(J):
         signs = compute_signs(tree)
@@ -1054,7 +1050,7 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
                 p = dict(base_plan)
                 p[leaf] = insert_boxes
                 plans.append((li, p))
-        for n_root in root_candidates:
+        for n_root in range(-out_lim, out_lim + 1):
             for li, plan in plans:
                 assigns = enumerate_index_functions(
                     tree, n_root, w, N, allowed_boxes=plan,
@@ -1136,6 +1132,27 @@ def test_batched_tree_level_sum_matches_per_assignment_oracle(mode, J, restricte
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     else:
         assert not np.any(want) and not np.any(got)
+
+
+def test_tree_level_sum_reaches_roots_outside_the_leaf_box_sums():
+    # internal nodes have no box set, so a root need not lie within 1 of a
+    # three-fold sum of the occupied boxes: here roots -16, -3 and 11 do not,
+    # yet carry index functions
+    g = make_grid(4, 64)
+    support = (-13, -6, 0, 8, 13)
+    rng = np.random.default_rng(3)
+    data = np.zeros((2 * g.n_max, g.bins_per_box), dtype=complex)
+    for n in support:
+        data[n + g.n_max] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    t = 0.1
+    v = BoxedState(g, data, t)
+    got = generation_n0(v, 2, 0.0, t, 15).data
+    want = per_assignment_tree_level_sum(v, 2, 0.0, t, 15, "n0").data
+    sums = {a - b + c + d for a in support for b in support for c in support for d in (-1, 0, 1)}
+    outside = np.array([-16, -3, 11])
+    assert not sums & set(outside.tolist())
+    assert np.all(np.any(want[outside + g.n_max] != 0, axis=1))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_tree_level_sum_assignment_guard(monkeypatch):

@@ -1,5 +1,7 @@
 """Phase identities, divisor counting, and frequency-set enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from nfnls.resonance import (
     PRODUCT,
     QUARTIC,
     FrequencyTriple,
+    PhaseTable,
     ResonanceThreshold,
     c_chain_ok,
     c_set_member,
@@ -124,6 +127,43 @@ def test_enumeration_matches_brute_force():
 def test_enumeration_matches_brute_force_property(n, window, N, mode, convention):
     got = enumerate_triples(n, window, N=N, mode=mode, convention=convention)
     assert got == brute_triples(n, window, N, mode, convention)
+
+
+BOUND = st.one_of(
+    st.integers(-150, 150).map(float),
+    st.floats(-150.0, 150.0),
+    st.sampled_from([-math.inf, math.inf]),
+)
+CHILD_SET = st.none() | st.sets(st.integers(-6, 6), max_size=9).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parents=st.sets(st.integers(-16, 16), max_size=6).map(sorted),
+    window=st.integers(1, 5),
+    child_sets=st.tuples(CHILD_SET, CHILD_SET, CHILD_SET),
+    sign=st.sampled_from([1, -1]),
+    convention=st.sampled_from([QUARTIC, PRODUCT]),
+    intervals=st.lists(st.tuples(BOUND, BOUND), min_size=1, max_size=5),
+    extra=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+)
+def test_phase_table_span_matches_masked_count(
+    parents, window, child_sets, sign, convention, intervals, extra
+):
+    # any box may be asked for: the parents, boxes below, between and above
+    # them, and boxes without children; any interval, empty ones included
+    tab = PhaseTable(parents, window, child_sets, sign, convention)
+    edges = [parents[0] - 1, parents[-1] + 1] if parents else []
+    boxes = sorted(set(parents) | set(edges) | set(extra))
+    pairs = [(b, lo, hi) for b in boxes for lo, hi in intervals]
+    q, lo, hi = (np.array(c) for c in zip(*pairs))
+    i, j = tab.span(q, lo, hi)
+    fa = tab.parents[tab.row]
+    for t, (b, a, z) in enumerate(pairs):
+        idx = np.flatnonzero((fa == b) & (tab.m >= a) & (tab.m <= z))
+        want = idx[np.argsort(tab.m[idx], kind="stable")]  # by m, ties lexicographic
+        assert j[t] - i[t] == len(want)
+        np.testing.assert_array_equal(tab.order[i[t] : j[t]], want)
 
 
 def test_r1_window1_finitely_many():
