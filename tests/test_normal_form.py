@@ -48,6 +48,7 @@ from nfnls.normal_form import (
     _InnerBuckets,
     _max_abs_phase,
     _Node,
+    _output_boxes,
     _q1_rows,
     _tree_level_sum,
     _tree_sign,
@@ -981,6 +982,40 @@ def test_triple_table_identical_to_per_n_tables(mode, convention):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("mode", ["resonant_R2", "A_N", "A_N_complement"])
+def test_live_triple_table_is_the_masked_full_table(mode):
+    # expanded from the live boxes only: the rows of the full table whose
+    # children are all live, in the same order; boxes outside the window and
+    # an empty live set included.  A_N (|m| <= 12) and A_N^c (|m| > 12) are
+    # read off the live phase table, whose rows are the non-resonant ones;
+    # R2 is the rest of the live expansion, which the phase table drops
+    cases = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
+             (16, 3, ())]
+    nonempty = 0
+    for n_max, window, live in cases:
+        full = _triple_table(n_max, window, 12.0, mode, QUARTIC)
+        keep = np.all(np.isin(np.stack(full[1:4]), live), axis=0)
+        boxes = _output_boxes(n_max, window)
+        if mode == "resonant_R2":
+            rows, c1, c2, c3 = expand_triples(boxes, window, (live,) * 3)
+            n = boxes[rows]
+            res = (np.abs(c1 - n) <= 1) | (np.abs(c3 - n) <= 1)
+            got = (n[res], c1[res], c2[res], c3[res])
+        else:
+            tab = phase_table(tuple(boxes.tolist()), window, (live,) * 3, 1, QUARTIC)
+            if mode == "A_N_complement":
+                _, pos = tab.outside(np.arange(len(boxes)), -13.0, 13.0, math.inf)
+            else:
+                i, j = tab.span(boxes, -12.0, 12.0)
+                pos = np.sort(np.concatenate([tab.order[:0]] + [tab.order[a:b] for a, b in zip(i, j)]))
+            got = (boxes[tab.row[pos]], tab.c1[pos], tab.c2[pos], tab.c3[pos])
+        for g, w in zip(got, full[:4]):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w[keep])
+        nonempty += len(got[0]) > 0
+    assert nonempty >= 2
 
 
 @pytest.mark.parametrize("convention", [QUARTIC, PRODUCT])
