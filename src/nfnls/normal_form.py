@@ -42,13 +42,15 @@ node: the u-picture phases exp(i t xi^2) of every box come from one table,
 and the FFTs of q1's factors are taken once per box and gathered by row.
 
 Each quadrature node is evaluated once, and node 0, which is v0 at every
-Picard iterate, once per solve.  At generation one a single gap pass over the
-high-phase table A_N^c gives the boundary N21 and the insert sums together,
-and no row takes a transform of its own: the gap factors X = u1/d1 and
-Y = u3/d3 depend only on a (box, gap) pair and are transformed once per pair,
-and one contraction table per B (``_contraction``) holds the inverse FFT and
-the pick of the valid convolution terms, so the middle band enters through a
-per-box contraction and a row's output is one sum over 2B frequencies.  A slot
+Picard iterate, once per solve: one level loop gives the node's integrand
+together with the weighted boundary of every level.  At generation one a
+single gap pass over the high-phase table A_N^c gives the boundary N21 and the
+insert sums together, and no row takes a transform of its own: the gap
+factors X = u1/d1 and Y = u3/d3 depend only on a (box, gap) pair and are
+transformed once per pair, and one contraction table per B
+(``_contraction``) holds the inverse FFT and the pick of the valid
+convolution terms, so the middle band enters through a per-box contraction
+and a row's output is one sum over 2B frequencies.  A slot
 insert depends on its box alone -- the resonant sum plus the box's full inner
 sum -- except where the row's low set cuts the box's inner phases; those
 (row, slot) pairs, which occur only at large windows, are formed and
@@ -66,8 +68,9 @@ every slot, and of every tree assignment, come from one vectorised lookup;
 its rows in table order also give N12, the part of the integrand the
 boundary trades away.  The resonant and low-set insert
 rows share the weight and the gap kernel is linear in the inserted slot, so
-the integrand sends their sum through the pass once.  Generation >= 2
-operators use the kernel-exact tree path, skipped only when the complement
+the integrand sends their sum through the pass once, and through one tree
+pass per level j >= 3.  Generation >= 2 operators use the kernel-exact tree
+path, skipped only when the complement
 chain cannot hold inside the window: per tree and insert leaf, one
 index-function frontier with every output box as a root (its exact tail
 count drops the roots without an index function) and one batched
@@ -773,17 +776,20 @@ def _tree_sign(tree, signs) -> int:
     return s
 
 
-def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
-    """Sum over T(J) trees and chain-filtered assignments; mode selects leaves.
+def _tree_level_sum(state, J, N, t, window, resonant=False, which=None, allowed_all=None):
+    """Sum over T(J) trees and chain-filtered assignments.
 
-    mode: "n0" plain, "nr" resonant insert, "n1" low-set insert,
-    "rem" unrestricted insert.  ``allowed_all``, when given, becomes the
-    operative box window for every node of every tree (sparse-support runs).
+    With no insert asked for this is the boundary sum; otherwise one leaf
+    carries the insert, which is (R2 - R1)(v) if ``resonant`` plus the
+    non-resonant q1 bands on the ``which`` joint-phase set ("all", "low" or
+    "high") if ``which`` is given, as in ``_generation_one``.
+    ``allowed_all``, when given, becomes the operative box window for every
+    node of every tree (sparse-support runs).
 
     Per tree and insert leaf, one frontier with every output box as a root
     gives all index functions as integer rows; the leaf rows come from one
     u-picture table of the state (and its conjugate), the insert rows from
-    the resonant state or the inner phase buckets, rows whose insert is
+    the resonant state and the inner phase buckets, rows whose insert is
     exactly zero are dropped, and ``multilinear._tree_sum`` evaluates the
     rest per slack pattern and scatters them to their root boxes.  The
     output phase is applied once, to the sum.
@@ -797,19 +803,18 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     active = {int(b) for b in boxes_axis[state.box_norms() > 0]}
     if not active:
         return out
-    insert_state = None
-    buckets = None
-    if mode == "nr":
-        insert_state = apply_resonant(state, t, w)
-        insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
-    elif mode in ("n1", "rem"):
+    inserting = resonant or which is not None
+    insert_boxes = set()
+    if resonant:
+        res = apply_resonant(state, t, w)
+        insert_boxes |= {int(b) for b in boxes_axis[res.box_norms() > 0]}
+    if which is not None:
         buckets = _InnerBuckets(state, t, w)
-        insert_boxes = set(buckets.boxes.tolist())
+        insert_boxes |= set(buckets.boxes.tolist())
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
         active &= internal_allowed
-        if mode != "n0":
-            insert_boxes &= internal_allowed
+        insert_boxes &= internal_allowed
     roots = _output_boxes(g.n_max, w)
     node = _Node(state, t)
     # u-picture leaf values, plain (index 0) and conjugated (index 1)
@@ -823,7 +828,7 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
         conj = np.array([signs.fsgn[b] == -1 for b in leaf_ids], dtype=np.intp)
         sets = {a: internal_allowed for a in tree.chronicle[1:]}
         sets.update({b: active for b in leaf_ids})
-        for li in [None] if mode == "n0" else range(len(leaf_ids)):
+        for li in range(len(leaf_ids)) if inserting else [None]:
             node_sets = dict(sets)
             if li is not None:
                 node_sets[leaf_ids[li]] = insert_boxes
@@ -838,14 +843,15 @@ def _tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
             sign = tsign
             if li is not None:
                 leaf = leaf_ids[li]
-                if mode == "nr":
-                    inserts = insert_state.data[leaf_rows[:, li]]
+                if which is None:
+                    inserts = res.data[leaf_rows[:, li]]
                 else:
                     inserts = _coupled_insert_rows(
                         buckets, signs.fsgn[leaf], freq[:, leaf],
-                        mu.sum(axis=1).astype(float), mu[:, 0].astype(float),
-                        J, "all" if mode == "rem" else "low",
+                        mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J, which,
                     )
+                    if resonant:
+                        inserts += res.data[leaf_rows[:, li]]
                 live = np.any(inserts != 0, axis=1)
                 freq, leaf_rows, inserts = freq[live], leaf_rows[live], inserts[live]
                 sign *= signs.fsgn[leaf]
@@ -862,7 +868,7 @@ def generation_n0(state: BoxedState, J: int, N: float, t: float | None = None, w
     t = state.time if t is None else t
     if J == 1:
         return n21_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, "n0")
+    return _tree_level_sum(state, J, N, t, window)
 
 
 def generation_nr(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -870,7 +876,7 @@ def generation_nr(state: BoxedState, J: int, N: float, t: float | None = None, w
     t = state.time if t is None else t
     if J == 1:
         return n4_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, "nr")
+    return _tree_level_sum(state, J, N, t, window, resonant=True)
 
 
 def generation_n1(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -878,7 +884,7 @@ def generation_n1(state: BoxedState, J: int, N: float, t: float | None = None, w
     t = state.time if t is None else t
     if J == 1:
         return n31_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, "n1")
+    return _tree_level_sum(state, J, N, t, window, which="low")
 
 
 def remainder_n2(
@@ -898,7 +904,7 @@ def remainder_n2(
     t = state.time if t is None else t
     if J == 1 and allowed_all is None:
         return n3_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, "rem", allowed_all=allowed_all)
+    return _tree_level_sum(state, J, N, t, window, which="all", allowed_all=allowed_all)
 
 
 # ---------------------------------------------------------------------------
@@ -922,14 +928,11 @@ class SolverParams:
     empirical_c: float = DEFAULT_EMPIRICAL_C
     support_trim: float = 0.0  # relative band floor zeroed between iterates
 
-    def q_prime(self) -> float:
-        return math.inf if self.q == 1.0 else self.q / (self.q - 1.0)
-
     def validate(self):
         if not (1.0 <= self.q <= 2.0):
             raise ConfigurationError(f"q must lie in [1, 2], got {self.q}")
-        if self.J < 1 or self.K < 2 or self.T <= 0:
-            raise ConfigurationError("need J >= 1, K >= 2, T > 0")
+        if self.J < 1 or self.K < 2 or self.T <= 0 or self.picard_max_iter < 1:
+            raise ConfigurationError("need J >= 1, K >= 2, T > 0, picard_max_iter >= 1")
         if self.sign not in (+1, -1):
             raise ConfigurationError("sign must be +1 or -1")
         if self.N < threshold_from_bound(self.R_tilde, self.q) - 1e-9:
@@ -1006,28 +1009,34 @@ def _level_weights(j: int, sigma: int) -> tuple[complex, complex]:
     return s_j * half, -1j * sigma * s_j * half
 
 
-def _integrand(state, params, window):
+def _integrand(state, params):
     """i*sigma*[(R2-R1) + N11] plus the insert sums of levels 2..J, and the
-    level-2 boundary N21 at the same state and time (None at J = 1)."""
-    sigma = params.sign
-    t = state.time
+    boundary sums of levels 2..J, each with its level weight, at the same
+    state and time (the boundary is zero at J = 1).
+
+    Level 2 comes from one generation-one pass.  Each level j >= 3 takes its
+    boundary from ``generation_n0`` and its resonant and low-set inserts,
+    which share the weight, from one tree pass.
+    """
+    sigma, N, t, window = params.sign, params.N, state.time, params.window
     if params.J == 1:
-        n12, bnd = apply_n12(state, params.N, t, window), None
+        n12 = apply_n12(state, N, t, window)
     else:
-        first = _generation_one(state, t, params.N, window, resonant=True, which="low")
-        n12, bnd = first.n12, first.boundary
+        first = _generation_one(state, t, N, window, resonant=True, which="low")
+        n12 = first.n12
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
     total = boxed_cubic(state, t).plus(n12, -1.0).scaled(1j * sigma)
+    boundary = BoxedState.zero(state.grid, t)
     for j in range(2, params.J + 1):
-        _, w_ins = _level_weights(j, sigma)
+        w_bnd, w_ins = _level_weights(j, sigma)
         if j == 2:
-            inserts = first.inserts
+            bnd, inserts = first.boundary, first.inserts
         else:
-            inserts = generation_nr(state, j - 1, params.N, t, window).plus(
-                generation_n1(state, j - 1, params.N, t, window)
-            )
+            bnd = generation_n0(state, j - 1, N, t, window)
+            inserts = _tree_level_sum(state, j - 1, N, t, window, resonant=True, which="low")
         total = total.plus(inserts, w_ins)
-    return total, bnd
+        boundary = boundary.plus(bnd, w_bnd)
+    return total, boundary
 
 
 def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajectory:
@@ -1036,50 +1045,28 @@ def gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams) -> Trajec
     Boundary terms are evaluated at the running time for v and at time zero
     for v0, exactly as the telescoped series prescribes; the time integral is
     a composite trapezoid on the trajectory nodes.  Each node is evaluated
-    once: its level-2 boundary comes from the same generation-one pass as its
-    integrand.  Where v(0) = v0 the map is v0 at node 0, exactly: the
+    once: the boundary of every level comes with the node's integrand
+    (``_integrand``).  Where v(0) = v0 the map is v0 at node 0, exactly: the
     integral there is empty and the two boundaries cancel.
     """
     params.validate()
     if abs(v.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise ConfigurationError("trajectory must live on [0, T]")
-    return _gamma_partial(v0, v, params, _start(v0, params))
+    return _gamma_partial(v0, v, params, _integrand(v0.at_time(0.0), params))
 
 
-class _Start(NamedTuple):
-    """What a solve evaluates of v0 once: its ``_integrand`` pair at time
-    zero and its weighted time-zero boundary terms."""
-
-    node: tuple
-    boundary: BoxedState
-
-
-def _start(v0: BoxedState, params: SolverParams) -> _Start:
-    """v0's node and boundary terms; the level-2 boundary is the one of the
-    generation-one pass that gives v0's integrand."""
-    v0 = v0.at_time(0.0)
-    node = _integrand(v0, params, params.window)
-    out = BoxedState.zero(v0.grid)
-    for j in range(2, params.J + 1):
-        w_bnd, _ = _level_weights(j, params.sign)
-        bnd = node[1] if j == 2 else generation_n0(v0, j - 1, params.N, 0.0, params.window)
-        out = out.plus(bnd, w_bnd)
-    return _Start(node, out)
-
-
-def _gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams, start: _Start) -> Trajectory:
-    """``gamma_partial`` on a trajectory over [0, T], with v0's ``_start`` given.
+def _gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams, start: tuple) -> Trajectory:
+    """``gamma_partial`` on a trajectory over [0, T], with v0's ``_integrand``
+    pair at time zero given as ``start``.
 
     Where v(0) = v0, as at every Picard iterate of ``solve``, node 0 maps to
     v0 and takes v0's integrand; otherwise it is evaluated like the others.
     """
     times = v.times
-    sigma = params.sign
-    window = params.window
     g = v0.grid
     from_v0 = np.array_equal(v.states[0].data, v0.data)
     nodes = [
-        start.node if k == 0 and from_v0 else _integrand(st.at_time(tt), params, window)
+        start if k == 0 and from_v0 else _integrand(st.at_time(tt), params)
         for k, (st, tt) in enumerate(zip(v.states, times))
     ]
 
@@ -1092,14 +1079,7 @@ def _gamma_partial(v0: BoxedState, v: Trajectory, params: SolverParams, start: _
         if k > 0:
             dt = times[k] - times[k - 1]
             integral = integral.plus(nodes[k - 1][0], 0.5 * dt).plus(nodes[k][0], 0.5 * dt)
-        acc = v0.data + integral.data - start.boundary.data
-        for j in range(2, params.J + 1):
-            w_bnd, _ = _level_weights(j, sigma)
-            if j == 2:
-                bnd = nodes[k][1]
-            else:
-                bnd = generation_n0(v.states[k].at_time(tt), j - 1, params.N, tt, window)
-            acc = acc + w_bnd * bnd.data
+        acc = v0.data + integral.data - start[1].data + nodes[k][1].data
         out_states.append(BoxedState(g, acc, tt))
     return Trajectory(times=times, states=tuple(out_states))
 
@@ -1144,7 +1124,7 @@ def solve(u0, params: SolverParams):
         )
     times = np.linspace(0.0, params.T, params.K + 1)
     current = Trajectory(times=times, states=tuple(v0.at_time(t) for t in times))
-    start = _start(v0, params)
+    start = _integrand(v0, params)
     diffs: list[float] = []
     ratios: list[float] = []
     for it in range(params.picard_max_iter):

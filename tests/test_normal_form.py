@@ -1,6 +1,7 @@
 """Operator family assembly: splits, inserts, partial sums, parameters."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -726,6 +727,16 @@ def test_params_validation():
         choose_parameters(0.5, 2.0)
 
 
+def test_picard_max_iter_below_one_is_rejected():
+    from nfnls.normal_form import solve
+
+    p = replace(choose_parameters(1.0, 2.0, K=4), picard_max_iter=0)
+    with pytest.raises(ConfigurationError, match="picard_max_iter"):
+        p.validate()
+    with pytest.raises(ConfigurationError, match="picard_max_iter"):
+        solve(BoxedState.zero(make_grid(8, 16)), p)
+
+
 def test_gamma_zero_fixed_point_and_guarded_windows():
     p = choose_parameters(1.0, 2.0, K=4)
     times = np.linspace(0.0, p.T, p.K + 1)
@@ -1138,30 +1149,46 @@ def tiny_remainder_inputs():
     return v.scaled(0.5 / v.lq_norm(2.0)), sorted(set(support) | reach)
 
 
+# the oracle's mode strings as the tree path's insert keywords
+TREE_INSERTS = {
+    "n0": {},
+    "nr": {"resonant": True},
+    "n1": {"which": "low"},
+    "rem": {"which": "all"},
+    "nr+n1": {"resonant": True, "which": "low"},
+}
+
+
 def batched_tree_level_sum(v, J, t, mode, allowed):
     """The public operator where it reaches the tree path, else the private sum."""
-    if J >= 2 and allowed is None:
+    if J >= 2 and allowed is None and mode != "nr+n1":
         op = {"n0": generation_n0, "nr": generation_nr, "n1": generation_n1, "rem": remainder_n2}
         return op[mode](v, J, 1.0, t, 16)
     if mode == "rem":
         return remainder_n2(v, J, 1.0, t, 16, allowed_all=allowed)
-    return _tree_level_sum(v, J, 1.0, t, 16, mode, allowed_all=allowed)
+    return _tree_level_sum(v, J, 1.0, t, 16, **TREE_INSERTS[mode], allowed_all=allowed)
 
 
 # the nonzero cases: every mode at J = 1; at J = 2 the chain filter leaves only
 # index functions whose low-set and unrestricted inserts are live
-LIVE_TREE_CASES = {("n0", 1), ("nr", 1), ("n1", 1), ("rem", 1), ("n1", 2), ("rem", 2)}
+LIVE_TREE_CASES = {
+    ("n0", 1), ("nr", 1), ("n1", 1), ("rem", 1), ("nr+n1", 1), ("n1", 2), ("rem", 2), ("nr+n1", 2),
+}
 
 
 @pytest.mark.parametrize("t", [0.0, 0.37])
 @pytest.mark.parametrize("restricted", [True, False])
 @pytest.mark.parametrize("J", [1, 2])
-@pytest.mark.parametrize("mode", ["n0", "nr", "n1", "rem"])
+@pytest.mark.parametrize("mode", ["n0", "nr", "n1", "rem", "nr+n1"])
 def test_batched_tree_level_sum_matches_per_assignment_oracle(mode, J, restricted, t):
+    # "nr+n1" is the fused resonant and low-set insert pass of the integrand,
+    # against the sum of the two per-assignment oracles
     v, allowed = tiny_remainder_inputs()
     allowed = allowed if restricted else None
     got = batched_tree_level_sum(v.at_time(t), J, t, mode, allowed).data
-    want = per_assignment_tree_level_sum(v, J, 1.0, t, 16, mode, allowed).data
+    want = sum(
+        per_assignment_tree_level_sum(v, J, 1.0, t, 16, m, allowed).data for m in mode.split("+")
+    )
     if (mode, J) in LIVE_TREE_CASES:
         assert np.any(want)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1169,18 +1196,26 @@ def test_batched_tree_level_sum_matches_per_assignment_oracle(mode, J, restricte
         assert not np.any(want) and not np.any(got)
 
 
+ROOTS_OUTSIDE_SUPPORT = (-13, -6, 0, 8, 13)
+
+
+def roots_outside_state():
+    """A sparse state at t = 0.1 whose level-3 boundary (N = 0, window 15)
+    reaches roots outside the three-fold sums of its boxes."""
+    g = make_grid(4, 64)
+    rng = np.random.default_rng(3)
+    data = np.zeros((2 * g.n_max, g.bins_per_box), dtype=complex)
+    for n in ROOTS_OUTSIDE_SUPPORT:
+        data[n + g.n_max] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return BoxedState(g, data, 0.1)
+
+
 def test_tree_level_sum_reaches_roots_outside_the_leaf_box_sums():
     # internal nodes have no box set, so a root need not lie within 1 of a
     # three-fold sum of the occupied boxes: here roots -16, -3 and 11 do not,
     # yet carry index functions
-    g = make_grid(4, 64)
-    support = (-13, -6, 0, 8, 13)
-    rng = np.random.default_rng(3)
-    data = np.zeros((2 * g.n_max, g.bins_per_box), dtype=complex)
-    for n in support:
-        data[n + g.n_max] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    t = 0.1
-    v = BoxedState(g, data, t)
+    v = roots_outside_state()
+    g, t, support = v.grid, v.time, ROOTS_OUTSIDE_SUPPORT
     got = generation_n0(v, 2, 0.0, t, 15).data
     want = per_assignment_tree_level_sum(v, 2, 0.0, t, 15, "n0").data
     sums = {a - b + c + d for a in support for b in support for c in support for d in (-1, 0, 1)}
@@ -1188,6 +1223,40 @@ def test_tree_level_sum_reaches_roots_outside_the_leaf_box_sums():
     assert not sums & set(outside.tolist())
     assert np.all(np.any(want[outside + g.n_max] != 0, axis=1))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("case", ["inserts", "boundary"])
+def test_level_three_integrand_is_the_weighted_operator_sum(case, sigma):
+    # the J = 3 integrand and boundary against the public operators with the
+    # level weights, on states where the level-3 inserts, or the level-3
+    # boundary, are nonzero
+    if case == "inserts":
+        v, _ = tiny_remainder_inputs()
+        v, N, window = v.at_time(0.37), 1.0, 16
+    else:
+        v, N, window = roots_outside_state(), 0.0, 15
+    t = v.time
+    params = SolverParams(J=3, N=N, T=1.0, q=2.0, sign=sigma, window=window)
+    got, got_bnd = normal_form._integrand(v, params)
+
+    (b2, i2), (b3, i3) = (normal_form._level_weights(j, sigma) for j in (2, 3))
+    level3_inserts = generation_nr(v, 2, N, t, window).plus(generation_n1(v, 2, N, t, window))
+    level3_boundary = generation_n0(v, 2, N, t, window)
+    want = (
+        boxed_cubic(v, t).plus(apply_n12(v, N, t, window), -1.0).scaled(1j * sigma)
+        .plus(n4_state(v, N, t, window).plus(n31_state(v, N, t, window)), i2)
+        .plus(level3_inserts, i3)
+    )
+    want_bnd = n21_state(v, N, t, window).scaled(b2).plus(level3_boundary, b3)
+    for a, b in ((got, want), (got_bnd, want_bnd)):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-13 * np.max(np.abs(b.data))
+    # the live level-3 term stands far above the tolerance, so a wrong weight shows
+    if case == "inserts":
+        live, total = i3 * level3_inserts.data, want
+    else:
+        live, total = b3 * level3_boundary.data, want_bnd
+    assert np.max(np.abs(live)) >= 1e-11 * np.max(np.abs(total.data))
 
 
 def test_tree_level_sum_assignment_guard(monkeypatch):
