@@ -91,6 +91,8 @@ def split_step_solve(
         )
     if record_every is None:
         record_every = max(1, steps // 16)
+    if record_every < 1:
+        raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
     half = np.exp(1j * (dt / 2.0) * (np.arange(g.M) - g.M // 2) ** 2 / g.bins_per_box**2)
     coeffs = forward(u0).coeffs.copy()
     norm0 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))

@@ -37,9 +37,10 @@ from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
 with the same engine.  R2 - R1 is one q1 pass over the rows of both tables
 with signed weights.  Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128
-table rows at a time.  The row kernels read one state at one time through a
-node: the u-picture phases exp(i t xi^2) of every box come from one table,
-and the FFTs of q1's factors are taken once per box and gathered by row.
+table rows at a time.  Every operator evaluates at a node (``_Node``), one
+state at one time and window: the u-picture phases exp(i t xi^2) of every box
+come from one table, the FFTs of q1's factors are taken once per box and
+gathered by row, and the insert states are built once for every pass there.
 
 Each quadrature node is evaluated once, and node 0, which is v0 at every
 Picard iterate, once per solve: one level loop gives the node's integrand
@@ -231,22 +232,34 @@ def _rows(grid: Grid, boxes: np.ndarray) -> np.ndarray:
 
 
 class _Node:
-    """One state at one time: its u-picture bands and their per-box transforms.
+    """One state at one time and window: the context every operator evaluates in.
 
+    ``t`` defaults to the state's time, the window to the state's active
+    window (at least 1), clipped to the grid.  ``alive``, the one liveness
+    test, marks the boxes that hold a nonzero band; ``boxes`` lists them.
     ``phase[box] = exp(i t xi^2)`` on the bins of every box takes v into the
     u-picture (u = v * phase); its conjugate takes a row kernel's output back.
     ``fu`` and ``fg`` are the length-4B FFTs of u and of the reversed
     conjugate g = conj(u[::-1]), the outer and middle factors of q1.  Rows
     gather them by box, which gives the numbers a per-row transform gives.
-    All of them are computed on first use, so a node whose rows are all dead
-    costs one liveness test.
+    The insert states are ``resonant``, (R2 - R1)(v) from ``apply_resonant``
+    as a node of the same time and window, and ``buckets``, the node's
+    ``_InnerBuckets``.  All of them are computed on first use, once per node,
+    so a node whose rows are all dead costs one liveness test.
     """
 
-    def __init__(self, state: BoxedState, t: float):
+    def __init__(self, state: BoxedState, t: float | None = None, window: int | None = None):
+        self.state = state
         self.grid = state.grid
         self.data = state.data
-        self.t = t
+        self.t = state.time if t is None else t
+        window = max(state.active_window(), 1) if window is None else window
+        self.window = min(window, state.grid.n_max - 1)
         self.alive = np.any(state.data != 0, axis=1)
+
+    @cached_property
+    def boxes(self) -> tuple:
+        return tuple((np.flatnonzero(self.alive) - self.grid.n_max).tolist())
 
     @cached_property
     def phase(self) -> np.ndarray:
@@ -271,6 +284,24 @@ class _Node:
     def fg(self) -> np.ndarray:
         return np.fft.fft(self.g, 4 * self.grid.bins_per_box, axis=1)
 
+    @cached_property
+    def resonant(self) -> "_Node":
+        return _Node(apply_resonant(self.state, self.t, self.window), self.t, self.window)
+
+    @cached_property
+    def buckets(self) -> "_InnerBuckets":
+        return _InnerBuckets(self)
+
+    def inserts(self, boxes, resonant, which, sign=1, mu_prev=None, mu_first=None, J=1):
+        """(T, B) insert rows at boxes: (R2 - R1)(v) if ``resonant`` plus the
+        non-resonant q1 bands on the ``which`` joint-phase set of level J
+        (``_coupled_insert_rows``) if ``which`` is given; zero if neither."""
+        rows = self.resonant.data[_rows(self.grid, boxes)] if resonant else None
+        if which is not None:
+            bands = _coupled_insert_rows(self.buckets, sign, boxes, mu_prev, mu_first, J, which)
+            rows = bands if rows is None else rows + bands
+        return np.zeros((len(boxes), self.grid.bins_per_box), complex) if rows is None else rows
+
     def live(self, *box_arrays) -> np.ndarray:
         """Per row, how many of its boxes hold a nonzero band."""
         count = np.zeros(len(box_arrays[0]), dtype=np.int8)
@@ -282,6 +313,9 @@ class _Node:
         """Row bands at output boxes n back in the v-picture, normalised."""
         B = self.grid.bins_per_box
         return bands * np.conj(self.phase[_rows(self.grid, n)]) / (2.0 * np.pi * B * B)
+
+    def state_of(self, data: np.ndarray) -> BoxedState:
+        return BoxedState(self.grid, data, self.t)
 
 
 def _q1_rows(node: _Node, n, n1, n2, n3) -> np.ndarray:
@@ -405,13 +439,6 @@ def _max_abs_phase(window: int) -> float:
     return float((2 * window + 1) * (4 * window + 1))
 
 
-def _window_of(state: BoxedState, window: int | None) -> int:
-    if window is not None:
-        return min(window, state.grid.n_max - 1)
-    w = state.active_window()
-    return min(max(w, 1), state.grid.n_max - 1)
-
-
 def _scatter_rows(grid: Grid, n_rows, bands, weights=None, out=None) -> np.ndarray:
     """Add the row bands (times their weights) into their output boxes.
 
@@ -459,11 +486,10 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
     return BoxedState(g, sliced.reshape(2 * g.n_max, g.bins_per_box), t)
 
 
-def _table_state(state, t, window, N, mode) -> BoxedState:
-    """q1 summed over the (N, mode) triple table of the window."""
-    t = state.time if t is None else t
-    table = _triple_table(state.grid.n_max, _window_of(state, window), N, mode, QUARTIC)
-    return BoxedState(state.grid, _sum_q1_over(_Node(state, t), table), t)
+def _table_state(node: _Node, N, mode) -> BoxedState:
+    """q1 summed over the (N, mode) triple table of the node's window."""
+    table = _triple_table(node.grid.n_max, node.window, N, mode, QUARTIC)
+    return node.state_of(_sum_q1_over(node, table))
 
 
 @lru_cache(maxsize=256)
@@ -479,25 +505,24 @@ def _resonant_table(n_max: int, window: int):
 
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 - R1 over all boxes (the resonant part of the cubic), in one q1 pass."""
-    t = state.time if t is None else t
-    table = _resonant_table(state.grid.n_max, _window_of(state, window))
-    return BoxedState(state.grid, _sum_q1_over(_Node(state, t), table), t)
+    node = _Node(state, t, window)
+    return node.state_of(_sum_q1_over(node, _resonant_table(node.grid.n_max, node.window)))
 
 
 def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    return _table_state(state, t, window, None, "resonant_R1").band(n)
+    return _table_state(_Node(state, t, window), None, "resonant_R1").band(n)
 
 
 def resonant_r2(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    return _table_state(state, t, window, None, "resonant_R2").band(n)
+    return _table_state(_Node(state, t, window), None, "resonant_R2").band(n)
 
 
 def apply_n11(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    return _table_state(state, t, window, N, "A_N")
+    return _table_state(_Node(state, t, window), N, "A_N")
 
 
 def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    return _table_state(state, t, window, N, "A_N_complement")
+    return _table_state(_Node(state, t, window), N, "A_N_complement")
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +542,10 @@ class _InnerBuckets:
     to the difference of two prefix rows, and to zero for a box without rows.
     """
 
-    def __init__(self, state: BoxedState, t: float, window: int):
-        g = state.grid
-        node = _Node(state, t)
-        live = tuple((np.flatnonzero(node.alive) - g.n_max).tolist())
-        parents = tuple(_output_boxes(g.n_max, window).tolist())
-        self.table = tab = phase_table(parents, window, (live,) * 3, 1, QUARTIC)
+    def __init__(self, node: _Node):
+        g = node.grid
+        parents = tuple(_output_boxes(g.n_max, node.window).tolist())
+        self.table = tab = phase_table(parents, node.window, (node.boxes,) * 3, 1, QUARTIC)
         n = tab.parents[tab.row]
         bands = _q1_rows(node, n, tab.c1, tab.c2, tab.c3)
         self.rows = (n, tab.m, bands)
@@ -586,8 +609,8 @@ class _GenerationOne(NamedTuple):
     n12: BoxedState | None
 
 
-def _generation_one(state, t, N, window, resonant=False, which=None, table=None):
-    """Generation one at one state and time, in one pass over the high-phase rows.
+def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
+    """Generation one at a node, in one pass over the high-phase rows.
 
     ``boundary`` is N21, the gap kernel summed over A_N^c.  ``inserts`` sums,
     over A_N^c and the three slots, fsgn(slot) * q1_tilde(... insert at
@@ -621,35 +644,29 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
     Rows with fewer than two live slots are skipped (a dead band contributes
     exact zeros); if there are none, nothing is built.
     """
-    t = state.time if t is None else t
-    g = state.grid
+    g = node.grid
     B = g.bins_per_box
-    w = _window_of(state, window)
-    gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
-    node = _Node(state, t)
+    gt = _gap_table(g, node.window, N) if table is None else _gap_index(g, table)
     n, n1, n2, n3, wt = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     inserting = resonant or which is not None
-    bnd = np.zeros_like(state.data)
-    ins = np.zeros_like(state.data) if inserting else None
-    n12 = np.zeros_like(state.data) if which is not None else None
+    bnd = np.zeros_like(node.data)
+    ins = np.zeros_like(node.data) if inserting else None
+    n12 = np.zeros_like(node.data) if which is not None else None
     if len(sel):
         # per-box factors in the u-picture: u, then the per-box insert
         factors = [node.u]
         all_boxes = np.arange(-g.n_max, g.n_max)
-        res = apply_resonant(state, t, w).data if resonant else np.zeros_like(state.data)
         cut = None
         if which is not None:
-            buckets = _InnerBuckets(state, t, w)
-            bn, phase, bands = buckets.rows
+            bn, phase, bands = node.buckets.rows
             high = np.abs(phase) > N
             _scatter_rows(g, bn[high], bands[high], out=n12)
             if which != "all":
-                cut = _cut_pairs(buckets, gt, sel)
+                cut = _cut_pairs(node.buckets, gt, sel)
         if inserting:
-            full = which in ("all", "low")
-            box_ins = res + buckets.sum(all_boxes) if full else res
-            factors.append(box_ins * node.phase)
+            full = "all" if which in ("all", "low") else None
+            factors.append(node.inserts(all_boxes, resonant, full) * node.phase)
 
         def gathered(src, idx, slot, r, cut_r):
             # a chunk's FX', H^ or FY' rows (slot 0, 1 or 2) from the per-box
@@ -659,9 +676,8 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
                 return block
             rc = r[cut_r[slot]]
             boxes = (n1, n2, n3)[slot][rc]
-            sign = -1 if slot == 1 else +1
-            bands = _coupled_insert_rows(buckets, sign, boxes, gt.mu1[rc], gt.mu1[rc], 1, which)
-            x = (res[_rows(g, boxes)] + bands) * node.phase[_rows(g, boxes)]
+            x = node.inserts(boxes, resonant, which, -1 if slot == 1 else 1, gt.mu1[rc], gt.mu1[rc])
+            x *= node.phase[_rows(g, boxes)]
             if slot == 1:
                 block[cut_r[slot]] = _hat(np.conj(x[:, ::-1]))[np.arange(len(rc)), gt.slack[rc]]
             else:
@@ -679,7 +695,7 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
         hats = _hat(np.concatenate([np.conj(f[m0:m1, ::-1]) for f in factors]))
         hats = hats.reshape(len(factors), -1, B, 2 * B)
         # per box, the summed boundary and insert rows
-        acc = np.zeros((len(state.data), len(factors), B), dtype=np.complex128)
+        acc = np.zeros((len(node.data), len(factors), B), dtype=np.complex128)
         for lo in range(0, len(sel), ROW_CHUNK):
             r = sel[lo : lo + ROW_CHUNK]
             p1, p3, q2 = gt.pair1[r], gt.pair3[r], 3 * (_rows(g, n2[r]) - m0) + gt.slack[r]
@@ -706,40 +722,37 @@ def _generation_one(state, t, N, window, resonant=False, which=None, table=None)
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)
 
-    def as_state(data):
-        return None if data is None else BoxedState(g, data, t)
-
-    return _GenerationOne(as_state(bnd), as_state(ins), as_state(n12))
+    return _GenerationOne(*(None if d is None else node.state_of(d) for d in (bnd, ins, n12)))
 
 
 def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary sum over the high-phase set: sum of gap kernels (generation one)."""
-    return _generation_one(state, t, N, window).boundary
+    return _generation_one(_Node(state, t, window), N).boundary
 
 
 def n4_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant insert sum: (R2 - R1)(v) substituted at each slot."""
-    return _generation_one(state, t, N, window, resonant=True).inserts
+    return _generation_one(_Node(state, t, window), N, resonant=True).inserts
 
 
 def n3_state(state, N, t=None, window=None):
     """Full non-resonant insert sum at generation one (no phase restriction)."""
-    return _generation_one(state, t, N, window, which="all").inserts
+    return _generation_one(_Node(state, t, window), N, which="all").inserts
 
 
 def n31_state(state, N, t=None, window=None):
     """Non-resonant insert restricted to the low joint-phase set."""
-    return _generation_one(state, t, N, window, which="low").inserts
+    return _generation_one(_Node(state, t, window), N, which="low").inserts
 
 
 def n32_state(state, N, t=None, window=None):
     """Non-resonant insert on the high joint-phase complement (next remainder)."""
-    return _generation_one(state, t, N, window, which="high").inserts
+    return _generation_one(_Node(state, t, window), N, which="high").inserts
 
 
 def n22_state(state, N, t=None, window=None):
     """The substituted time-derivative term: resonant plus non-resonant inserts."""
-    return _generation_one(state, t, N, window, resonant=True, which="all").inserts
+    return _generation_one(_Node(state, t, window), N, resonant=True, which="all").inserts
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +789,8 @@ def _tree_sign(tree, signs) -> int:
     return s
 
 
-def _tree_level_sum(state, J, N, t, window, resonant=False, which=None, allowed_all=None):
-    """Sum over T(J) trees and chain-filtered assignments.
+def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=None):
+    """Sum over T(J) trees and chain-filtered assignments at a node.
 
     With no insert asked for this is the boundary sum; otherwise one leaf
     carries the insert, which is (R2 - R1)(v) if ``resonant`` plus the
@@ -789,37 +802,28 @@ def _tree_level_sum(state, J, N, t, window, resonant=False, which=None, allowed_
     Per tree and insert leaf, one frontier with every output box as a root
     gives all index functions as integer rows; the leaf rows come from one
     u-picture table of the state (and its conjugate), the insert rows from
-    the resonant state and the inner phase buckets, rows whose insert is
+    the node's insert states (``_Node.inserts``), rows whose insert is
     exactly zero are dropped, and ``multilinear._tree_sum`` evaluates the
     rest per slack pattern and scatters them to their root boxes.  The
     output phase is applied once, to the sum.
     """
-    g = state.grid
-    w = _window_of(state, window)
-    out = BoxedState.zero(g, t)
-    if not _chain_possible(J, N, w):
-        return out
-    boxes_axis = np.arange(-g.n_max, g.n_max)
-    active = {int(b) for b in boxes_axis[state.box_norms() > 0]}
-    if not active:
-        return out
-    inserting = resonant or which is not None
-    insert_boxes = set()
-    if resonant:
-        res = apply_resonant(state, t, w)
-        insert_boxes |= {int(b) for b in boxes_axis[res.box_norms() > 0]}
-    if which is not None:
-        buckets = _InnerBuckets(state, t, w)
-        insert_boxes |= set(buckets.boxes.tolist())
+    g = node.grid
+    w = node.window
+    if not _chain_possible(J, N, w) or not node.boxes:
+        return BoxedState.zero(g, node.t)
     internal_allowed = set(allowed_all) if allowed_all is not None else None
+    active = set(node.boxes)
+    inserting = resonant or which is not None
+    insert_boxes = set(node.resonant.boxes if resonant else ())
+    if which is not None:
+        insert_boxes |= set(node.buckets.boxes.tolist())
     if allowed_all is not None:
         active &= internal_allowed
         insert_boxes &= internal_allowed
     roots = _output_boxes(g.n_max, w)
-    node = _Node(state, t)
     # u-picture leaf values, plain (index 0) and conjugated (index 1)
     table = np.stack([node.u, np.conj(node.u)])
-    data = np.zeros_like(state.data)
+    data = np.zeros_like(node.data)
     count = 0
     for tree in enumerate_trees(J):
         signs = compute_signs(tree)
@@ -843,15 +847,10 @@ def _tree_level_sum(state, J, N, t, window, resonant=False, which=None, allowed_
             sign = tsign
             if li is not None:
                 leaf = leaf_ids[li]
-                if which is None:
-                    inserts = res.data[leaf_rows[:, li]]
-                else:
-                    inserts = _coupled_insert_rows(
-                        buckets, signs.fsgn[leaf], freq[:, leaf],
-                        mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J, which,
-                    )
-                    if resonant:
-                        inserts += res.data[leaf_rows[:, li]]
+                inserts = node.inserts(
+                    freq[:, leaf], resonant, which, signs.fsgn[leaf],
+                    mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J,
+                )
                 live = np.any(inserts != 0, axis=1)
                 freq, leaf_rows, inserts = freq[live], leaf_rows[live], inserts[live]
                 sign *= signs.fsgn[leaf]
@@ -860,31 +859,28 @@ def _tree_level_sum(state, J, N, t, window, resonant=False, which=None, allowed_
                 inserts = inserts * node.phase[leaf_rows[:, li]]
                 u[:, li] = np.conj(inserts) if conj[li] else inserts
             data += _tree_sum(tree, freq, u, _rows(g, freq[:, 0]), len(data), sign)
-    return BoxedState(g, data * np.conj(node.phase), t)
+    return node.state_of(data * np.conj(node.phase))
 
 
 def generation_n0(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary operator at level J+1 (trees with J generations)."""
-    t = state.time if t is None else t
     if J == 1:
         return n21_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window)
+    return _tree_level_sum(_Node(state, t, window), J, N)
 
 
 def generation_nr(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant-insert operator at level J+1."""
-    t = state.time if t is None else t
     if J == 1:
         return n4_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, resonant=True)
+    return _tree_level_sum(_Node(state, t, window), J, N, resonant=True)
 
 
 def generation_n1(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Low-phase non-resonant insert at level J+1."""
-    t = state.time if t is None else t
     if J == 1:
         return n31_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, which="low")
+    return _tree_level_sum(_Node(state, t, window), J, N, which="low")
 
 
 def remainder_n2(
@@ -901,10 +897,9 @@ def remainder_n2(
     window used by the remainder-decay study); J = 1 then also goes through
     the tree path so all levels share the same operative window.
     """
-    t = state.time if t is None else t
     if J == 1 and allowed_all is None:
         return n3_state(state, N, t, window)
-    return _tree_level_sum(state, J, N, t, window, which="all", allowed_all=allowed_all)
+    return _tree_level_sum(_Node(state, t, window), J, N, which="all", allowed_all=allowed_all)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +928,8 @@ class SolverParams:
             raise ConfigurationError(f"q must lie in [1, 2], got {self.q}")
         if self.J < 1 or self.K < 2 or self.T <= 0 or self.picard_max_iter < 1:
             raise ConfigurationError("need J >= 1, K >= 2, T > 0, picard_max_iter >= 1")
+        if self.support_trim < 0 or (self.window is not None and self.window < 1):
+            raise ConfigurationError("need support_trim >= 0 and window >= 1")
         if self.sign not in (+1, -1):
             raise ConfigurationError("sign must be +1 or -1")
         if self.N < threshold_from_bound(self.R_tilde, self.q) - 1e-9:
@@ -1014,26 +1011,25 @@ def _integrand(state, params):
     boundary sums of levels 2..J, each with its level weight, at the same
     state and time (the boundary is zero at J = 1).
 
+    All levels evaluate at one node, which builds the insert states once.
     Level 2 comes from one generation-one pass.  Each level j >= 3 takes its
-    boundary from ``generation_n0`` and its resonant and low-set inserts,
-    which share the weight, from one tree pass.
+    boundary from one tree pass and its resonant and low-set inserts, which
+    share the weight, from another.
     """
-    sigma, N, t, window = params.sign, params.N, state.time, params.window
-    if params.J == 1:
-        n12 = apply_n12(state, N, t, window)
-    else:
-        first = _generation_one(state, t, N, window, resonant=True, which="low")
-        n12 = first.n12
+    sigma, N = params.sign, params.N
+    node = _Node(state, window=params.window)
+    first = None if params.J == 1 else _generation_one(node, N, resonant=True, which="low")
+    n12 = apply_n12(state, N, node.t, node.window) if first is None else first.n12
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
-    total = boxed_cubic(state, t).plus(n12, -1.0).scaled(1j * sigma)
-    boundary = BoxedState.zero(state.grid, t)
+    total = boxed_cubic(state, node.t).plus(n12, -1.0).scaled(1j * sigma)
+    boundary = BoxedState.zero(state.grid, node.t)
     for j in range(2, params.J + 1):
         w_bnd, w_ins = _level_weights(j, sigma)
         if j == 2:
             bnd, inserts = first.boundary, first.inserts
         else:
-            bnd = generation_n0(state, j - 1, N, t, window)
-            inserts = _tree_level_sum(state, j - 1, N, t, window, resonant=True, which="low")
+            bnd = _tree_level_sum(node, j - 1, N)
+            inserts = _tree_level_sum(node, j - 1, N, resonant=True, which="low")
         total = total.plus(inserts, w_ins)
         boundary = boundary.plus(bnd, w_bnd)
     return total, boundary

@@ -215,19 +215,16 @@ class PhaseRecord:
     mu_tilde: tuple[int, ...]
     mu_hat: tuple[int, ...]
     mu_product: tuple[int, ...]
-    mu_product_tilde: tuple[int, ...]
 
     @staticmethod
     def from_mu(mu: Sequence[int], mu_product: Sequence[int]) -> "PhaseRecord":
         mt = np.cumsum(np.asarray(mu, dtype=np.int64))
         mh = np.cumprod(mt)
-        mpt = np.cumsum(np.asarray(mu_product, dtype=np.int64))
         return PhaseRecord(
             mu=tuple(int(x) for x in mu),
             mu_tilde=tuple(int(x) for x in mt),
             mu_hat=tuple(int(x) for x in mh),
             mu_product=tuple(int(x) for x in mu_product),
-            mu_product_tilde=tuple(int(x) for x in mpt),
         )
 
 

@@ -169,7 +169,7 @@ def _criterion7_norms(v, N, W, q):
     g = v.grid
     n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), _triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
     table = _triple_table(g.n_max, W, N, "A_N_complement", PRODUCT)
-    n0 = _generation_one(v, 0.0, N, W, table=table).boundary
+    n0 = _generation_one(_Node(v, 0.0, W), N, table=table).boundary
     return n11.lq_norm(q), n0.lq_norm(q)
 
 

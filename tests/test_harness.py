@@ -53,6 +53,14 @@ def test_split_step_warns_on_coarse_dt():
         split_step_solve(u0, 1.0, 1)
 
 
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_split_step_rejects_record_every_below_one(record_every):
+    # 0 divided by zero at the first step, -1 recorded every step
+    u0 = gaussian_field(G, amplitude=0.1)
+    with pytest.raises(ConfigurationError, match="record_every"):
+        split_step_solve(u0, 1e-3, 4, record_every=record_every)
+
+
 def test_strang_self_convergence_suite():
     rep = run_experiment(ExperimentConfig(kind="converge", grid_B=16, grid_n_max=16))
     assert rep.all_passed()

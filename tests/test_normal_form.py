@@ -54,7 +54,6 @@ from nfnls.normal_form import (
     _tree_level_sum,
     _tree_sign,
     _triple_table,
-    _window_of,
 )
 from nfnls.resonance import (
     PRODUCT,
@@ -145,7 +144,7 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
     for op in (n4_state, n3_state, n31_state, n32_state, n22_state, n21_state):
         assert np.all(op(v, N, window=13).data == 0)
-    first = _generation_one(v, 0.0, N, 13, resonant=True, which="low")
+    first = _generation_one(_Node(v, 0.0, 13), N, resonant=True, which="low")
     for part in first:
         assert np.all(part.data == 0)
 
@@ -237,7 +236,7 @@ def per_slot_inserts(v, t, N, window, resonant=False, which=None):
     n, n1, n2, n3, wt = _triple_table(g.n_max, window, N, "A_N_complement", QUARTIC)
     alive = np.any(v.data != 0, axis=1)
     res = apply_resonant(v, t, window).data if resonant else None
-    buckets = _InnerBuckets(v, t, window) if which is not None else None
+    buckets = _InnerBuckets(_Node(v, t, window)) if which is not None else None
     total = np.zeros_like(v.data)
     for slot, (a, b) in enumerate(((n2, n3), (n1, n3), (n1, n2))):
         keep = alive[a + g.n_max] & alive[b + g.n_max]
@@ -271,7 +270,7 @@ def test_fused_generation_one_inserts(grid, span, N, window):
     # one gap pass gives the boundary and generation_nr + generation_n1 at J = 1
     rng = np.random.default_rng(14)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    got = _generation_one(v, 0.2, N, window, resonant=True, which="low")
+    got = _generation_one(_Node(v, 0.2, window), N, resonant=True, which="low")
     want_bnd = per_slot_n21(v, 0.2, N, window)
     want_ins = per_slot_inserts(v, 0.2, N, window, resonant=True) + per_slot_inserts(
         v, 0.2, N, window, which="low"
@@ -308,9 +307,9 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None):
     the valid terms replace the contraction table (test oracle)."""
     g = state.grid
     B = g.bins_per_box
-    w = _window_of(state, window)
+    node = _Node(state, t, window)
+    w = node.window
     gt = _gap_table(g, w, N)
-    node = _Node(state, t)
     n, n1, n2, n3, wt = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
@@ -320,7 +319,7 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None):
     cidx = 2 * B * a + np.where((m >= 0) & (m <= 2 * B - 2), m, 2 * B - 1)
     bnd, ins = np.zeros_like(state.data), np.zeros_like(state.data)
     res = apply_resonant(state, t, w).data if resonant else None
-    buckets = _InnerBuckets(state, t, w) if which is not None else None
+    buckets = _InnerBuckets(node) if which is not None else None
 
     def inserted(boxes, sign, mu1):
         rows = boxes + g.n_max
@@ -358,7 +357,7 @@ def test_gap_pass_matches_inverse_fft_pick_oracle(grid, span, N, window):
     v = random_state(rng, span=span, t=0.2, grid=grid)
     for kw in (dict(resonant=True, which="low"), dict(which="all"), dict(which="high"),
                dict(resonant=True)):
-        got = _generation_one(v, 0.2, N, window, **kw)
+        got = _generation_one(_Node(v, 0.2, window), N, **kw)
         want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, N, window, **kw)
         assert np.any(want_bnd != 0)
         assert np.max(np.abs(got.boundary.data - want_bnd)) <= 1e-13 * np.max(np.abs(want_bnd))
@@ -379,7 +378,7 @@ def test_cut_pairs_only_where_the_low_set_is_narrow(config, cut_any):
     v = random_state(rng, span=span, t=0.2, grid=grid)
     gt = _gap_table(grid, window, N)
     sel = np.flatnonzero(_Node(v, 0.2).live(*gt.rows[1:4]) >= 2)
-    cut = _cut_pairs(_InnerBuckets(v, 0.2, window), gt, sel)
+    cut = _cut_pairs(_InnerBuckets(_Node(v, 0.2, window)), gt, sel)
     assert cut.shape == (3, len(sel)) and len(sel) > 0
     assert np.any(cut) == cut_any
     assert not np.all(cut)
@@ -443,7 +442,7 @@ def test_resonant_one_pass_is_r2_minus_r1():
 def test_n12_from_shared_rows_matches_apply_n12(grid, span, N, window):
     rng = np.random.default_rng(16)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    got = _generation_one(v, 0.2, N, window, which="low").n12.data
+    got = _generation_one(_Node(v, 0.2, window), N, which="low").n12.data
     want = apply_n12(v, N, 0.2, window).data
     assert np.any(want != 0)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -630,7 +629,7 @@ def test_inner_buckets_sum_matches_masked_per_box_sum():
         data[n + g.n_max] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     t, window = 0.1, 6
     v = BoxedState(g, data, t)
-    buckets = _InnerBuckets(v, t, window)
+    buckets = _InnerBuckets(_Node(v, t, window))
 
     query_boxes = np.arange(-25, 26)
     indexed = set(buckets.boxes.tolist())
@@ -737,6 +736,18 @@ def test_picard_max_iter_below_one_is_rejected():
         solve(BoxedState.zero(make_grid(8, 16)), p)
 
 
+@pytest.mark.parametrize("field, value", [("support_trim", -1.0), ("window", 0)])
+def test_negative_trim_and_window_below_one_are_rejected(field, value):
+    # a negative trim acted as no trim; window 0 failed at the first node
+    from nfnls.normal_form import solve
+
+    p = replace(choose_parameters(1.0, 2.0, K=4), **{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        p.validate()
+    with pytest.raises(ConfigurationError, match=field):
+        solve(BoxedState.zero(make_grid(8, 16)), p)
+
+
 def test_gamma_zero_fixed_point_and_guarded_windows():
     p = choose_parameters(1.0, 2.0, K=4)
     times = np.linspace(0.0, p.T, p.K + 1)
@@ -822,7 +833,7 @@ def test_solve_evaluates_node_zero_once(monkeypatch):
     gen1 = normal_form._generation_one
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0].t)
         return gen1(*args, **kwargs)
 
     monkeypatch.setattr(normal_form, "_generation_one", counted)
@@ -938,7 +949,7 @@ def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
         return v.band(int(box))
 
     def boundary(table):
-        return _generation_one(v, t, None, None, table=table).boundary.data
+        return _generation_one(_Node(v, t), None, table=table).boundary.data
 
     for T in (5, chunk, 29):
         n, n1, n2, n3 = gap_kernel_rows(rng, T)
@@ -1059,7 +1070,7 @@ def test_live_phase_table_is_the_masked_full_table(sign, convention):
 
 def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
     g = state.grid
-    w = _window_of(state, window)
+    w = _Node(state, t, window).window
     out = BoxedState.zero(g, t)
     if not _chain_possible(J, N, w):
         return out
@@ -1071,7 +1082,7 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
         insert_state = apply_resonant(state, t, w)
         insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
     elif mode in ("n1", "rem"):
-        buckets = _InnerBuckets(state, t, w)
+        buckets = _InnerBuckets(_Node(state, t, w))
         insert_boxes = set(buckets.boxes.tolist())
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
@@ -1166,7 +1177,7 @@ def batched_tree_level_sum(v, J, t, mode, allowed):
         return op[mode](v, J, 1.0, t, 16)
     if mode == "rem":
         return remainder_n2(v, J, 1.0, t, 16, allowed_all=allowed)
-    return _tree_level_sum(v, J, 1.0, t, 16, **TREE_INSERTS[mode], allowed_all=allowed)
+    return _tree_level_sum(_Node(v, t, 16), J, 1.0, **TREE_INSERTS[mode], allowed_all=allowed)
 
 
 # the nonzero cases: every mode at J = 1; at J = 2 the chain filter leaves only
@@ -1257,6 +1268,29 @@ def test_level_three_integrand_is_the_weighted_operator_sum(case, sigma):
     else:
         live, total = b3 * level3_boundary.data, want_bnd
     assert np.max(np.abs(live)) >= 1e-11 * np.max(np.abs(total.data))
+
+
+def test_level_three_integrand_builds_each_insert_state_once(monkeypatch):
+    # level 2's gap pass and level 3's two tree passes evaluate at one node,
+    # which builds the resonant insert and the inner phase buckets once, on a
+    # state whose level-3 inserts are live
+    v, _ = tiny_remainder_inputs()
+    built = {"apply_resonant": 0, "_InnerBuckets": 0}
+
+    def counted(name):
+        original = getattr(normal_form, name)
+
+        def build(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+
+        return build
+
+    for name in built:
+        monkeypatch.setattr(normal_form, name, counted(name))
+    params = SolverParams(J=3, N=1.0, T=1.0, q=2.0, window=16)
+    normal_form._integrand(v.at_time(0.37), params)
+    assert built == {"apply_resonant": 1, "_InnerBuckets": 1}
 
 
 def test_tree_level_sum_assignment_guard(monkeypatch):
