@@ -36,46 +36,45 @@ the solver) and deterministic.  The triple tables over all output boxes come
 from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
 with the same engine.  R2 - R1 is one q1 pass over the rows of both tables
-with signed weights.  Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128
-table rows at a time.  Every operator evaluates at a node (``_Node``), one
-state at one time and window: the u-picture phases exp(i t xi^2) of every box
-come from one table, the FFTs of q1's factors are taken once per box and
-gathered by row, and the insert states are built once for every pass there.
+with signed weights, summed per (output box, slack) before one inverse FFT.
+Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128 rows at a time.  Every
+operator evaluates at a node (``_Node``), one state at one time and window:
+the u-picture phases exp(i t xi^2) of every box come from one table, the
+FFTs of q1's factors are taken once per box and gathered by row, and the
+insert states are built once for every pass there.
 
 Each quadrature node is evaluated once, and node 0, which is v0 at every
 Picard iterate, once per solve: one level loop gives the node's integrand
 together with the weighted boundary of every level.  At generation one a
 single gap pass over the high-phase table A_N^c gives the boundary N21 and the
-insert sums together, and no row takes a transform of its own: the gap
-factors X = u1/d1 and Y = u3/d3 depend only on a (box, gap) pair and are
-transformed once per pair, and one contraction table per B
-(``_contraction``) holds the inverse FFT and the pick of the valid
-convolution terms, so the middle band enters through a per-box contraction
-and a row's output is one sum over 2B frequencies.  A slot
-insert depends on its box alone -- the resonant sum plus the box's full inner
-sum -- except where the row's low set cuts the box's inner phases; those
-(row, slot) pairs, which occur only at large windows, are formed and
-transformed row by row.  The structure that depends only on (grid, window,
-N) -- the rows, their phases, the pair index with its 1/d factors, the slacks
--- is cached like the triple tables.  The high-phase table is also the only
-emptiness test: the insert states (resonant sum, inner phase buckets) and
-the contraction table are built only when some high-phase row has two live
-slots, so at compliant thresholds, where that set is empty on the active
-window, generation one costs one table lookup.  The non-resonant inserts read
-the live q1 bands of the one phase table (``resonance.phase_table``, also
-the tree frontier's index) of the output boxes over the live boxes, with
-per-box prefix sums, so the "all", "low" and "high" joint-phase rows of
-every slot, and of every tree assignment, come from one vectorised lookup;
-its rows in table order also give N12, the part of the integrand the
-boundary trades away.  The resonant and low-set insert
-rows share the weight and the gap kernel is linear in the inserted slot, so
-the integrand sends their sum through the pass once, and through one tree
-pass per level j >= 3.  Generation >= 2 operators use the kernel-exact tree
-path, skipped only when the complement
-chain cannot hold inside the window: per tree and insert leaf, one
-index-function frontier with every output box as a root (its exact tail
-count drops the roots without an index function) and one batched
-tree-kernel evaluation (``multilinear._tree_sum``).
+insert sums together, and no row takes a transform of its own: the gap factors
+X = u1/d1 and Y = u3/d3 depend only on a (box, gap) pair and are transformed
+once per pair, and one contraction table per B (``_contraction``) holds the
+inverse FFT and the pick of the valid convolution terms, so the middle band
+enters through a per-box contraction and the rows of an (n, n1, n3) group
+contract once, against their sum.  A slot insert depends on its box alone --
+the resonant sum plus the box's full inner sum -- except where the row's low
+set cuts the box's inner phases; those (row, slot) pairs, which occur only at
+large windows, add the difference row by row.  The structure that depends only
+on (grid, window, N) -- the rows, their phases, the pair index with its 1/d
+factors, the slacks, the row groups -- is cached like the triple tables.  The
+high-phase table is also the only emptiness test: the insert states (resonant
+sum, inner phase buckets) and the contractions are built only when some
+high-phase row has two live slots, so at compliant thresholds, where that set
+is empty on the active window, generation one costs one table lookup.  The
+non-resonant inserts read the live q1 bands of the one phase table
+(``resonance.phase_table``, also the tree frontier's index) of the output
+boxes over the live boxes, with per-box prefix sums, so the "all", "low" and
+"high" joint-phase rows of every slot, and of every tree assignment, come from
+one vectorised lookup; its rows in table order also give N12, the part of the
+integrand the boundary trades away.  The resonant and low-set insert rows
+share the weight and the gap kernel is linear in the inserted slot, so the
+integrand sends their sum through the pass once, and through one tree pass per
+level j >= 3.  Generation >= 2 operators use the kernel-exact tree path,
+skipped only when the complement chain cannot hold inside the window: per tree
+and insert leaf, one index-function frontier with every output box as a root
+(its exact tail count drops the roots without an index function) and one
+batched tree-kernel evaluation (``multilinear._tree_sum``).
 """
 
 from __future__ import annotations
@@ -222,8 +221,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # bin geometry and batched trilinear kernels
 
-# table rows per batch in the row kernels; bounds the (ROW_CHUNK, B, 2B)
-# temporaries of the generation-one gap pass
+# batch size of the row kernels: ROW_CHUNK row groups (or cut rows) of the
+# gap pass, whose (ROW_CHUNK, B, 2B) temporaries it bounds; ROW_CHUNK q1 rows
+# of per-row bands, or ROW_CHUNK * B / 2 of summed spectra (both 4B long)
 ROW_CHUNK = 128
 
 
@@ -242,8 +242,8 @@ class _Node:
     ``fu`` and ``fg`` are the length-4B FFTs of u and of the reversed
     conjugate g = conj(u[::-1]), the outer and middle factors of q1.  Rows
     gather them by box, which gives the numbers a per-row transform gives.
-    The insert states are ``resonant``, (R2 - R1)(v) from ``apply_resonant``
-    as a node of the same time and window, and ``buckets``, the node's
+    The insert states are ``resonant``, (R2 - R1)(v) summed at this node, as
+    a node of the same time and window, and ``buckets``, the node's
     ``_InnerBuckets``.  All of them are computed on first use, once per node,
     so a node whose rows are all dead costs one liveness test.
     """
@@ -286,7 +286,8 @@ class _Node:
 
     @cached_property
     def resonant(self) -> "_Node":
-        return _Node(apply_resonant(self.state, self.t, self.window), self.t, self.window)
+        table = _resonant_table(self.grid.n_max, self.window)
+        return _Node(self.state_of(_sum_q1_over(self, table)), self.t, self.window)
 
     @cached_property
     def buckets(self) -> "_InnerBuckets":
@@ -365,9 +366,13 @@ class _GapTable(NamedTuple):
 
     Per row: its phase ``mu1``; ``pair1`` and ``pair3``, its (box, gap) pairs
     (n1, n-n1) and (n3, n-n3), which index ``pair_box`` (state rows) and
-    ``pair_gap`` (rows of ``inv_gaps``, the factors 1 / (gap + (a-b)/B)); and
+    ``pair_gap`` (rows of ``inv_gaps``, the factors 1 / (gap + (a-b)/B));
     ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}, which selects the
-    contraction table ``_contraction(B)[slack]`` of the row.
+    contraction table ``_contraction(B)[slack]`` of the row; and ``group``,
+    its (n, n1, n3) group, whose rows share both pairs and have
+    n2 = m + slack - 1, m = n1 + n3 - n.  Per group, in (n, n1, n3) order:
+    ``group_row``, its first row, and ``group_key``, its row of ``keys`` =
+    (m, its rows at slack 0, 1, 2).
     """
 
     rows: tuple
@@ -378,16 +383,28 @@ class _GapTable(NamedTuple):
     pair_gap: np.ndarray
     inv_gaps: np.ndarray
     slack: np.ndarray
+    group: np.ndarray
+    group_row: np.ndarray
+    group_key: np.ndarray
+    keys: np.ndarray
 
 
 def _gap_index(grid: Grid, table) -> _GapTable:
     B = grid.bins_per_box
-    n, n1, n2, n3, _ = table
+    n, n1, n2, n3, weight = table
+    if np.any(weight != 1):
+        raise ConfigurationError("the gap pass sums rows of unit weight only")
     pairs = np.stack([np.concatenate([n1, n3]), np.concatenate([n - n1, n - n3])], axis=1)
     pairs, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     gap_values, pair_gap = np.unique(pairs[:, 1], return_inverse=True)
     a, b = np.arange(B)[:, None], np.arange(B)[None, :]
+    slack = n - (n1 - n2 + n3) + 1
+    trip = np.stack([n, n1, n3], axis=1)
+    _, group_row, group = np.unique(trip, axis=0, return_index=True, return_inverse=True)
+    count = np.bincount(3 * group.reshape(-1) + slack, minlength=3 * len(group_row))
+    keys = np.column_stack([(n1 + n3 - n)[group_row], count.reshape(-1, 3)])
+    keys, group_key = np.unique(keys, axis=0, return_inverse=True)
     return _GapTable(
         rows=table,
         mu1=phase_value(n, n1, n2, n3, QUARTIC),
@@ -396,7 +413,11 @@ def _gap_index(grid: Grid, table) -> _GapTable:
         pair_box=_rows(grid, pairs[:, 0]),
         pair_gap=pair_gap.reshape(-1),
         inv_gaps=1.0 / (gap_values[:, None, None] + (a - b) / B),
-        slack=n - (n1 - n2 + n3) + 1,
+        slack=slack,
+        group=group.reshape(-1),
+        group_row=group_row,
+        group_key=group_key.reshape(-1),
+        keys=keys,
     )
 
 
@@ -461,10 +482,29 @@ def _scatter_rows(grid: Grid, n_rows, bands, weights=None, out=None) -> np.ndarr
 
 
 def _sum_q1_over(node: _Node, table) -> np.ndarray:
-    """Sum of q1 over the table rows whose three bands are live."""
+    """Sum of q1 over the table rows whose three bands are live.
+
+    A row's band is a pick at (d + 1)B - 1, d = n - (n1 - n2 + n3), of the
+    inverse FFT of its product spectrum, so the weighted spectra are summed
+    per (n, d) first: one inverse FFT and one pick per (box, slack).
+    """
+    g = node.grid
+    B = g.bins_per_box
     keep = node.live(*table[1:4]) == 3
     n, n1, n2, n3, w = (a[keep] for a in table)
-    return _scatter_rows(node.grid, n, _q1_rows(node, n, n1, n2, n3), w)
+    if not len(n):
+        return np.zeros_like(node.data)
+    chunk = max(ROW_CHUNK * B // 2, 1)  # rows of 4B: (ROW_CHUNK, B, 2B) temporaries
+    spectra = np.zeros((3, 2 * g.n_max, 4 * B), dtype=np.complex128)
+    for s, out in enumerate(spectra):
+        rows = np.flatnonzero(n - (n1 - n2 + n3) == s - 1)
+        for lo in range(0, len(rows), chunk):
+            r = rows[lo : lo + chunk]
+            prod = node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
+            _scatter_rows(g, n[r], prod, w[r], out=out)
+    conv = np.fft.ifft(spectra, axis=-1)
+    bands = sum(conv[s][:, s * B - 1 + np.arange(B)] for s in range(3))
+    return node.out(bands, np.arange(-g.n_max, g.n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +545,7 @@ def _resonant_table(n_max: int, window: int):
 
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 - R1 over all boxes (the resonant part of the cubic), in one q1 pass."""
-    node = _Node(state, t, window)
-    return node.state_of(_sum_q1_over(node, _resonant_table(node.grid.n_max, node.window)))
+    return _Node(state, t, window).resonant.state
 
 
 def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
@@ -618,8 +657,8 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     non-resonant q1 bands on the ``which`` joint-phase set ("all", "low" or
     "high") if ``which`` is given; it is None when neither is asked for.
     ``n12`` is N12, read off the live non-resonant q1 rows the inserts are
-    built from, when ``which`` is given.  A triple ``table`` other than A_N^c
-    of the window replaces it for the boundary and the inserts.
+    built from, when ``which`` is given.  A triple ``table`` (unit weights)
+    other than A_N^c of the window replaces it for the boundary and inserts.
 
     Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
     (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
@@ -629,25 +668,29 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     over the last axis, whose zero-padded length-2B spectrum is FX.FY.  The
     contraction table W = ``_contraction(B)`` holds the inverse FFT and the
     pick of the valid terms, so the row's output is sum_k FX.FY.G^ with
-    G^ = g2 @ W[s].  FX and FY depend only on the (box, gap) pair and G^ only
-    on the (box, slack) pair; each is computed once per pair and gathered by
-    row, and no row takes a transform of its own.
+    G^ = g2 @ W[s].  FX and FY depend only on the (box, gap) pair and are
+    computed once per pair.  The rows of an (n, n1, n3) group share them, so
+    a group contracts once against S = sum over its slacks s of
+    G^[m + s - 1, s], m = n1 + n3 - n, which depends only on the group's key
+    (``_GapTable``) and is computed once per key.
 
     A slot insert is the same for every row at a box -- (R2 - R1)(v), plus
     the box's full inner sum for which = "low" or "all" -- except at the
     (row, slot) pairs whose level-1 low set does not hold every inner phase
     of the slot's box (``_cut_pairs``; only for "low" and "high").
     The per-box insert is transformed with u, once per (box, gap) pair (FX',
-    FY'), and contracted per box into H^ = conj(x[::-1]) @ W[s]; the cut
-    pairs form and transform their insert row by row.  With slot signs
-    (+1, -1, +1) a row's insert is sum_k [(FX'.FY + FX.FY').G^ - FX.FY.H^].
-    Rows with fewer than two live slots are skipped (a dead band contributes
-    exact zeros); if there are none, nothing is built.
+    FY'), and its H^ = conj(x[::-1]) @ W[s] summed per key into S'.  With
+    slot signs (+1, -1, +1) a group's insert is
+    sum_k [(FX'.FY + FX.FY').S - FX.FY.S'].  A cut pair's own insert less
+    the per-box one, transformed row by row (dFX', dH^, dFY'), adds
+    sum_k [(dFX'.FY + FX.dFY').G^ - FX.FY.dH^] to its row.  Only the groups
+    with a row of at least two live slots are contracted (a row with fewer
+    contributes exact zeros); if there are none, nothing is built.
     """
     g = node.grid
     B = g.bins_per_box
     gt = _gap_table(g, node.window, N) if table is None else _gap_index(g, table)
-    n, n1, n2, n3, wt = gt.rows
+    n, n1, n2, n3, _ = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     inserting = resonant or which is not None
     bnd = np.zeros_like(node.data)
@@ -657,7 +700,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
         # per-box factors in the u-picture: u, then the per-box insert
         factors = [node.u]
         all_boxes = np.arange(-g.n_max, g.n_max)
-        cut = None
+        cut = np.zeros((3, len(sel)), dtype=bool)
         if which is not None:
             bn, phase, bands = node.buckets.rows
             high = np.abs(phase) > N
@@ -668,56 +711,52 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
             full = "all" if which in ("all", "low") else None
             factors.append(node.inserts(all_boxes, resonant, full) * node.phase)
 
-        def gathered(src, idx, slot, r, cut_r):
-            # a chunk's FX', H^ or FY' rows (slot 0, 1 or 2) from the per-box
-            # insert; a cut (row, slot) pair forms its own insert and transforms it
-            block = src[idx]
-            if cut_r is None or not cut_r[slot].any():
-                return block
-            rc = r[cut_r[slot]]
-            boxes = (n1, n2, n3)[slot][rc]
-            x = node.inserts(boxes, resonant, which, -1 if slot == 1 else 1, gt.mu1[rc], gt.mu1[rc])
-            x *= node.phase[_rows(g, boxes)]
-            if slot == 1:
-                block[cut_r[slot]] = _hat(np.conj(x[:, ::-1]))[np.arange(len(rc)), gt.slack[rc]]
-            else:
-                pair = (gt.pair1 if slot == 0 else gt.pair3)[rc]
-                block[cut_r[slot]] = np.fft.fft(x[:, None, :] * gt.inv_gaps[gt.pair_gap[pair]], 2 * B)
-            return block
-
         # FX of every factor and (box, gap) pair: X zero-padded to 2B, in place
         F = np.zeros((len(factors), len(gt.pair_box), B, 2 * B), dtype=np.complex128)
         for f, x in zip(factors, F):
             np.multiply(f[gt.pair_box, None, :], gt.inv_gaps[gt.pair_gap], out=x[..., :B])
         np.fft.fft(F, axis=-1, out=F)
-        # G^ (and H^) of the middle boxes the rows reach, at row 3 * (n2 - m0) + slack
-        m0, m1 = _rows(g, n2[sel].min()), _rows(g, n2[sel].max()) + 1
-        hats = _hat(np.concatenate([np.conj(f[m0:m1, ::-1]) for f in factors]))
-        hats = hats.reshape(len(factors), -1, B, 2 * B)
-        # per box, the summed boundary and insert rows
+        # S[f, key] = sum_s count_s G^[m + s - 1, s], the middle bands of the
+        # key's slacks (zero at a slack without rows) contracted with W
+        groups = np.flatnonzero(np.bincount(gt.group[sel], minlength=len(gt.group_row)))
+        keys, key = np.unique(gt.group_key[groups], return_inverse=True)
+        m, count = gt.keys[keys, :1], gt.keys[keys, 1:, None]
+        mid = np.clip(_rows(g, m - 1 + np.arange(3)), 0, 2 * g.n_max - 1)
+        W = _contraction(B)
+        S = np.stack([np.tensordot(count * np.conj(f[mid, ::-1]), W, 2) for f in factors])
+        # per box, the summed boundary and insert rows of the groups
         acc = np.zeros((len(node.data), len(factors), B), dtype=np.complex128)
-        for lo in range(0, len(sel), ROW_CHUNK):
-            r = sel[lo : lo + ROW_CHUNK]
-            p1, p3, q2 = gt.pair1[r], gt.pair3[r], 3 * (_rows(g, n2[r]) - m0) + gt.slack[r]
+        for lo in range(0, len(groups), ROW_CHUNK):
+            r, k = gt.group_row[groups[lo : lo + ROW_CHUNK]], key[lo : lo + ROW_CHUNK]
             band = np.empty((len(r), len(factors), B), dtype=np.complex128)
-            fx, fy, g2 = F[0, p1], F[0, p3], hats[0, q2]
-            fyg = fy * g2
-            band[:, 0] = np.einsum("tak,tak->ta", fx, fyg)
+            fx, fy = F[0, gt.pair1[r]], F[0, gt.pair3[r]]
+            xy = fx * fy
+            band[:, 0] = np.einsum("tak,tak->ta", xy, S[0, k])
             if inserting:
-                # each (chunk, B, 2B) block is released after its last use, so
-                # at most five are alive: FX, FY, G^, FY.G^ and one insert block
-                c = None if cut is None else cut[:, lo : lo + ROW_CHUNK]
-                band[:, 1] = np.einsum("tak,tak->ta", gathered(F[1], p1, 0, r, c), fyg)
-                del fyg
-                fy3 = gathered(F[1], p3, 2, r, c)
-                fy3 *= g2
-                del g2
-                h2 = gathered(hats[1], q2, 1, r, c)
-                h2 *= fy
-                fy3 -= h2  # FY'.G^ - FY.H^
-                del h2, fy
-                band[:, 1] += np.einsum("tak,tak->ta", fx, fy3)
-            _scatter_rows(g, n[r], band.reshape(len(r), -1), wt[r], out=acc.reshape(len(acc), -1))
+                fy *= F[1, gt.pair1[r]]
+                fy += fx * F[1, gt.pair3[r]]  # FX'.FY + FX.FY'
+                band[:, 1] = np.einsum("tak,tak->ta", fy, S[0, k])
+                band[:, 1] -= np.einsum("tak,tak->ta", xy, S[1, k])
+            _scatter_rows(g, n[r], band.reshape(len(r), -1), out=acc.reshape(len(acc), -1))
+        # per cut row, its own insert less the per-box one at each cut slot
+        # (dFX', dH^ or dFY'), transformed and contracted with the other two
+        rows, cut = sel[cut.any(axis=0)], cut[:, cut.any(axis=0)]
+        for lo in range(0, len(rows), ROW_CHUNK):
+            r, c = rows[lo : lo + ROW_CHUNK], cut[:, lo : lo + ROW_CHUNK]
+            fx, fy = F[0, gt.pair1[r]], F[0, gt.pair3[r]]
+            g2 = _hat(node.g[_rows(g, n2[r])])[np.arange(len(r)), gt.slack[r]]
+            partner = (fy * g2, -fx * fy, fx * g2)
+            for slot in np.flatnonzero(c.any(axis=1)):
+                rc, boxes = r[c[slot]], (n1, n2, n3)[slot][r[c[slot]]]
+                x = node.inserts(boxes, resonant, which, -1 if slot == 1 else 1, gt.mu1[rc], gt.mu1[rc])
+                x = x * node.phase[_rows(g, boxes)] - factors[1][_rows(g, boxes)]
+                if slot == 1:
+                    dx = _hat(np.conj(x[:, ::-1]))[np.arange(len(rc)), gt.slack[rc]]
+                else:
+                    pair = (gt.pair1 if slot == 0 else gt.pair3)[rc]
+                    dx = np.fft.fft(x[:, None, :] * gt.inv_gaps[gt.pair_gap[pair]], 2 * B)
+                band = np.einsum("tak,tak->ta", dx, partner[slot][c[slot]])
+                _scatter_rows(g, n[rc], band, out=acc[:, 1])
         # the output phase and normalisation depend on the box alone
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)

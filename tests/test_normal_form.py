@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfnls.errors import (
     ConfigurationError,
@@ -43,6 +45,7 @@ from nfnls.normal_form import (
     _contraction,
     _coupled_insert_rows,
     _cut_pairs,
+    _gap_index,
     _gap_table,
     _generation_one,
     _hat,
@@ -51,6 +54,9 @@ from nfnls.normal_form import (
     _Node,
     _output_boxes,
     _q1_rows,
+    _resonant_table,
+    _scatter_rows,
+    _sum_q1_over,
     _tree_level_sum,
     _tree_sign,
     _triple_table,
@@ -140,7 +146,7 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("insert built for an empty high-phase set")
 
-    monkeypatch.setattr(normal_form, "apply_resonant", refuse)
+    monkeypatch.setattr(normal_form, "_resonant_table", refuse)
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
     for op in (n4_state, n3_state, n31_state, n32_state, n22_state, n21_state):
         assert np.all(op(v, N, window=13).data == 0)
@@ -301,15 +307,16 @@ def test_generation_one_operators_match_per_slot_oracle(grid, span, N, window):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None):
-    """The gap pass with per-row inserts: every (row, slot) pair searches its
-    insert and transforms it, and two inverse FFTs per chunk with a pick of
-    the valid terms replace the contraction table (test oracle)."""
+def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, table=None):
+    """The gap pass row by row, with per-row inserts: every (row, slot) pair
+    searches its insert and transforms it, and two inverse FFTs per chunk
+    with a pick of the valid terms replace the contraction table (test
+    oracle).  ``table`` replaces A_N^c of the window, as in the gap pass."""
     g = state.grid
     B = g.bins_per_box
     node = _Node(state, t, window)
     w = node.window
-    gt = _gap_table(g, w, N)
+    gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
     n, n1, n2, n3, wt = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
@@ -436,6 +443,106 @@ def test_resonant_one_pass_is_r2_minus_r1():
     want = r2 - r1
     got = apply_resonant(v, window=7).data
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def per_row_sum_q1_over(node, table):
+    """The q1 table sum with one inverse FFT and pick per row (test oracle)."""
+    keep = node.live(*table[1:4]) == 3
+    n, n1, n2, n3, w = (a[keep] for a in table)
+    return _scatter_rows(node.grid, n, _q1_rows(node, n, n1, n2, n3), w)
+
+
+@pytest.mark.parametrize("chunk", [128, 12])
+@pytest.mark.parametrize("mode", ["resonant_R2", "resonant_R1", "A_N", "A_N_complement", "merged"])
+def test_sum_q1_over_matches_per_row_picks(mode, chunk, monkeypatch):
+    # the spectra summed per (box, slack) before one inverse FFT give the sum
+    # of the per-row picks; the merged R2 - R1 table (weights 2, 1 and -1) is
+    # not sorted by slack within a box
+    monkeypatch.setattr(normal_form, "ROW_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    v = random_state(rng, span=5, t=0.3)
+    node = _Node(v, 0.3, 7)
+    if mode == "merged":
+        table = _resonant_table(G.n_max, 7)
+        slack = table[0] - (table[1] - table[2] + table[3])
+        assert np.any(np.diff(slack)[np.diff(table[0]) == 0] < 0)
+    else:
+        table = _triple_table(G.n_max, 7, 12.0, mode, QUARTIC)
+    if chunk == 12:  # more than one chunk of summed spectra
+        assert np.count_nonzero(node.live(*table[1:4]) == 3) > chunk * G.bins_per_box // 2
+    want = per_row_sum_q1_over(node, table)
+    got = _sum_q1_over(node, table)
+    assert np.any(want != 0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_gap_index_rejects_weighted_tables():
+    # the gap pass contracts row groups and carries no per-row weight
+    n, n1, n2, n3 = (np.array([b]) for b in (4, 1, -1, 2))
+    _gap_index(G, (n, n1, n2, n3, np.ones(1)))
+    v = random_state(np.random.default_rng(22), span=5)
+    for w in (np.array([2.0]), np.array([-1.0])):
+        with pytest.raises(ConfigurationError):
+            _gap_index(G, (n, n1, n2, n3, w))
+        with pytest.raises(ConfigurationError):
+            _generation_one(_Node(v, 0.0, 5), None, table=(n, n1, n2, n3, w))
+
+
+def random_gap_table(rng, window, groups):
+    """Distinct rows (n, n1, n2, n3) of unit weight in random order: per
+    (n, n1, n3) group one, two or three slacks in turn, at random."""
+    seen, rows = set(), []
+    while len(seen) < groups:
+        n1, n3, m = rng.integers(-window, window + 1, 3)
+        n = n1 + n3 - m
+        if n in (n1, n3) or (n, n1, n3) in seen:
+            continue
+        slacks = rng.choice(3, len(seen) % 3 + 1, replace=False)
+        seen.add((n, n1, n3))
+        rows += [(n, n1, m + s - 1, n3) for s in slacks]
+    n, n1, n2, n3 = np.array(rows)[rng.permutation(len(rows))].T
+    return n, n1, n2, n3, np.ones(len(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.sampled_from([2, 4, 8]),
+    groups=st.integers(1, 30),
+    window=st.sampled_from([3, 10]),
+    chunk=st.integers(1, 9),
+    kw=st.sampled_from([{}, dict(resonant=True), dict(which="all"), dict(which="high"),
+                        dict(resonant=True, which="low")]),
+)
+def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, groups, window, chunk, kw):
+    # rows on boxes |n1|, |n3|, |m| <= 3; at window 10 the inner phases of
+    # the slot boxes reach past the low sets of small-phase rows (cut pairs)
+    rng = np.random.default_rng(seed)
+    grid = make_grid(B, 16)
+    table = random_gap_table(rng, 3, groups)
+    n, n1, n2, n3, _ = table
+    data = rng.standard_normal((32, B)) + 1j * rng.standard_normal((32, B))
+    data[rng.random(32) < 0.3] = 0.0  # some dead boxes
+    v = BoxedState(grid, data, 0.2)
+    # the groups partition the rows: one (n, n1, n3) and both pairs per
+    # group, in order of n, and the key holds m and the rows per slack
+    gt = _gap_index(grid, table)
+    trip = np.stack([n, n1, n3], axis=1)
+    first = gt.group_row[gt.group]
+    assert len(np.unique(trip, axis=0)) == len(gt.group_row) == groups
+    assert np.array_equal(trip[first], trip)
+    assert np.array_equal(gt.pair1[first], gt.pair1) and np.array_equal(gt.pair3[first], gt.pair3)
+    assert np.all(np.diff(n[gt.group_row]) >= 0)
+    count = np.zeros((groups, 3), dtype=int)
+    np.add.at(count, (gt.group, gt.slack), 1)
+    assert np.array_equal(gt.keys[gt.group_key], np.column_stack([(n1 + n3 - n)[gt.group_row], count]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normal_form, "ROW_CHUNK", chunk)
+        got = _generation_one(_Node(v, 0.2, window), 0.0, table=table, **kw)
+    want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, 0.0, window, table=table, **kw)
+    parts = [(got.boundary.data, want_bnd)] + ([(got.inserts.data, want_ins)] if kw else [])
+    for part, want in parts:
+        assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
@@ -1275,7 +1382,7 @@ def test_level_three_integrand_builds_each_insert_state_once(monkeypatch):
     # which builds the resonant insert and the inner phase buckets once, on a
     # state whose level-3 inserts are live
     v, _ = tiny_remainder_inputs()
-    built = {"apply_resonant": 0, "_InnerBuckets": 0}
+    built = {"_resonant_table": 0, "_InnerBuckets": 0}
 
     def counted(name):
         original = getattr(normal_form, name)
@@ -1290,7 +1397,7 @@ def test_level_three_integrand_builds_each_insert_state_once(monkeypatch):
         monkeypatch.setattr(normal_form, name, counted(name))
     params = SolverParams(J=3, N=1.0, T=1.0, q=2.0, window=16)
     normal_form._integrand(v.at_time(0.37), params)
-    assert built == {"apply_resonant": 1, "_InnerBuckets": 1}
+    assert built == {"_resonant_table": 1, "_InnerBuckets": 1}
 
 
 def test_tree_level_sum_assignment_guard(monkeypatch):
