@@ -35,8 +35,9 @@ from .modulation import (
     multiplier_bound_check,
     norm_equivalence_ratio,
 )
-from .multilinear import certify_tree_bound, coherent_band, random_band
+from .multilinear import certify_tree_bound, coherent_band, q1_tilde, random_band
 from .normal_form import (
+    DEFAULT_EMPIRICAL_C,
     BoxedState,
     SolverParams,
     Trajectory,
@@ -241,8 +242,6 @@ class RunReport:
 
 def fir_constant_sweep(B: int, gaps=(2, 3, 5, 10, 25, 50), trials: int = 4, seed: int = 0):
     """Measured sup of ||q1_tilde|| * gap1 * gap3 over coherent+random probes."""
-    from .multilinear import q1_tilde
-
     grid = make_grid(B, max(gaps) + 14)
     rng = np.random.default_rng(seed)
     rows = []
@@ -406,8 +405,6 @@ def _suite_verify_lemmas(cfg, rep, rng):
         rep.constants["gap_kernel_constant"],
     )
     rep.constants["empirical_c"] = c_emp
-    from .normal_form import DEFAULT_EMPIRICAL_C
-
     rep.add_check(
         "recorded-constant-covers-measured", "constant-registry",
         c_emp, DEFAULT_EMPIRICAL_C, c_emp <= DEFAULT_EMPIRICAL_C,

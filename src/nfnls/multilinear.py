@@ -61,15 +61,13 @@ from .errors import (
 )
 from .grids import Grid
 from .modulation import BandCoefficients
-from .trees import IndexAssignment, OrderedTree, SignTable, compute_signs
+from .trees import IndexAssignment, OrderedTree, compute_signs
 
 __all__ = [
     "BandTuple",
-    "SymbolEvaluation",
     "q1",
     "q1_tilde",
     "q_tree",
-    "rho_symbol",
     "certify_tree_bound",
     "unit_band",
     "coherent_band",
@@ -91,14 +89,6 @@ class BandTuple:
 
     bands: tuple[BandCoefficients, ...]
     conjugated: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class SymbolEvaluation:
-    """One kernel evaluation: value and the prefix denominators it used."""
-
-    value: complex
-    denominators: tuple[float, ...]
 
 
 def _check_band(b: BandCoefficients, grid: Grid):
@@ -393,45 +383,6 @@ def q_tree(
     return BandCoefficients(
         box_index=assign.n_root, grid=grid, coeffs=out, start_bin=assign.n_root * B
     )
-
-
-def rho_symbol(
-    tree: OrderedTree,
-    assign: IndexAssignment,
-    xi_leaves: np.ndarray,
-    signs: SignTable | None = None,
-) -> SymbolEvaluation:
-    """Point evaluation of the tree kernel at continuous leaf frequencies.
-
-    Sharp windows at internal nodes (zero value if any propagated frequency
-    leaves its box); returns the prefix denominators actually used.
-    """
-    signs = signs or compute_signs(tree)
-    leaf_ids = tree.terminal_ids()
-    xi: dict[int, float] = {b: float(x) for b, x in zip(leaf_ids, xi_leaves)}
-
-    def xi_of(node_id: int) -> float:
-        if node_id in xi:
-            return xi[node_id]
-        c1, c2, c3 = tree.nodes[node_id].children
-        xi[node_id] = xi_of(c1) - xi_of(c2) + xi_of(c3)
-        return xi[node_id]
-
-    window_ok = all(
-        assign.freq[a] <= xi_of(a) < assign.freq[a] + 1 for a in tree.chronicle
-    )
-    denoms = []
-    pref = 0.0
-    for a in tree.chronicle:
-        c1, _, c3 = tree.nodes[a].children
-        pref += signs.fsgn[a] * (xi_of(a) - xi_of(c1)) * (xi_of(a) - xi_of(c3))
-        denoms.append(pref)
-    if not window_ok:
-        return SymbolEvaluation(value=0.0 + 0.0j, denominators=tuple(denoms))
-    val = 1.0
-    for d in denoms:
-        val /= d
-    return SymbolEvaluation(value=complex(val), denominators=tuple(denoms))
 
 
 def unit_band(grid: Grid, n: int, coeffs: np.ndarray) -> BandCoefficients:

@@ -343,7 +343,7 @@ def _output_boxes(n_max: int, window: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
+def _triple_table(n_max: int, window: int, N_key, mode: str):
     """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes.
 
     Lexicographic in (n, n1, n2, n3).  The R2 weight is two on the doubly
@@ -353,7 +353,7 @@ def _triple_table(n_max: int, window: int, N_key, mode: str, convention: str):
     boxes = _output_boxes(n_max, window)
     rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
-    keep = _mode_mask(n, n1, n2, n3, mode, N, convention)
+    keep = _mode_mask(n, n1, n2, n3, mode, N, QUARTIC)
     n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
     weight = np.ones(len(n))
     if mode == "resonant_R2":
@@ -424,7 +424,7 @@ def _gap_index(grid: Grid, table) -> _GapTable:
 @lru_cache(maxsize=256)
 def _gap_table(grid: Grid, window: int, N_key) -> _GapTable:
     """The gap index of the high-phase table A_N^c of the window."""
-    return _gap_index(grid, _triple_table(grid.n_max, window, N_key, "A_N_complement", QUARTIC))
+    return _gap_index(grid, _triple_table(grid.n_max, window, N_key, "A_N_complement"))
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +528,7 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
 
 def _table_state(node: _Node, N, mode) -> BoxedState:
     """q1 summed over the (N, mode) triple table of the node's window."""
-    table = _triple_table(node.grid.n_max, node.window, N, mode, QUARTIC)
+    table = _triple_table(node.grid.n_max, node.window, N, mode)
     return node.state_of(_sum_q1_over(node, table))
 
 
@@ -536,8 +536,8 @@ def _table_state(node: _Node, N, mode) -> BoxedState:
 def _resonant_table(n_max: int, window: int):
     """The R2 rows with their weights and the R1 rows with weight -1, in one
     table lexicographic in n (R2 rows ahead of R1 rows within a box)."""
-    r2 = _triple_table(n_max, window, None, "resonant_R2", QUARTIC)
-    r1 = _triple_table(n_max, window, None, "resonant_R1", QUARTIC)
+    r2 = _triple_table(n_max, window, None, "resonant_R2")
+    r1 = _triple_table(n_max, window, None, "resonant_R1")
     cols = [np.concatenate([a, b]) for a, b in zip(r2, r1[:4] + (-r1[4],))]
     order = np.argsort(cols[0], kind="stable")
     return tuple(c[order] for c in cols)
@@ -584,7 +584,7 @@ class _InnerBuckets:
     def __init__(self, node: _Node):
         g = node.grid
         parents = tuple(_output_boxes(g.n_max, node.window).tolist())
-        self.table = tab = phase_table(parents, node.window, (node.boxes,) * 3, 1, QUARTIC)
+        self.table = tab = phase_table(parents, node.window, (node.boxes,) * 3, 1)
         n = tab.parents[tab.row]
         bands = _q1_rows(node, n, tab.c1, tab.c2, tab.c3)
         self.rows = (n, tab.m, bands)
@@ -876,8 +876,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
             if li is not None:
                 node_sets[leaf_ids[li]] = insert_boxes
             freq, mu, _ = _frontier(
-                tree, roots, w, N, node_sets.get, "C_complement_chain", QUARTIC,
-                ASSIGNMENT_GUARD,
+                tree, roots, w, N, node_sets.get, "C_complement_chain", ASSIGNMENT_GUARD
             )
             count += len(freq)
             if count > ASSIGNMENT_GUARD:

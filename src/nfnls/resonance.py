@@ -1,4 +1,4 @@
-"""Interaction phases, divisor counting and the resonance frequency sets.
+"""Interaction phases, the divisor sieve and the resonance frequency sets.
 
 The quartic interaction phase is
 
@@ -7,10 +7,12 @@ The quartic interaction phase is
 which factors as 2*(xi - xi1)*(xi - xi3) on the convolution surface
 xi = xi1 - xi2 + xi3.  Integer box triples satisfy the surface equation only
 up to the near-match slack (n1 - n2 + n3 in {n-1, n, n+1}), so the quartic
-value and the product 2*(n-n1)*(n-n3) differ on a thin shell.  Both
-conventions are implemented; ``phase_value`` dispatches on a convention tag
-and the quartic form is the default used for set membership.  The continuous
-kernels elsewhere always use the (exact there) product form.
+value and the product 2*(n-n1)*(n-n3) differ on a thin shell.  The quartic
+value decides set membership everywhere; the product value is carried as
+data (``PhaseTable.mp``) for the certification, and ``phase_value`` and
+``enumerate_triples`` take either convention for the fixed product-convention
+counting protocol.  The continuous kernels elsewhere always use the (exact
+there) product form.
 
 Set modes for :func:`enumerate_triples` (one predicate, ``_mode_mask``, also
 used for the operator tables in ``normal_form``):
@@ -53,16 +55,12 @@ __all__ = [
     "PRODUCT",
     "phase_phi",
     "phase_value",
-    "divisor_count",
     "divisor_sieve",
     "expand_triples",
     "PhaseTable",
     "phase_table",
     "enumerate_triples",
-    "c_set_member",
     "c_set_radius",
-    "c_chain_ok",
-    "divisor_choice_count",
 ]
 
 QUARTIC = "quartic"
@@ -109,26 +107,6 @@ def phase_value(n, n1, n2, n3, convention: str = QUARTIC):
     if convention == PRODUCT:
         return 2 * (n - n1) * (n - n3)
     raise DomainError(f"unknown phase convention {convention!r}")
-
-
-def divisor_count(m: int) -> int:
-    """Exact number of divisors d(m) by trial division, m >= 1."""
-    if m < 1:
-        raise DomainError(f"divisor_count needs m >= 1, got {m}")
-    count = 1
-    rem = m
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        count *= 2
-    return count
 
 
 def divisor_sieve(limit: int) -> np.ndarray:
@@ -186,20 +164,20 @@ def expand_triples(parents, window: int, child_sets=(None, None, None)):
 class PhaseTable:
     """The non-resonant children of strictly increasing ``parents``, by phase.
 
-    ``row`` (the parent's index), ``c1``, ``c2``, ``c3``, ``m`` (the phase
-    under the convention) and ``mp`` (the product phase), both times ``sign``,
+    ``row`` (the parent's index), ``c1``, ``c2``, ``c3``, ``m`` (the quartic
+    phase) and ``mp`` (the product phase), both times ``sign``,
     are in lexicographic order of (parent, c1, c2, c3).  ``order`` sorts them
     by (parent, m), ties lexicographic; ``start``/``stop`` are each parent's
     block in it.
     """
 
-    def __init__(self, parents, window, child_sets, sign, convention):
+    def __init__(self, parents, window, child_sets, sign):
         self.parents = np.asarray(parents, dtype=np.int64).reshape(-1)
         row, c1, c2, c3 = expand_triples(self.parents, window, child_sets)
         fa = self.parents[row]
         nonres = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
         self.row, fa, self.c1, self.c2, self.c3 = (x[nonres] for x in (row, fa, c1, c2, c3))
-        self.m = sign * phase_value(fa, self.c1, self.c2, self.c3, convention)
+        self.m = sign * phase_value(fa, self.c1, self.c2, self.c3)
         self.mp = sign * phase_value(fa, self.c1, self.c2, self.c3, PRODUCT)
         self.order = np.lexsort((self.m, self.row))
         # keys parent * width + (m - offset), sorted; phase offsets run over
@@ -250,7 +228,7 @@ class PhaseTable:
         return key // stride, key % stride
 
 
-# phase_table(parents, window, child_sets, sign, convention): a cached
+# phase_table(parents, window, child_sets, sign): a cached
 # PhaseTable, for hashable arguments (tuples of boxes, None for no set)
 phase_table = lru_cache(maxsize=256)(PhaseTable)
 
@@ -294,17 +272,6 @@ def enumerate_triples(
     ]
 
 
-def c_set_member(J: int, mu_tilde_J: float, mu_tilde_J1: float, mu_1: float) -> bool:
-    """Membership in C_J for the prefix phases.
-
-    C_J = {|mu~_{J+1}| <= (2J+3)^3 |mu~_J|^{1-1/100}}
-        union {|mu~_{J+1}| <= (2J+3)^3 |mu_1|^{1-1/100}},
-    with exponent exactly 1 - 1/100; J = 1 gives the constant 5^3.  Works
-    elementwise on arrays of phases.
-    """
-    return abs(mu_tilde_J1) <= c_set_radius(J, mu_tilde_J, mu_1)
-
-
 def c_set_radius(J: int, mu_tilde_J, mu_1):
     """The radius (2J+3)^3 max(|mu~_J|, |mu_1|)^{1-1/100} of C_J around zero.
 
@@ -315,49 +282,3 @@ def c_set_radius(J: int, mu_tilde_J, mu_1):
     k = float(2 * J + 3) ** 3
     e = 1.0 - 1.0 / 100.0
     return np.maximum(k * abs(mu_tilde_J) ** e, k * abs(mu_1) ** e)
-
-
-def c_chain_ok(mu_tilde: "np.ndarray | list[float]") -> bool:
-    """True iff generations 2..J all avoid their C sets (the complement chain).
-
-    ``mu_tilde`` holds the signed prefix phases mu~_1..mu~_J in chronicle
-    order; generation j is checked against C_{j-1}.
-    """
-    mt = list(mu_tilde)
-    for j in range(1, len(mt)):
-        if c_set_member(j, mt[j - 1], mt[j], mt[0]):
-            return False
-    return True
-
-
-def divisor_choice_count(n: int, mu: int, window: int) -> int:
-    """Number of (n1, n3) in [-window, window]^2 with 2*(n-n1)*(n-n3) == mu.
-
-    Zero for odd mu (parity obstruction); for even nonzero mu the count is
-    bounded by 2*d(|mu|/2).  mu == 0 counts the degenerate pairs where a gap
-    vanishes.
-    """
-    if mu % 2 != 0:
-        return 0
-    half = mu // 2
-    lo, hi = -window, window
-    if half == 0:
-        count = 0
-        for n1 in range(lo, hi + 1):
-            for n3 in range(lo, hi + 1):
-                if (n - n1) * (n - n3) == 0:
-                    count += 1
-        return count
-    count = 0
-    a = 1
-    while a * a <= abs(half):
-        if half % a == 0:
-            for d1 in {a, -a, half // a, -(half // a)}:
-                d3, r = divmod(half, d1)
-                if r != 0:
-                    continue
-                n1, n3 = n - d1, n - d3
-                if lo <= n1 <= hi and lo <= n3 <= hi:
-                    count += 1
-        a += 1
-    return count

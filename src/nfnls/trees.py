@@ -23,7 +23,8 @@ and the root tuple has interaction phase above the threshold N.  The
 per-generation phases are signed by fsgn of the expanded node (the
 conjugation flips the phase of everything inserted under a conjugated slot);
 prefix sums mu~_j and the running products mu^_j are recorded in chronicle
-order, in both the default (quartic) and the product phase conventions.
+order.  The quartic phases decide membership; the product phases
+2*(n-n1)*(n-n3) are recorded alongside, for the certification.
 
 Exhaustive enumeration runs generation by generation over an integer frontier
 (one row per partial assignment, one column per node).  At each generation
@@ -55,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoxRangeError, DomainError, PreconditionError, ResourceGuardError
-from .resonance import PRODUCT, QUARTIC, PhaseTable, c_set_radius, phase_value
+from .resonance import PRODUCT, PhaseTable, c_set_radius, phase_value
 
 __all__ = [
     "TreeNode",
@@ -69,7 +70,6 @@ __all__ = [
     "dump_chronicle",
     "enumerate_index_functions",
     "sample_index_functions",
-    "assignment_from_freqs",
     "double_factorial_odd",
 ]
 
@@ -96,9 +96,6 @@ class OrderedTree:
     @property
     def J(self) -> int:
         return len(self.chronicle)
-
-    def internal_ids(self) -> tuple[int, ...]:
-        return self.chronicle
 
     def terminal_ids(self) -> tuple[int, ...]:
         """Terminal node ids in depth-first (left/middle/right) order."""
@@ -205,10 +202,11 @@ def compute_signs(tree: OrderedTree) -> SignTable:
 class PhaseRecord:
     """Signed per-generation phases with prefix sums and products.
 
-    ``mu`` is under the default (quartic) convention, ``mu_product`` under the
-    product convention 2*(n-n1)*(n-n3); both carry the fsgn sign of the node
-    expanded at that generation.  ``mu_tilde``/``mu_hat`` are prefix sums and
-    products of prefix sums of ``mu`` in chronicle order.
+    ``mu`` holds the quartic phases, which decide membership, and
+    ``mu_product`` the product phases 2*(n-n1)*(n-n3), which the certification
+    reads; both carry the fsgn sign of the node expanded at that generation.
+    ``mu_tilde``/``mu_hat`` are prefix sums and products of prefix sums of
+    ``mu`` in chronicle order.
     """
 
     mu: tuple[int, ...]
@@ -235,36 +233,6 @@ class IndexAssignment:
     phases: PhaseRecord
     n_root: int
 
-    def generation_tuples(self) -> list[tuple[int, int, int, int]]:
-        """(freq(a), freq(a1), freq(a2), freq(a3)) per generation, chronicle order."""
-        out = []
-        for a in self.tree.chronicle:
-            c1, c2, c3 = self.tree.nodes[a].children
-            out.append((self.freq[a], self.freq[c1], self.freq[c2], self.freq[c3]))
-        return out
-
-
-def assignment_from_freqs(
-    tree: OrderedTree,
-    freq: Sequence[int],
-    convention: str = QUARTIC,
-    signs: SignTable | None = None,
-) -> IndexAssignment:
-    """Package a frequency map, recomputing the signed phase record."""
-    signs = signs or compute_signs(tree)
-    mu, mu_p = [], []
-    for a in tree.chronicle:
-        c1, c2, c3 = tree.nodes[a].children
-        tup = (freq[a], freq[c1], freq[c2], freq[c3])
-        mu.append(signs.fsgn[a] * phase_value(*tup, convention))
-        mu_p.append(signs.fsgn[a] * phase_value(*tup, PRODUCT))
-    return IndexAssignment(
-        tree=tree,
-        freq=tuple(int(f) for f in freq),
-        phases=PhaseRecord.from_mu(mu, mu_p),
-        n_root=int(freq[0]),
-    )
-
 
 def enumerate_index_functions(
     tree: OrderedTree,
@@ -272,7 +240,6 @@ def enumerate_index_functions(
     window: int,
     N: float,
     cJ_filter: str = "C_complement_chain",
-    convention: str = QUARTIC,
     allowed_boxes=None,
     max_count: int = 2_000_000,
 ) -> list[IndexAssignment]:
@@ -303,13 +270,11 @@ def enumerate_index_functions(
         def node_set(c):
             return allowed_boxes if c in leaves else None
 
-    freq, mu, mu_p = _frontier(
-        tree, [n_root], window, N, node_set, cJ_filter, convention, max_count
-    )
+    freq, mu, mu_p = _frontier(tree, [n_root], window, N, node_set, cJ_filter, max_count)
     return _assignments(tree, n_root, freq, mu, mu_p)
 
 
-def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count):
+def _frontier(tree, roots, window, N, node_set, cJ_filter, max_count):
     """The complete frontier of every root: (freq, mu, mu_p) integer arrays.
 
     One row per index function, one ``freq`` column per node and one signed
@@ -335,9 +300,7 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count
     for j, a in enumerate(tree.chronicle):
         kids = list(tree.nodes[a].children)
         parents, block = np.unique(freq[:, a], return_inverse=True)
-        table = PhaseTable(
-            parents, window, [node_set(c) for c in kids], signs.fsgn[a], convention
-        )
+        table = PhaseTable(parents, window, [node_set(c) for c in kids], signs.fsgn[a])
         # keep |m - center| > X for integer m: m <= center - F - 1 or
         # m >= center + F + 1 with F = floor(X); F = -inf keeps every child
         if j == 0:
@@ -381,7 +344,6 @@ def sample_index_functions(
     N: float,
     count: int,
     rng: np.random.Generator,
-    convention: str = QUARTIC,
     min_denominator: float = 1.0,
     comparability: float = 0.0,
     max_attempts: int = 200_000,
@@ -412,7 +374,7 @@ def sample_index_functions(
         size = min(SAMPLE_BLOCK, max_attempts - attempts)
         attempts += size
         freq, mu, mu_p = _sample_block(
-            tree, signs, n_root, window, N, size, rng, convention, min_denominator, comparability
+            tree, signs, n_root, window, N, size, rng, min_denominator, comparability
         )
         take = count - len(out)
         out += _assignments(tree, n_root, freq[:take], mu[:take], mu_p[:take])
@@ -423,9 +385,7 @@ def sample_index_functions(
     return out
 
 
-def _sample_block(
-    tree, signs, n_root, window, N, size, rng, convention, min_denominator, comparability
-):
+def _sample_block(tree, signs, n_root, window, N, size, rng, min_denominator, comparability):
     """The accepted frontier of ``size`` attempts, in attempt order."""
     freq = np.zeros((1, tree.size()), dtype=np.int64)
     freq[0, 0] = n_root
@@ -439,7 +399,7 @@ def _sample_block(
         c1 = rng.integers(-window, window + 1, size=len(rows))
         c3 = rng.integers(-window, window + 1, size=len(rows))
         c2 = c1 + c3 - fa - rng.integers(-1, 2, size=len(rows))
-        m = sign * phase_value(fa, c1, c2, c3, convention)
+        m = sign * phase_value(fa, c1, c2, c3)
         mp = sign * phase_value(fa, c1, c2, c3, PRODUCT)
         s = slop[rows] + _phase_slop_bound(fa, c1, c3)
         # halved: continuous kernel denominators are prefix sums of

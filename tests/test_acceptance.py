@@ -28,13 +28,11 @@ from nfnls.normal_form import (
     choose_parameters,
     gamma_partial,
     remainder_n2,
-    solve,
     _chain_possible,
     _generation_one,
     _Node,
     _rows,
     _sum_q1_over,
-    _triple_table,
 )
 from nfnls.resonance import PRODUCT, enumerate_triples, phase_phi
 from nfnls.trees import (
@@ -42,6 +40,7 @@ from nfnls.trees import (
     enumerate_trees,
     sample_index_functions,
 )
+from oracles import product_triple_table
 
 
 def verdict(num, ok, detail):
@@ -167,8 +166,8 @@ def test_criterion_06_decomposition_identity():
 
 def _criterion7_norms(v, N, W, q):
     g = v.grid
-    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), _triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
-    table = _triple_table(g.n_max, W, N, "A_N_complement", PRODUCT)
+    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), product_triple_table(g.n_max, W, N, "A_N")), 0.0)
+    table = product_triple_table(g.n_max, W, N, "A_N_complement")
     n0 = _generation_one(_Node(v, 0.0, W), N, table=table).boundary
     return n11.lq_norm(q), n0.lq_norm(q)
 
@@ -224,7 +223,7 @@ def test_criterion_07_threshold_exponents():
 def _holder_mass(v, N, W, q):
     # (sum over the low set of prod ||v_ni||^q)^(1/q), the second Hoelder factor
     g = v.grid
-    _, n1, n2, n3, _ = _triple_table(g.n_max, W, N, "A_N", PRODUCT)
+    _, n1, n2, n3, _ = product_triple_table(g.n_max, W, N, "A_N")
     norms = v.box_norms()
     prod = norms[_rows(g, n1)] * norms[_rows(g, n2)] * norms[_rows(g, n3)]
     return float(np.sum(prod**q) ** (1.0 / q))

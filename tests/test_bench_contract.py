@@ -1,13 +1,22 @@
 """The benchmark's contract with the package: the tracer names functions
-that exist, and clearing the caches leaves every operation cold."""
+that exist, clearing the caches leaves every operation cold, and the package
+exports only what src/ or bench/ runs and the paper-named operators."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 from nfnls.resonance import phase_table
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+# README keeps these public "as the paper-named API, also where the solver
+# does not call them"
+PAPER_NAMED = {
+    "resonant_r1", "resonant_r2", "apply_n11", "apply_n12", "n21_state",
+    "n22_state", "n3_state", "n31_state", "n32_state", "n4_state",
+}
 
 
 def test_traced_layers_resolve_to_package_callables():
@@ -24,14 +33,42 @@ def test_traced_layers_resolve_to_package_callables():
 
 
 def test_clear_caches_empties_the_phase_table_cache(monkeypatch):
-    # every benchmark operation starts cold, the cached phase tables included
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # what bench/run.py sets on import
+    # every benchmark operation starts cold, the cached phase tables included;
+    # bench/run.py pins the BLAS threads on import, as conftest.py already has
     monkeypatch.syspath_prepend(str(TRACER.parent))
     spec = importlib.util.spec_from_file_location("bench_run", TRACER.parent / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    phase_table((0, 1), 3, (None, None, None), 1, "quartic")
+    phase_table((0, 1), 3, (None, None, None), 1)
     assert phase_table.cache_info().currsize > 0
     run._clear_caches()
     assert phase_table.cache_info().currsize == 0
+
+
+def test_public_names_have_a_caller_or_are_paper_named():
+    # a use is a loaded name, an attribute or an identifier string (as in
+    # LAYERS) in a top-level statement of src/ or bench/ other than the name's
+    # own definition and __all__; reference forms for tests go to oracles.py
+    readme = (ROOT / "README.md").read_text()
+    assert all(f"`{name}`" in readme for name in PAPER_NAMED)
+    exports, uses = {}, []
+    for path in sorted(ROOT.glob("src/nfnls/*.py")) + sorted(ROOT.glob("bench/*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__all__":
+                exports[path] = ast.literal_eval(stmt.value)
+                continue
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+                    used.add(node.value)
+            uses.append((path, getattr(stmt, "name", None), used))
+    unused = [
+        f"{path.stem}.{name}" for path, names in exports.items() for name in names
+        if name not in PAPER_NAMED
+        and not any(name in used and (p, own) != (path, name) for p, own, used in uses)
+    ]
+    assert not unused, f"public names without a caller in src/ or bench/: {unused}"

@@ -17,6 +17,7 @@ from nfnls.modulation import (
     norm_equivalence_ratio,
     reconstruct,
 )
+from oracles import gaussian_unitary_transform
 
 G = make_grid(16, 32)
 
@@ -108,11 +109,6 @@ def test_s0_q2_is_l2():
     assert modulation_norm(F, 0.0, 2, 2.0) == pytest.approx(F.l2_norm(), rel=1e-12)
 
 
-def _gaussian_unitary_transform(xi):
-    # closed form of the unitary transform of exp(-x^2)
-    return np.exp(-(xi**2) / 4.0) / np.sqrt(2.0)
-
-
 def test_gaussian_norm_vs_independent_quadrature():
     # oracle: transform sampled from the closed form (independently of the FFT
     # path, cross-checked by dense x-quadrature), then the definition summed
@@ -123,7 +119,7 @@ def test_gaussian_norm_vs_independent_quadrature():
     F = forward(Field(grid=g, samples=np.exp(-(xc**2))))
 
     xi = g.bin_frequencies()
-    oracle_coeffs = _gaussian_unitary_transform(xi)
+    oracle_coeffs = gaussian_unitary_transform(xi)
     # dense-quadrature cross-check of the closed form at a few bins
     xs = np.linspace(-12.0, 12.0, 200_001)
     for j in (g.M // 2, g.M // 2 + 5, g.M // 2 + 40):

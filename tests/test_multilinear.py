@@ -4,30 +4,30 @@ import numpy as np
 import pytest
 
 from nfnls.errors import PreconditionError, ResourceGuardError
-from nfnls.grids import Spectrum, forward, free_propagate, inverse, make_grid
-from nfnls.modulation import BandCoefficients, reconstruct
+from nfnls.grids import make_grid
+from nfnls.modulation import BandCoefficients
 from nfnls.multilinear import (
     BandTuple,
     _assignment_plan,
-    _check_band,
     _kernel,
     _tree_sum,
-    _u_block,
     certify_tree_bound,
     coherent_band,
     q1,
     q1_tilde,
     q_tree,
     random_band,
-    rho_symbol,
 )
 from nfnls.trees import (
-    assignment_from_freqs,
     build_tree,
     compute_signs,
     enumerate_index_functions,
     enumerate_trees,
     sample_index_functions,
+)
+from oracles import (
+    assignment_from_freqs, generation_tuples, loop_certify_tree_bound, mesh_q_tree,
+    per_assignment_tree_plan, physical_q1_oracle, rho_symbol,
 )
 
 G = make_grid(16, 32)
@@ -51,26 +51,6 @@ def single_bin_band(n, offset, value, grid=G):
     c = np.zeros(grid.bins_per_box, dtype=complex)
     c[offset] = value
     return BandCoefficients(box_index=n, grid=grid, coeffs=c, start_bin=n * grid.bins_per_box)
-
-
-def physical_q1_oracle(n, b1, b2, b3, t, grid):
-    """box_n(S(t)[S(-t)b1 * conj(S(-t)b2) * S(-t)b3]) on a 4x padded grid."""
-    pad = make_grid(grid.bins_per_box, 4 * grid.n_max)
-    shift = (pad.M - grid.M) // 2
-
-    def embed(bnd):
-        c = np.zeros(pad.M, dtype=complex)
-        full = reconstruct(bnd).coeffs
-        c[shift : shift + grid.M] = full
-        return Spectrum(grid=pad, coeffs=c)
-
-    us = [inverse(free_propagate(embed(b), t, direction=-1)) for b in (b1, b2, b3)]
-    prod = us[0].samples * np.conj(us[1].samples) * us[2].samples
-    from nfnls.grids import Field
-
-    F = free_propagate(forward(Field(grid=pad, samples=prod)), t, direction=+1)
-    sl = pad.box_slice(n)
-    return F.coeffs[sl]
 
 
 def test_q1_zero_and_multilinear():
@@ -397,108 +377,8 @@ def test_kernel_guards():
 
 
 # ---------------------------------------------------------------------------
-# the full-mesh tree operator and the draw-by-draw certification as oracles
-
-
-def mesh_q_tree(tree, assign, leaves, t, min_denominator=0.5):
-    """q_tree on the full B^(2J+1) leaf-bin mesh, masked node by node."""
-    B = leaves.bands[0].grid.bins_per_box
-    leaf_ids = tree.terminal_ids()
-    L = len(leaf_ids)
-    signs = compute_signs(tree)
-    K = {}
-    values = None
-    for i, b in enumerate(leaf_ids):
-        band = leaves.bands[i]
-        _check_band(band, leaves.bands[0].grid)
-        assert band.box_index == assign.freq[b]
-        shape = [1] * L
-        shape[i] = B
-        K[b] = (band.start_bin + np.arange(B)).reshape(shape)
-        ub = _u_block(band, t)
-        if leaves.conjugated[i]:
-            ub = np.conj(ub)
-        v = ub.reshape(shape)
-        values = v if values is None else values * v
-
-    def k_of(node_id):
-        if node_id not in K:
-            c1, c2, c3 = tree.nodes[node_id].children
-            K[node_id] = k_of(c1) - k_of(c2) + k_of(c3)
-        return K[node_id]
-
-    mask = values != 0
-    for a in tree.chronicle:
-        ka = k_of(a)
-        na = assign.freq[a]
-        mask = mask & (ka >= na * B) & (ka < (na + 1) * B)
-    kernel = np.ones((1,) * L)
-    prefix = np.zeros((1,) * L)
-    for a in tree.chronicle:
-        c1, _, c3 = tree.nodes[a].children
-        m = signs.fsgn[a] * ((k_of(a) - k_of(c1)) / B) * ((k_of(a) - k_of(c3)) / B)
-        prefix = prefix + m
-        if np.any(mask & (np.abs(prefix) < min_denominator)):
-            raise PreconditionError(
-                "singular prefix denominator met by nonzero data inside the windows"
-            )
-        kernel = kernel / np.where(mask & (prefix != 0), prefix, 1.0)
-    contrib = np.where(mask, values * kernel, 0.0) * (2.0 * np.pi * B * B) ** (-tree.J)
-    flat_idx = (np.broadcast_to(k_of(0), contrib.shape) - assign.n_root * B).ravel()
-    flat = contrib.ravel()
-    keep = (flat_idx >= 0) & (flat_idx < B)
-    out = np.zeros(B, dtype=np.complex128)
-    np.add.at(out, flat_idx[keep], flat[keep])
-    xi_out = (assign.n_root * B + np.arange(B)) / B
-    return out * np.exp(-1j * t * xi_out * xi_out)
-
-
-def per_assignment_tree_plan(tree, assign, B):
-    """The surviving tuples of one index function, joined on absolute bins:
-    (leaf offsets, kernel, root bins, smallest prefix moduli)."""
-    signs = compute_signs(tree)
-    bins = np.arange(B)
-    sub = {b: (assign.freq[b] * B + bins, [bins], {}) for b in tree.terminal_ids()}
-    for a in reversed(tree.chronicle):
-        (k1, o1, m1), (k2, o2, m2), (k3, o3, m3) = (
-            sub.pop(c) for c in tree.nodes[a].children
-        )
-        ka = k1[:, None, None] - k2[None, :, None] + k3[None, None, :]
-        na = assign.freq[a]
-        i1, i2, i3 = np.nonzero((ka >= na * B) & (ka < (na + 1) * B))
-        k = ka[i1, i2, i3]
-        m = {j: col[i1] for j, col in m1.items()}
-        m.update({j: col[i2] for j, col in m2.items()})
-        m.update({j: col[i3] for j, col in m3.items()})
-        m[a] = signs.fsgn[a] * ((k - k1[i1]) / B) * ((k - k3[i3]) / B)
-        offsets = [o[i1] for o in o1] + [o[i2] for o in o2] + [o[i3] for o in o3]
-        sub[a] = (k, offsets, m)
-    k, offsets, m = sub[0]
-    kernel, prefix, min_prefix = 1.0, 0.0, np.inf
-    for a in tree.chronicle:
-        prefix = prefix + m[a]
-        min_prefix = np.minimum(min_prefix, np.abs(prefix))
-        kernel = kernel / np.where(prefix != 0, prefix, 1.0)
-    return offsets, kernel, k - assign.n_root * B, min_prefix
-
-
-def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
-    """Certification one draw at a time: coherent first, then random bands."""
-    signs = compute_signs(tree)
-    leaf_ids = tree.terminal_ids()
-    den = 1.0
-    for mt in np.cumsum(np.asarray(assign.phases.mu_product) / 2.0):
-        den *= abs(mt)
-    flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
-    measured = 0.0
-    for kind in ["coherent"] + ["random"] * trials:
-        if kind == "coherent":
-            bands = [coherent_band(grid, assign.freq[b]) for b in leaf_ids]
-        else:
-            bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
-        out = mesh_q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
-        measured = max(measured, float(np.sqrt(np.sum(np.abs(out) ** 2) / grid.bins_per_box)) * den)
-    return measured
+# the tree operator and the certification against the full-mesh operator and
+# the draw-by-draw certification
 
 
 def _rel_err(got, want):
@@ -641,11 +521,7 @@ def test_tree_sum_groups_rows_by_slack_pattern():
     signs = compute_signs(tree)
     leaf_ids = tree.terminal_ids()
     flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
-    slacks = {
-        tuple(a.freq[c1] - a.freq[c2] + a.freq[c3] - a.freq[n]
-              for n in tree.chronicle for c1, c2, c3 in [tree.nodes[n].children])
-        for a in assigns
-    }
+    slacks = {tuple(c1 - c2 + c3 - fa for fa, c1, c2, c3 in generation_tuples(a)) for a in assigns}
     assert len(slacks) >= 4
     roots = sorted({a.n_root for a in assigns})
     want = np.zeros((len(roots), 4), dtype=complex)

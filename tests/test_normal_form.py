@@ -15,7 +15,6 @@ from nfnls.errors import (
     ResourceGuardError,
 )
 from nfnls.grids import make_grid
-from nfnls.modulation import BandCoefficients
 from nfnls.multilinear import BandTuple, _tree_sum, q1, q1_tilde, q_tree
 import nfnls.normal_form as normal_form
 from nfnls.normal_form import (
@@ -41,7 +40,6 @@ from nfnls.normal_form import (
     resonant_r1,
     resonant_r2,
     threshold_from_bound,
-    _chain_possible,
     _contraction,
     _coupled_insert_rows,
     _cut_pairs,
@@ -55,22 +53,17 @@ from nfnls.normal_form import (
     _output_boxes,
     _q1_rows,
     _resonant_table,
-    _scatter_rows,
     _sum_q1_over,
     _tree_level_sum,
-    _tree_sign,
     _triple_table,
 )
-from nfnls.resonance import (
-    PRODUCT,
-    QUARTIC,
-    c_set_member,
-    enumerate_triples,
-    expand_triples,
-    phase_table,
-    phase_value,
+from nfnls.resonance import PRODUCT, QUARTIC, enumerate_triples, expand_triples, phase_table, phase_value
+from nfnls.trees import enumerate_index_functions, enumerate_trees
+from oracles import (
+    c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, per_assignment_tree_level_sum,
+    per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over, per_slot_inserts, per_slot_n21,
+    per_triple_gap_sum, product_triple_table, rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
 )
-from nfnls.trees import compute_signs, enumerate_index_functions, enumerate_trees
 
 G = make_grid(16, 32)
 
@@ -156,110 +149,8 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the row kernels and the generation-one pass as computed before the shared
-# gap pass: per-row transforms, one gap-kernel run per slot (test oracles)
-
-
-def per_row_u(B, t, v, n):
-    """Bands v at boxes n times exp(i t xi^2), one exp per row."""
-    xi = (n[:, None] * B + np.arange(B)) / B
-    return v * np.exp(1j * t * xi * xi)
-
-
-def per_row_q1_rows(grid, t, v1, v2, v3, n, n1, n2, n3, to_u=per_row_u):
-    """Batched q1 with the three band transforms taken row by row."""
-    B = grid.bins_per_box
-    u1 = to_u(B, t, v1, n1)
-    u3 = to_u(B, t, v3, n3)
-    g2 = np.conj(to_u(B, t, v2, n2)[:, ::-1])
-    L = 4 * B
-    conv = np.fft.ifft(
-        np.fft.fft(u1, L, axis=1) * np.fft.fft(g2, L, axis=1) * np.fft.fft(u3, L, axis=1),
-        axis=1,
-    )
-    d = n - (n1 - n2 + n3)
-    idx = (d[:, None] + 1) * B - 1 + np.arange(B)
-    out = np.take_along_axis(conv, idx, axis=1)
-    return to_u(B, -t, out, n) / (2.0 * np.pi * B * B)
-
-
-def rowwise_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
-    """The gap kernel with X = u1/d1 and Y = u3/d3 formed and transformed row
-    by row (the Toeplitz-factored form before per-pair transforms)."""
-    B = grid.bins_per_box
-    T = len(n)
-    out = np.zeros((T, B), dtype=np.complex128)
-    a_min_b = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a, b)
-    gidx = 2 * B - 1 + np.arange(B)[:, None] - np.arange(2 * B - 1)[None, :]  # (a, m)
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        sl = slice(lo, hi)
-        u1 = per_row_u(B, t, v1[sl], n1[sl])
-        u3 = per_row_u(B, t, v3[sl], n3[sl])
-        g2 = np.conj(per_row_u(B, t, v2[sl], n2[sl])[:, ::-1])
-        d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
-        d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
-        dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
-        padded = np.zeros((hi - lo, 3 * B), dtype=np.complex128)
-        cols = (1 - dd)[:, None] * B + np.arange(B)
-        np.put_along_axis(padded, cols, g2, axis=1)
-        conv = np.fft.ifft(
-            np.fft.fft(u1[:, None, :] / d1, 2 * B) * np.fft.fft(u3[:, None, :] / d3, 2 * B)
-        )[..., : 2 * B - 1]
-        out[sl] = np.einsum("tam,tam->ta", conv, padded[:, gidx])
-    return per_row_u(B, -t, out, n) / (2.0 * np.pi * B * B)
-
-
-def live_rows(v, table):
-    """The table rows whose three slots are live."""
-    alive = np.any(v.data != 0, axis=1)
-    n, n1, n2, n3, w = table
-    keep = alive[n1 + v.grid.n_max] & alive[n2 + v.grid.n_max] & alive[n3 + v.grid.n_max]
-    return tuple(a[keep] for a in table)
-
-
-def scatter(grid, n, bands, w):
-    out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=complex)
-    np.add.at(out, n + grid.n_max, bands * w[:, None])
-    return out
-
-
-def per_slot_n21(v, t, N, window):
-    g = v.grid
-    table = _triple_table(g.n_max, window, N, "A_N_complement", QUARTIC)
-    n, n1, n2, n3, w = live_rows(v, table)
-    bands = rowwise_q1_tilde_rows(
-        g, t, *(v.data[b + g.n_max] for b in (n1, n2, n3)), n, n1, n2, n3
-    )
-    return scatter(g, n, bands, w)
-
-
-def per_slot_inserts(v, t, N, window, resonant=False, which=None):
-    """sum over the high-phase set and the three slots of
-    fsgn(slot) * q1_tilde(... insert at slot ...), one gap-kernel run per slot
-    over the rows whose other two slots are live."""
-    g = v.grid
-    n, n1, n2, n3, wt = _triple_table(g.n_max, window, N, "A_N_complement", QUARTIC)
-    alive = np.any(v.data != 0, axis=1)
-    res = apply_resonant(v, t, window).data if resonant else None
-    buckets = _InnerBuckets(_Node(v, t, window)) if which is not None else None
-    total = np.zeros_like(v.data)
-    for slot, (a, b) in enumerate(((n2, n3), (n1, n3), (n1, n2))):
-        keep = alive[a + g.n_max] & alive[b + g.n_max]
-        nk, n1k, n2k, n3k, wk = (x[keep] for x in (n, n1, n2, n3, wt))
-        boxes = (n1k, n2k, n3k)[slot]
-        rows = np.zeros((len(nk), g.bins_per_box), dtype=complex)
-        if resonant:
-            rows += res[boxes + g.n_max]
-        if which is not None:
-            mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
-            sign = (+1, -1, +1)[slot]
-            rows += _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
-        stacks = [v.data[x + g.n_max] for x in (n1k, n2k, n3k)]
-        stacks[slot] = rows
-        bands = rowwise_q1_tilde_rows(g, t, *stacks, nk, n1k, n2k, n3k)
-        total += (+1, -1, +1)[slot] * scatter(g, nk, bands, wk)
-    return total
+# the row kernels and the generation-one pass against the forms before the
+# shared gap pass: per-row transforms, one gap-kernel run per slot
 
 
 # the live compare config; N just below max|Phi| of window 2; the smallest
@@ -305,55 +196,6 @@ def test_generation_one_operators_match_per_slot_oracle(grid, span, N, window):
             continue
         assert scale > 0
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
-
-def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, table=None):
-    """The gap pass row by row, with per-row inserts: every (row, slot) pair
-    searches its insert and transforms it, and two inverse FFTs per chunk
-    with a pick of the valid terms replace the contraction table (test
-    oracle).  ``table`` replaces A_N^c of the window, as in the gap pass."""
-    g = state.grid
-    B = g.bins_per_box
-    node = _Node(state, t, window)
-    w = node.window
-    gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
-    n, n1, n2, n3, wt = gt.rows
-    sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
-    # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
-    # row's (B, 2B) block, or of the zeroed wrap-around term 2B - 1
-    a, j = np.arange(B)[:, None], np.arange(B)[None, :]
-    m = np.arange(3)[:, None, None] * B - 1 + a - j
-    cidx = 2 * B * a + np.where((m >= 0) & (m <= 2 * B - 2), m, 2 * B - 1)
-    bnd, ins = np.zeros_like(state.data), np.zeros_like(state.data)
-    res = apply_resonant(state, t, w).data if resonant else None
-    buckets = _InnerBuckets(node) if which is not None else None
-
-    def inserted(boxes, sign, mu1):
-        rows = boxes + g.n_max
-        bands = res[rows] if resonant else 0.0
-        if which is not None:
-            bands = bands + _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
-        return bands * node.phase[rows]
-
-    F = np.fft.fft(node.u[gt.pair_box][:, None, :] * gt.inv_gaps[gt.pair_gap], 2 * B)
-    for lo in range(0, len(sel), 128):
-        r = sel[lo : lo + 128]
-        fx, fy = F[gt.pair1[r]], F[gt.pair3[r]]
-        pick = cidx[gt.slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
-        g2 = node.g[n2[r] + g.n_max, :, None]
-        xy = np.fft.ifft(fx * fy)
-        xy[..., -1] = 0.0
-        xy = xy.reshape(-1)[pick]
-        bnd += scatter(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r])
-        x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(gt.mu1[r], 2)), 2)
-        x2 = inserted(n2[r], -1, gt.mu1[r])
-        fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
-        fy3 = np.fft.fft(x3[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair3[r]]], 2 * B)
-        outer = np.fft.ifft(fx1 * fy + fx * fy3)
-        outer[..., -1] = 0.0
-        band = outer.reshape(-1)[pick] @ g2 - xy @ np.conj(x2[:, ::-1, None])
-        ins += scatter(g, n[r], node.out(band[..., 0], n[r]), wt[r])
-    return bnd, ins
 
 
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
@@ -437,19 +279,12 @@ def test_resonant_one_pass_is_r2_minus_r1():
     v = random_state(rng, span=5, t=0.3)
     node = _Node(v, 0.3)
     r2, r1 = (
-        normal_form._sum_q1_over(node, _triple_table(G.n_max, 7, None, mode, QUARTIC))
+        normal_form._sum_q1_over(node, _triple_table(G.n_max, 7, None, mode))
         for mode in ("resonant_R2", "resonant_R1")
     )
     want = r2 - r1
     got = apply_resonant(v, window=7).data
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def per_row_sum_q1_over(node, table):
-    """The q1 table sum with one inverse FFT and pick per row (test oracle)."""
-    keep = node.live(*table[1:4]) == 3
-    n, n1, n2, n3, w = (a[keep] for a in table)
-    return _scatter_rows(node.grid, n, _q1_rows(node, n, n1, n2, n3), w)
 
 
 @pytest.mark.parametrize("chunk", [128, 12])
@@ -467,7 +302,7 @@ def test_sum_q1_over_matches_per_row_picks(mode, chunk, monkeypatch):
         slack = table[0] - (table[1] - table[2] + table[3])
         assert np.any(np.diff(slack)[np.diff(table[0]) == 0] < 0)
     else:
-        table = _triple_table(G.n_max, 7, 12.0, mode, QUARTIC)
+        table = _triple_table(G.n_max, 7, 12.0, mode)
     if chunk == 12:  # more than one chunk of summed spectra
         assert np.count_nonzero(node.live(*table[1:4]) == 3) > chunk * G.bins_per_box // 2
     want = per_row_sum_q1_over(node, table)
@@ -562,7 +397,7 @@ def test_state_gathered_q1_rows_equal_per_row_transforms(grid, span, window):
     rng = np.random.default_rng(17)
     v = random_state(rng, span=span, t=0.2, grid=grid)
     node = _Node(v, 0.2)
-    n, n1, n2, n3, _ = _triple_table(grid.n_max, window, math.inf, "A_N", QUARTIC)
+    n, n1, n2, n3, _ = _triple_table(grid.n_max, window, math.inf, "A_N")
     assert len(n) > normal_form.ROW_CHUNK
     bands = [v.data[b + grid.n_max] for b in (n1, n2, n3)]
     got = _q1_rows(node, n, n1, n2, n3)
@@ -627,12 +462,7 @@ def test_n21_matches_per_triple_oracle():
     v = random_state(rng, span=4, t=0.25)
     N = 10.0
     got = n21_state(v, N, window=5)
-    want = np.zeros_like(v.data)
-    for n in range(-13, 14):
-        for tr in enumerate_triples(n, 5, N, "A_N_complement"):
-            want[n + G.n_max] += q1_tilde(
-                n, v.band(tr.n1), v.band(tr.n2), v.band(tr.n3), 0.25
-            ).coeffs
+    want = per_triple_gap_sum(v, N, 0.25, 5)
     assert np.max(np.abs(got.data - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -654,47 +484,8 @@ def test_n4_matches_direct_insert_loop():
     N = 8.0
     got = n4_state(v, N, window=4)
     w = apply_resonant(v, 0.15, window=4)
-    want = np.zeros_like(v.data)
-    for n in range(-13, 14):
-        for tr in enumerate_triples(n, 4, N, "A_N_complement"):
-            b1, b2, b3 = v.band(tr.n1), v.band(tr.n2), v.band(tr.n3)
-            want[n + G.n_max] += q1_tilde(n, w.band(tr.n1), b2, b3, 0.15).coeffs
-            want[n + G.n_max] -= q1_tilde(n, b1, w.band(tr.n2), b3, 0.15).coeffs
-            want[n + G.n_max] += q1_tilde(n, b1, b2, w.band(tr.n3), 0.15).coeffs
+    want = per_triple_gap_sum(v, N, 0.15, 4, lambda m, mu1, sign: w.band(m).coeffs)
     assert np.max(np.abs(got.data - want)) < 1e-10 * np.max(np.abs(want))
-
-
-def slow_n3_oracle(v, N, t, window, keep):
-    """Direct double loop over outer complement triples and inner triples.
-
-    keep(mu1, mu2_signed) decides membership of the joint phase set.
-    """
-    g = v.grid
-    want = np.zeros_like(v.data)
-    inner_cache = {}
-
-    def inner_band(m, allowed):
-        acc = np.zeros(g.bins_per_box, dtype=complex)
-        for itr in enumerate_triples(m, window, math.inf, "A_N"):
-            mu2 = phase_value(*itr)
-            if allowed(mu2):
-                acc += q1(m, v.band(itr.n1), v.band(itr.n2), v.band(itr.n3), t).coeffs
-        return acc
-
-    for n in range(-3 * window - 1, 3 * window + 2):
-        if abs(n) >= g.n_max:
-            continue
-        for tr in enumerate_triples(n, window, N, "A_N_complement"):
-            mu1 = phase_value(*tr)
-            for slot, sign in ((0, +1), (1, -1), (2, +1)):
-                m = (tr.n1, tr.n2, tr.n3)[slot]
-                ins = inner_band(m, lambda mu2: keep(mu1, sign * mu2))
-                bands = [v.band(tr.n1), v.band(tr.n2), v.band(tr.n3)]
-                bands[slot] = BandCoefficients(
-                    box_index=m, grid=g, coeffs=ins, start_bin=m * g.bins_per_box
-                )
-                want[n + g.n_max] += sign * q1_tilde(n, *bands, t).coeffs
-    return want
 
 
 def test_n31_n32_match_slow_oracle_and_partition():
@@ -992,42 +783,6 @@ def test_gamma_constant_when_no_interactions():
     assert drift < 1e-9 * np.max(np.abs(v0.data)) + 5e-12
 
 
-def gather_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
-    """The gap kernel as the (b, c) double sum over a (chunk, B, B, B) gather
-    of the middle band (reference for the convolution form)."""
-    B = grid.bins_per_box
-    T = len(n)
-    out = np.zeros((T, B), dtype=np.complex128)
-    a_min_b = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a, b)
-    gidx = (
-        2 * B - 1
-        + np.arange(B)[:, None, None]
-        - np.arange(B)[None, :, None]
-        - np.arange(B)[None, None, :]
-    )  # (a, b, c) into a 3B buffer
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        sl = slice(lo, hi)
-        xi1 = (n1[sl, None] * B + np.arange(B)) / B
-        xi2 = (n2[sl, None] * B + np.arange(B)) / B
-        xi3 = (n3[sl, None] * B + np.arange(B)) / B
-        u1 = v1[sl] * np.exp(1j * t * xi1 * xi1)
-        u3 = v3[sl] * np.exp(1j * t * xi3 * xi3)
-        g2 = np.conj((v2[sl] * np.exp(1j * t * xi2 * xi2))[:, ::-1])
-        d1 = (n[sl] - n1[sl])[:, None, None] + a_min_b[None]  # (t, a, b)
-        d3 = (n[sl] - n3[sl])[:, None, None] + a_min_b[None]
-        dd = n[sl] - (n1[sl] - n2[sl] + n3[sl])
-        padded = np.zeros((hi - lo, 3 * B), dtype=np.complex128)
-        cols = (1 - dd)[:, None] * B + np.arange(B)
-        np.put_along_axis(padded, cols, g2, axis=1)
-        g2v = padded[:, gidx]
-        out[sl] = np.einsum(
-            "tb,tc,tabc,tab,tac->ta", u1, u3, g2v, 1.0 / d1, 1.0 / d3, optimize=True
-        )
-    xi = (n[:, None] * B + np.arange(B)) / B
-    return out * np.exp(-1j * t * xi * xi) / (2.0 * np.pi * B * B)
-
-
 def gap_kernel_rows(rng, T):
     """T rows (n, n1, n2, n3) cycling through slack -1, 0, 1 and both signs
     of the gaps n - n1 and n - n3 (each of size 2..5)."""
@@ -1082,22 +837,6 @@ def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def per_n_triple_table(n_max, window, N, mode, convention):
-    """The triple table built per output box from enumerate_triples (reference)."""
-    out_lim = min(3 * window + 1, n_max - 1)
-    rows = []
-    for n in range(-out_lim, out_lim + 1):
-        for tr in enumerate_triples(n, window, N, mode, convention):
-            doubly = abs(tr.n1 - n) <= 1 and abs(tr.n3 - n) <= 1
-            w = 2.0 if mode == "resonant_R2" and doubly else 1.0
-            rows.append((n, tr.n1, tr.n2, tr.n3, w))
-    if not rows:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty, np.zeros(0)
-    arr = np.array(rows)
-    return tuple(arr[:, i].astype(np.int64) for i in range(4)) + (arr[:, 4].astype(float),)
-
-
 @pytest.mark.parametrize("convention", [QUARTIC, PRODUCT])
 @pytest.mark.parametrize("mode", ["resonant_R1", "resonant_R2", "A_N", "A_N_complement"])
 def test_triple_table_identical_to_per_n_tables(mode, convention):
@@ -1106,11 +845,15 @@ def test_triple_table_identical_to_per_n_tables(mode, convention):
     cases = [(8, 4, 12.0), (64, 5, 12.0), (16, 3, math.inf), (16, 3, 1000.0), (4, 1, 2.0)]
     for n_max, window, N in cases:
         key = None if mode.startswith("resonant") else N
-        got = _triple_table(n_max, window, key, mode, convention)
+        got = (_triple_table if convention == QUARTIC else product_triple_table)(n_max, window, key, mode)
         want = per_n_triple_table(n_max, window, key, mode, convention)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+LIVE_CASES = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
+              (16, 3, ())]
 
 
 @pytest.mark.parametrize("mode", ["resonant_R2", "A_N", "A_N_complement"])
@@ -1120,11 +863,9 @@ def test_live_triple_table_is_the_masked_full_table(mode):
     # an empty live set included.  A_N (|m| <= 12) and A_N^c (|m| > 12) are
     # read off the live phase table, whose rows are the non-resonant ones;
     # R2 is the rest of the live expansion, which the phase table drops
-    cases = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
-             (16, 3, ())]
     nonempty = 0
-    for n_max, window, live in cases:
-        full = _triple_table(n_max, window, 12.0, mode, QUARTIC)
+    for n_max, window, live in LIVE_CASES:
+        full = _triple_table(n_max, window, 12.0, mode)
         keep = np.all(np.isin(np.stack(full[1:4]), live), axis=0)
         boxes = _output_boxes(n_max, window)
         if mode == "resonant_R2":
@@ -1133,7 +874,7 @@ def test_live_triple_table_is_the_masked_full_table(mode):
             res = (np.abs(c1 - n) <= 1) | (np.abs(c3 - n) <= 1)
             got = (n[res], c1[res], c2[res], c3[res])
         else:
-            tab = phase_table(tuple(boxes.tolist()), window, (live,) * 3, 1, QUARTIC)
+            tab = phase_table(tuple(boxes.tolist()), window, (live,) * 3, 1)
             if mode == "A_N_complement":
                 _, pos = tab.outside(np.arange(len(boxes)), -13.0, 13.0, math.inf)
             else:
@@ -1147,22 +888,19 @@ def test_live_triple_table_is_the_masked_full_table(mode):
     assert nonempty >= 2
 
 
-@pytest.mark.parametrize("convention", [QUARTIC, PRODUCT])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_live_phase_table_is_the_masked_full_table(sign, convention):
+def test_live_phase_table_is_the_masked_full_table(sign):
     # expanded from the live boxes only: the rows of the full non-resonant
     # table whose children are all live, in the same order; boxes outside the
     # window and an empty live set included
-    cases = [(16, 5, (-4, -1, 0, 3, 5, 9)), (8, 6, (-7, -6, 2)), (64, 48, (-2, 0, 2, 22, 27)),
-             (16, 3, ())]
     nonempty = 0
-    for n_max, window, live in cases:
-        n, n1, n2, n3, _ = _triple_table(n_max, window, math.inf, "A_N", convention)
+    for n_max, window, live in LIVE_CASES:
+        n, n1, n2, n3, _ = _triple_table(n_max, window, math.inf, "A_N")
         keep = np.all(np.isin(np.stack([n1, n2, n3]), live), axis=0)
         lim = min(3 * window + 1, n_max - 1)  # the output boxes of _triple_table
-        tab = phase_table(tuple(range(-lim, lim + 1)), window, (live,) * 3, sign, convention)
+        tab = phase_table(tuple(range(-lim, lim + 1)), window, (live,) * 3, sign)
         got = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3, tab.m)
-        want = (n, n1, n2, n3, sign * phase_value(n, n1, n2, n3, convention))
+        want = (n, n1, n2, n3, sign * phase_value(n, n1, n2, n3))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w[keep])
@@ -1171,86 +909,8 @@ def test_live_phase_table_is_the_masked_full_table(sign, convention):
 
 
 # ---------------------------------------------------------------------------
-# the tree-level sum as computed before the batched pass: one enumeration per
-# (tree, root, insert leaf) and one q_tree call per index function (test oracle)
-
-
-def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None):
-    g = state.grid
-    w = _Node(state, t, window).window
-    out = BoxedState.zero(g, t)
-    if not _chain_possible(J, N, w):
-        return out
-    boxes_axis = np.arange(-g.n_max, g.n_max)
-    active = {int(b) for b in boxes_axis[state.box_norms() > 0]}
-    if not active:
-        return out
-    if mode == "nr":
-        insert_state = apply_resonant(state, t, w)
-        insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
-    elif mode in ("n1", "rem"):
-        buckets = _InnerBuckets(_Node(state, t, w))
-        insert_boxes = set(buckets.boxes.tolist())
-    internal_allowed = set(allowed_all) if allowed_all is not None else None
-    if allowed_all is not None:
-        active &= set(allowed_all)
-        if mode != "n0":
-            insert_boxes &= set(allowed_all)
-    data = np.zeros_like(state.data)
-    out_lim = min(3 * w + 1, g.n_max - 1)
-    count = 0
-    for tree in enumerate_trees(J):
-        signs = compute_signs(tree)
-        tsign = _tree_sign(tree, signs)
-        leaf_ids = tree.terminal_ids()
-        flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
-        base_plan = {a: internal_allowed for a in tree.chronicle[1:]}
-        base_plan.update({b: active for b in leaf_ids})
-        if mode == "n0":
-            plans = [(None, base_plan)]
-        else:
-            plans = []
-            for li, leaf in enumerate(leaf_ids):
-                p = dict(base_plan)
-                p[leaf] = insert_boxes
-                plans.append((li, p))
-        for n_root in range(-out_lim, out_lim + 1):
-            for li, plan in plans:
-                assigns = enumerate_index_functions(
-                    tree, n_root, w, N, allowed_boxes=plan,
-                    max_count=normal_form.ASSIGNMENT_GUARD,
-                )
-                count += len(assigns)
-                if count > normal_form.ASSIGNMENT_GUARD:
-                    raise ResourceGuardError("tree-level operator sum exceeded the assignment guard")
-                if li is None:
-                    for assign in assigns:
-                        base = [state.band(assign.freq[b]) for b in leaf_ids]
-                        band = q_tree(tree, assign, BandTuple(tuple(base), flags), t)
-                        data[n_root + g.n_max] += tsign * band.coeffs
-                    continue
-                leaf = leaf_ids[li]
-                boxes = np.array([a.freq[leaf] for a in assigns], dtype=np.int64)
-                if mode == "nr":
-                    inserts = insert_state.data[boxes + g.n_max]
-                else:
-                    inserts = _coupled_insert_rows(
-                        buckets, signs.fsgn[leaf], boxes,
-                        np.array([float(a.phases.mu_tilde[-1]) for a in assigns]),
-                        np.array([float(a.phases.mu[0]) for a in assigns]),
-                        J, "all" if mode == "rem" else "low",
-                    )
-                for assign, ins in zip(assigns, inserts):
-                    if not np.any(ins):
-                        continue
-                    box = assign.freq[leaf]
-                    bands = [state.band(assign.freq[b]) for b in leaf_ids]
-                    bands[li] = BandCoefficients(
-                        box_index=box, grid=g, coeffs=ins, start_bin=box * g.bins_per_box
-                    )
-                    band = q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
-                    data[n_root + g.n_max] += tsign * signs.fsgn[leaf] * band.coeffs
-    return BoxedState(g, data, t)
+# the batched tree-level sum against one enumeration per (tree, root, insert
+# leaf) and one q_tree call per index function
 
 
 def tiny_remainder_inputs():

@@ -11,18 +11,14 @@ from nfnls.errors import DomainError
 from nfnls.resonance import (
     PRODUCT,
     QUARTIC,
-    FrequencyTriple,
     PhaseTable,
     ResonanceThreshold,
-    c_chain_ok,
-    c_set_member,
-    divisor_choice_count,
-    divisor_count,
     divisor_sieve,
     enumerate_triples,
     phase_phi,
     phase_value,
 )
+from oracles import brute_triples, c_chain_ok, c_set_member, divisor_choice_count, divisor_count
 
 
 def test_phase_phi_pinned_values():
@@ -86,28 +82,6 @@ def test_divisor_growth_and_multiplicativity():
         checked += 1
 
 
-def brute_triples(n, window, N, mode, convention=QUARTIC):
-    out = []
-    r = range(-window, window + 1)
-    for n1 in r:
-        for n2 in r:
-            for n3 in r:
-                if abs((n1 - n2 + n3) - n) > 1:
-                    continue
-                near1 = abs(n1 - n) <= 1
-                near3 = abs(n3 - n) <= 1
-                phi = phase_value(n, n1, n2, n3, convention)
-                if mode == "resonant_R1" and (near1 and near3):
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-                elif mode == "resonant_R2" and (near1 or near3):
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-                elif mode == "A_N" and not near1 and not near3 and abs(phi) <= N:
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-                elif mode == "A_N_complement" and not near1 and not near3 and abs(phi) > N:
-                    out.append(FrequencyTriple(n, n1, n2, n3))
-    return sorted(out)
-
-
 def test_enumeration_matches_brute_force():
     for n in (-2, 0, 3):
         for mode in ("resonant_R1", "resonant_R2", "A_N", "A_N_complement"):
@@ -143,16 +117,13 @@ CHILD_SET = st.none() | st.sets(st.integers(-6, 6), max_size=9).map(tuple)
     window=st.integers(1, 5),
     child_sets=st.tuples(CHILD_SET, CHILD_SET, CHILD_SET),
     sign=st.sampled_from([1, -1]),
-    convention=st.sampled_from([QUARTIC, PRODUCT]),
     intervals=st.lists(st.tuples(BOUND, BOUND), min_size=1, max_size=5),
     extra=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
 )
-def test_phase_table_span_matches_masked_count(
-    parents, window, child_sets, sign, convention, intervals, extra
-):
+def test_phase_table_span_matches_masked_count(parents, window, child_sets, sign, intervals, extra):
     # any box may be asked for: the parents, boxes below, between and above
     # them, and boxes without children; any interval, empty ones included
-    tab = PhaseTable(parents, window, child_sets, sign, convention)
+    tab = PhaseTable(parents, window, child_sets, sign)
     edges = [parents[0] - 1, parents[-1] + 1] if parents else []
     boxes = sorted(set(parents) | set(edges) | set(extra))
     pairs = [(b, lo, hi) for b in boxes for lo, hi in intervals]

@@ -8,23 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfnls import normal_form, resonance, trees
+import oracles
+from nfnls import normal_form, trees
 from nfnls.errors import BoxRangeError, DomainError, ResourceGuardError
 from nfnls.normal_form import _chain_possible, remainder_n2
-from nfnls.resonance import (
-    PRODUCT,
-    QUARTIC,
-    c_set_member,
-    enumerate_triples,
-    expand_triples,
-    phase_value,
-)
+from nfnls.resonance import enumerate_triples, phase_value
 from nfnls.trees import (
     SAMPLE_BLOCK,
     _frontier,
-    IndexAssignment,
-    PhaseRecord,
-    assignment_from_freqs,
     build_tree,
     compute_signs,
     double_factorial_odd,
@@ -32,6 +23,10 @@ from nfnls.trees import (
     enumerate_index_functions,
     enumerate_trees,
     sample_index_functions,
+)
+from oracles import (
+    assignment_from_freqs, brute_valid_assignments, c_chain_ok, generation_tuples, internal_ids,
+    reference_frontier, reference_index_functions, reference_sample_index_functions,
 )
 
 
@@ -48,7 +43,7 @@ def test_tree_size_laws():
     for J in (1, 2, 3, 4):
         for t in enumerate_trees(J):
             assert t.size() == 3 * J + 1
-            assert len(t.internal_ids()) == J
+            assert len(internal_ids(t)) == J
             assert len(t.terminal_ids()) == 2 * J + 1
 
 
@@ -163,7 +158,7 @@ def test_index_function_invariants_and_phases():
     assert assigns
     signs = compute_signs(t)
     for a in assigns[::501]:
-        for fa, c1, c2, c3 in a.generation_tuples():
+        for fa, c1, c2, c3 in generation_tuples(a):
             assert abs((c1 - c2 + c3) - fa) <= 1
             assert abs(fa - c1) > 1 and abs(fa - c3) > 1
         # signed phases recompute from the freq map
@@ -179,8 +174,6 @@ def test_chain_filter_matches_manual_filter_and_is_nonempty():
     # sparse leaf support engineered so the 5^3 barrier is actually clearable:
     # root tuple (2,-1,-2) has phase -7, the inner tuple (24,44,22) under
     # fa=2 has phase 880, and |-7+880| = 873 > 125*7^0.99
-    from nfnls.resonance import c_chain_ok
-
     t = build_tree([0, 1])
     allowed = [-2, -1, 2, 22, 24, 44]
     kw = dict(window=46, N=2.0, allowed_boxes=allowed)
@@ -241,7 +234,7 @@ def test_sampled_assignments_respect_floor():
             # integer product prefixes clear the floor by more than the slop
             mp = np.cumsum(a.phases.mu_product)
             assert np.all(np.abs(mp) >= 2.0)
-            for fa, c1, c2, c3 in a.generation_tuples():
+            for fa, c1, c2, c3 in generation_tuples(a):
                 assert abs(fa - c1) > 1 and abs(fa - c3) > 1
 
 
@@ -258,7 +251,7 @@ def test_sampled_assignments_respect_every_predicate_with_comparability():
         for a in assigns:
             assert abs(a.phases.mu[0]) > N
             prefix, slop = 0, 0
-            for (fa, c1, c2, c3), mp in zip(a.generation_tuples(), a.phases.mu_product):
+            for (fa, c1, c2, c3), mp in zip(generation_tuples(a), a.phases.mu_product):
                 assert abs(fa - c1) > 1 and abs(fa - c3) > 1
                 assert abs(c1 - c2 + c3 - fa) <= 1
                 assert -window <= c2 <= window
@@ -270,84 +263,7 @@ def test_sampled_assignments_respect_every_predicate_with_comparability():
 
 
 # ---------------------------------------------------------------------------
-# the per-element recursion the array frontier replaced, kept as the reference
-
-
-def _reference_child_choices(fa, window, child_sets):
-    lo, hi = -window, window
-
-    def rng(allowed):
-        if allowed is not None:
-            return [b for b in allowed if lo <= b <= hi]
-        return range(lo, hi + 1)
-
-    s2 = child_sets[1]
-    for c1 in rng(child_sets[0]):
-        if abs(c1 - fa) <= 1:
-            continue
-        for c3 in rng(child_sets[2]):
-            if abs(c3 - fa) <= 1:
-                continue
-            for c2 in (c1 + c3 - fa - 1, c1 + c3 - fa, c1 + c3 - fa + 1):
-                if not (lo <= c2 <= hi):
-                    continue
-                if s2 is not None and c2 not in s2:
-                    continue
-                yield c1, c2, c3
-
-
-def reference_index_functions(
-    tree, n_root, window, N, cJ_filter="C_complement_chain", convention=QUARTIC,
-    allowed_boxes=None,
-):
-    """enumerate_index_functions as one recursion over scalar candidates."""
-    signs = compute_signs(tree)
-    chron = tree.chronicle
-    expanded = set(chron)
-    if isinstance(allowed_boxes, dict):
-        node_set = dict(allowed_boxes).get
-    elif allowed_boxes is not None:
-        allowed = set(allowed_boxes)
-
-        def node_set(c):
-            return None if c in expanded else allowed
-
-    else:
-
-        def node_set(c):
-            return None
-
-    out = []
-    freq = [0] * tree.size()
-    freq[0] = n_root
-
-    def recurse(j, mu, mu_p):
-        if j == len(chron):
-            out.append(
-                IndexAssignment(
-                    tree=tree, freq=tuple(freq),
-                    phases=PhaseRecord.from_mu(mu, mu_p), n_root=n_root,
-                )
-            )
-            return
-        a = chron[j]
-        fa = freq[a]
-        kids = tree.nodes[a].children
-        sign = signs.fsgn[a]
-        for c1, c2, c3 in _reference_child_choices(fa, window, [node_set(c) for c in kids]):
-            m = sign * phase_value(fa, c1, c2, c3, convention)
-            if j == 0:
-                if abs(m) <= N:
-                    continue
-            elif cJ_filter == "C_complement_chain":
-                prev = sum(mu)
-                if c_set_member(j, prev, prev + m, mu[0]):
-                    continue
-            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
-            recurse(j + 1, mu + [m], mu_p + [sign * phase_value(fa, c1, c2, c3, PRODUCT)])
-
-    recurse(0, [], [])
-    return out
+# the array frontier against the per-element recursion it replaced
 
 
 def _same_assignments(got, want):
@@ -375,11 +291,10 @@ def test_frontier_matches_reference_recursion(J, window, N, roots, cJ_filter):
     nonempty = 0
     for tree in enumerate_trees(J):
         for n_root in roots:
-            for convention in (QUARTIC, PRODUCT):
-                args = (tree, n_root, window, N, cJ_filter, convention)
-                got = enumerate_index_functions(*args)
-                _same_assignments(got, reference_index_functions(*args))
-                nonempty += bool(got)
+            args = (tree, n_root, window, N, cJ_filter)
+            got = enumerate_index_functions(*args)
+            _same_assignments(got, reference_index_functions(*args))
+            nonempty += bool(got)
     # the chain barrier (2j+1)^3 |mu|^0.99 is out of reach in windows this
     # small, so the chain filter is exercised nonempty by the sparse cases below
     assert nonempty or (cJ_filter != "none" and J > 1)
@@ -428,35 +343,8 @@ def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter):
 
 
 # ---------------------------------------------------------------------------
-# the frontier that masked the whole expand_triples shell of every row, kept
-# as the reference for the phase-indexed one
-
-
-def reference_frontier(tree, roots, window, N, node_set, cJ_filter, convention, max_count):
-    """trees._frontier as masks over every candidate child of every row."""
-    signs = compute_signs(tree)
-    freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
-    freq[:, 0] = roots
-    mu = mu_p = np.zeros((len(roots), 0), dtype=np.int64)
-    for j, a in enumerate(tree.chronicle):
-        kids = list(tree.nodes[a].children)
-        rows, c1, c2, c3 = expand_triples(freq[:, a], window, [node_set(c) for c in kids])
-        fa = freq[rows, a]
-        m = signs.fsgn[a] * phase_value(fa, c1, c2, c3, convention)
-        keep = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
-        if j == 0:
-            keep &= np.abs(m) > N
-        elif cJ_filter == "C_complement_chain":
-            prev = mu[rows].sum(axis=1)
-            keep &= ~c_set_member(j, prev, prev + m, mu[rows, 0])
-        rows, c1, c2, c3, fa, m = (x[keep] for x in (rows, c1, c2, c3, fa, m))
-        if len(rows) > max_count:
-            raise ResourceGuardError(f"index enumeration exceeded {max_count} assignments")
-        mp = signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)
-        freq = freq[rows]
-        freq[:, kids] = np.stack([c1, c2, c3], axis=1)
-        mu, mu_p = np.column_stack([mu[rows], m]), np.column_stack([mu_p[rows], mp])
-    return freq, mu, mu_p
+# the phase-indexed frontier against the one that masked the whole
+# expand_triples shell of every row
 
 
 def _same_frontier(got, want):
@@ -490,13 +378,9 @@ def test_multi_root_frontier_is_concatenated_enumerations(J, window, N, roots):
         per_node = {a: {-3, -1, 0, 2, 4} for a in tree.chronicle[1:]}
         per_node.update({b: leaf_set for b in tree.terminal_ids()})
         per_node[tree.terminal_ids()[-1]] = None
-        for allowed, node_set in (
-            (None, _leaf_set(tree, None)),
-            (leaf_set, _leaf_set(tree, leaf_set)),
-            (per_node, per_node.get),
-        ):
+        for node_set in (_leaf_set(tree, None), _leaf_set(tree, leaf_set), per_node.get):
             for cJ_filter in ("C_complement_chain", "none"):
-                args = (window, N, node_set, cJ_filter, QUARTIC, 2_000_000)
+                args = (window, N, node_set, cJ_filter, 2_000_000)
                 per_root = [reference_frontier(tree, [r], *args) for r in roots]
                 want = [np.concatenate(cols) for cols in zip(*per_root)]
                 _same_frontier(_frontier(tree, roots, *args), want)
@@ -547,18 +431,17 @@ def test_frontier_matches_reference_property(data):
     # thresholds on integer phase boundaries, and below zero
     N = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 14.0]), label="N")
     cJ_filter = data.draw(st.sampled_from(["C_complement_chain", "none"]), label="filter")
-    convention = data.draw(st.sampled_from([QUARTIC, PRODUCT]), label="convention")
     # the true C-set radius is out of reach in windows this small; a scaled
     # max(|mu~_j|, |mu_1|) keeps chain survivors and puts phases exactly on it
     scale = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5]), label="radius scale")
-    args = (tree, roots, window, N, sets.get, cJ_filter, convention, 5_000)
+    args = (tree, roots, window, N, sets.get, cJ_filter, 5_000)
     with pytest.MonkeyPatch.context() as mp:
         if scale is not None:
 
             def radius(J, mu_tilde_J, mu_1):
                 return scale * np.maximum(abs(mu_tilde_J), abs(mu_1)).astype(float)
 
-            mp.setattr(resonance, "c_set_radius", radius)
+            mp.setattr(oracles, "c_set_radius", radius)
             mp.setattr(trees, "c_set_radius", radius)
         try:
             want = reference_frontier(*args)
@@ -574,7 +457,7 @@ def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
     # and the raising generation gathers nothing
     full = build_tree([0, 2, 5])
     leaf_set = {-2, -1, 1, 2}
-    args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None, "none", QUARTIC)
+    args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None, "none")
     grows = []
     real_grow = trees._grow
     monkeypatch.setattr(trees, "_grow", lambda *a: grows.append(1) or real_grow(*a))
@@ -598,14 +481,12 @@ def test_chain_possible_wherever_the_frontier_is_nonempty(monkeypatch):
     seen = 0
     for J, window, N, roots in FRONTIER_CASES:
         for tree in enumerate_trees(J):
-            for convention in (QUARTIC, PRODUCT):
-                freq, _, _ = _frontier(
-                    tree, roots, window, N, lambda c: None, "C_complement_chain",
-                    convention, 2_000_000,
-                )
-                if len(freq):
-                    seen += 1
-                    assert _chain_possible(J, N, window)
+            freq, _, _ = _frontier(
+                tree, roots, window, N, lambda c: None, "C_complement_chain", 2_000_000
+            )
+            if len(freq):
+                seen += 1
+                assert _chain_possible(J, N, window)
     for args, got, _ in _replay_criterion8_frontiers(monkeypatch):
         if len(got[0]):
             seen += 1
@@ -635,97 +516,8 @@ def test_index_enumeration_guard():
 
 
 # ---------------------------------------------------------------------------
-# the per-attempt rejection loop the batched sampler replaced, kept as the
-# reference, and a brute force over every per-generation draw
-
-
-def reference_sample_index_functions(
-    tree, n_root, window, N, count, rng, convention=QUARTIC,
-    min_denominator=1.0, comparability=0.0, max_attempts=200_000,
-):
-    """sample_index_functions as one scalar loop over attempts."""
-    signs = compute_signs(tree)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < max_attempts:
-        attempts += 1
-        freq = [0] * tree.size()
-        freq[0] = n_root
-        mu, mu_p = [], []
-        slop = 0
-        ok = True
-        for j, a in enumerate(tree.chronicle):
-            fa = freq[a]
-            kids = tree.nodes[a].children
-            sign = signs.fsgn[a]
-            c1 = int(rng.integers(-window, window + 1))
-            c3 = int(rng.integers(-window, window + 1))
-            if abs(c1 - fa) <= 1 or abs(c3 - fa) <= 1:
-                ok = False
-                break
-            delta = int(rng.integers(-1, 2))
-            c2 = c1 + c3 - fa - delta
-            if not (-window <= c2 <= window):
-                ok = False
-                break
-            m = sign * phase_value(fa, c1, c2, c3, convention)
-            if j == 0 and abs(m) <= N:
-                ok = False
-                break
-            mu.append(m)
-            mu_p.append(sign * phase_value(fa, c1, c2, c3, PRODUCT))
-            slop += 2 * (abs(fa - c1) + abs(fa - c3) + 1)
-            pref = abs(sum(mu_p)) / 2.0
-            if pref - slop / 2.0 < max(min_denominator, comparability * pref):
-                ok = False
-                break
-            freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
-        if ok:
-            out.append(
-                IndexAssignment(
-                    tree=tree, freq=tuple(freq),
-                    phases=PhaseRecord.from_mu(mu, mu_p), n_root=n_root,
-                )
-            )
-    if len(out) < count:
-        raise ResourceGuardError(f"could only sample {len(out)}/{count}")
-    return out
-
-
-def brute_valid_assignments(tree, n_root, window, N, min_denominator, comparability):
-    """{freq: PhaseRecord} over every accepted sequence of draws (c1, c3, delta)."""
-    signs = compute_signs(tree)
-    out = {}
-    freq = [0] * tree.size()
-    freq[0] = n_root
-
-    def recurse(j, mu, mu_p, slop):
-        if j == tree.J:
-            out[tuple(freq)] = PhaseRecord.from_mu(mu, mu_p)
-            return
-        a = tree.chronicle[j]
-        fa = freq[a]
-        kids = tree.nodes[a].children
-        sign = signs.fsgn[a]
-        for c1 in range(-window, window + 1):
-            for c3 in range(-window, window + 1):
-                for delta in (-1, 0, 1):
-                    c2 = c1 + c3 - fa - delta
-                    m = sign * phase_value(fa, c1, c2, c3, QUARTIC)
-                    mp = sign * phase_value(fa, c1, c2, c3, PRODUCT)
-                    s = slop + 2 * (abs(fa - c1) + abs(fa - c3) + 1)
-                    pref = abs(sum(mu_p) + mp) / 2.0
-                    if (
-                        abs(c1 - fa) <= 1 or abs(c3 - fa) <= 1 or abs(c2) > window
-                        or (j == 0 and abs(m) <= N)
-                        or pref - s / 2.0 < max(min_denominator, comparability * pref)
-                    ):
-                        continue
-                    freq[kids[0]], freq[kids[1]], freq[kids[2]] = c1, c2, c3
-                    recurse(j + 1, mu + [m], mu_p + [mp], s)
-
-    recurse(0, [], [], 0)
-    return out
+# the batched sampler against the per-attempt rejection loop it replaced and
+# a brute force over every per-generation draw
 
 
 def chi_square_upper_tail(stat, df):
