@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -227,8 +228,6 @@ class RunReport:
         return buf.getvalue()
 
     def write(self, out_dir: str):
-        import pathlib
-
         d = pathlib.Path(out_dir)
         d.mkdir(parents=True, exist_ok=True)
         (d / "report.json").write_text(self.to_json())

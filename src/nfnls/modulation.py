@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxRangeError, DomainError, UndefinedRatioError
-from .grids import Field, Grid, Spectrum
+from .grids import Field, Grid, Spectrum, forward, inverse
 
 __all__ = [
     "WindowFamily",
@@ -205,8 +205,6 @@ def multiplier_bound_check(f: Field, n: int, p1: float, p2: float) -> tuple[floa
     """
     if p1 > p2:
         raise DomainError(f"need p1 <= p2, got ({p1}, {p2})")
-    from .grids import forward, inverse
-
     band = box_project(forward(f), n)
     proj = inverse(reconstruct(band))
     return lp_sample_norm(proj, p2), lp_sample_norm(proj, p1)

@@ -52,29 +52,29 @@ X = u1/d1 and Y = u3/d3 depend only on a (box, gap) pair and are transformed
 once per pair, and one contraction table per B (``_contraction``) holds the
 inverse FFT and the pick of the valid convolution terms, so the middle band
 enters through a per-box contraction and the rows of an (n, n1, n3) group
-contract once, against their sum.  A slot insert depends on its box alone --
-the resonant sum plus the box's full inner sum -- except where the row's low
-set cuts the box's inner phases; those (row, slot) pairs, which occur only at
-large windows, add the difference row by row.  The structure that depends only
-on (grid, window, N) -- the rows, their phases, the pair index with its 1/d
-factors, the slacks, the row groups -- is cached like the triple tables.  The
-high-phase table is also the only emptiness test: the insert states (resonant
-sum, inner phase buckets) and the contractions are built only when some
-high-phase row has two live slots, so at compliant thresholds, where that set
-is empty on the active window, generation one costs one table lookup.  The
-non-resonant inserts read the live q1 bands of the one phase table
-(``resonance.phase_table``, also the tree frontier's index) of the output
-boxes over the live boxes, with per-box prefix sums, so the "all", "low" and
-"high" joint-phase rows of every slot, and of every tree assignment, come from
-one vectorised lookup; its rows in table order also give N12, the part of the
-integrand the boundary trades away.  The resonant and low-set insert rows
-share the weight and the gap kernel is linear in the inserted slot, so the
-integrand sends their sum through the pass once, and through one tree pass per
-level j >= 3.  Generation >= 2 operators use the kernel-exact tree path,
-skipped only when the complement chain cannot hold inside the window: per tree
-and insert leaf, one index-function frontier with every output box as a root
-(its exact tail count drops the roots without an index function) and one
-batched tree-kernel evaluation (``multilinear._tree_sum``).
+contract once, against their sum.  Every insert of the pass depends on its box
+alone: the resonant sum plus the box's full inner sum.  The structure that
+depends only on (grid, window, N) -- the rows, their phases, the pair index
+with its 1/d factors, the slacks, the row groups -- is cached like the triple
+tables.  The high-phase table is also the only emptiness test: the insert
+states and the contractions are built only when some high-phase row has two
+live slots, so at compliant thresholds, where that set is empty on the active
+window, generation one costs one table lookup.  The non-resonant inserts read
+the live q1 rows of the one phase table (``resonance.phase_table``, also the
+tree frontier's index) of the output boxes over the live boxes: summed per box
+spectrum first, split at |phase| = N, they give each box's full inner sum and
+N12, the part of the integrand the boundary trades away.  Only the
+phase-restricted inserts of the tree path keep per-row bands, in per-box prefix
+sums by phase (``_InnerBuckets``).  N32, the insert outside the level-1 low
+set, is the next chain step, so it is the J = 1 tree pass, and N31 = N3 - N32.
+The resonant and non-resonant insert rows share the weight and the kernels
+are linear in the inserted slot, so the integrand sends their sum through the
+gap pass once (less N32), and through one tree pass per level j >= 3.  Generation >= 2 operators
+use the kernel-exact tree path, skipped only when the complement chain cannot
+hold inside the window: per tree and insert leaf, one index-function frontier
+with every output box as a root (its exact tail count drops the roots without
+an index function) and one batched tree-kernel evaluation
+(``multilinear._tree_sum``).
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ from .errors import (
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
 from .modulation import BandCoefficients, modulation_norm
 from .multilinear import _tree_sum
-from .resonance import QUARTIC, _mode_mask, c_set_radius, expand_triples, phase_table, phase_value
+from .resonance import (
+    QUARTIC, PhaseTable, _mode_mask, c_set_radius, expand_triples, phase_table, phase_value,
+)
 from .trees import _frontier, compute_signs, enumerate_trees
 
 __all__ = [
@@ -221,9 +223,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # bin geometry and batched trilinear kernels
 
-# batch size of the row kernels: ROW_CHUNK row groups (or cut rows) of the
-# gap pass, whose (ROW_CHUNK, B, 2B) temporaries it bounds; ROW_CHUNK q1 rows
-# of per-row bands, or ROW_CHUNK * B / 2 of summed spectra (both 4B long)
+# batch size of the row kernels: ROW_CHUNK row groups of the gap pass, whose
+# (ROW_CHUNK, B, 2B) temporaries it bounds; ROW_CHUNK q1 rows of per-row
+# bands, or ROW_CHUNK * B / 2 of summed spectra (both 4B long)
 ROW_CHUNK = 128
 
 
@@ -242,10 +244,13 @@ class _Node:
     ``fu`` and ``fg`` are the length-4B FFTs of u and of the reversed
     conjugate g = conj(u[::-1]), the outer and middle factors of q1.  Rows
     gather them by box, which gives the numbers a per-row transform gives.
-    The insert states are ``resonant``, (R2 - R1)(v) summed at this node, as
-    a node of the same time and window, and ``buckets``, the node's
-    ``_InnerBuckets``.  All of them are computed on first use, once per node,
-    so a node whose rows are all dead costs one liveness test.
+    ``inner_table`` holds the live non-resonant rows: the phase table of the
+    output boxes over the live boxes.  The insert states are ``resonant``,
+    (R2 - R1)(v) summed at this node, as a node of the same time and window;
+    ``inner(N)``, the q1 sums of the inner table per box; and ``buckets``,
+    the ``_InnerBuckets`` of the phase-restricted inserts.  All of them are
+    computed on first use, once per node (``inner`` once per N), so a node
+    whose rows are all dead costs one liveness test.
     """
 
     def __init__(self, state: BoxedState, t: float | None = None, window: int | None = None):
@@ -256,6 +261,7 @@ class _Node:
         window = max(state.active_window(), 1) if window is None else window
         self.window = min(window, state.grid.n_max - 1)
         self.alive = np.any(state.data != 0, axis=1)
+        self._inner = {}
 
     @cached_property
     def boxes(self) -> tuple:
@@ -290,16 +296,37 @@ class _Node:
         return _Node(self.state_of(_sum_q1_over(self, table)), self.t, self.window)
 
     @cached_property
+    def inner_table(self) -> PhaseTable:
+        parents = tuple(_output_boxes(self.grid.n_max, self.window).tolist())
+        return phase_table(parents, self.window, (self.boxes,) * 3, 1)
+
+    def inner(self, N) -> tuple:
+        """(low, high): q1 summed per box over the inner table's rows with
+        |phase| <= N and with |phase| > N, spectrum first (``_sum_q1_over``).
+        high is N12; low + high is each box's full inner sum."""
+        if N not in self._inner:
+            tab = self.inner_table
+            cols = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3, np.ones(len(tab.row)))
+            high = np.abs(tab.m) > N
+            self._inner[N] = tuple(_sum_q1_over(self, [c[k] for c in cols]) for k in (~high, high))
+        return self._inner[N]
+
+    @cached_property
     def buckets(self) -> "_InnerBuckets":
         return _InnerBuckets(self)
 
-    def inserts(self, boxes, resonant, which, sign=1, mu_prev=None, mu_first=None, J=1):
+    def inserts(self, boxes, N, resonant, which, sign=1, mu_prev=None, mu_first=None, J=1):
         """(T, B) insert rows at boxes: (R2 - R1)(v) if ``resonant`` plus the
-        non-resonant q1 bands on the ``which`` joint-phase set of level J
-        (``_coupled_insert_rows``) if ``which`` is given; zero if neither."""
+        non-resonant q1 bands on the ``which`` joint-phase set of level J if
+        ``which`` is given -- each box's full inner sum for "all", the rows in
+        or out of the level-J low set for "low" or "high"
+        (``_coupled_insert_rows``); zero if neither."""
         rows = self.resonant.data[_rows(self.grid, boxes)] if resonant else None
         if which is not None:
-            bands = _coupled_insert_rows(self.buckets, sign, boxes, mu_prev, mu_first, J, which)
+            if which == "all":
+                bands = sum(self.inner(N))[_rows(self.grid, boxes)]
+            else:
+                bands = _coupled_insert_rows(self.buckets, sign, boxes, mu_prev, mu_first, J, which)
             rows = bands if rows is None else rows + bands
         return np.zeros((len(boxes), self.grid.bins_per_box), complex) if rows is None else rows
 
@@ -364,9 +391,9 @@ def _triple_table(n_max: int, window: int, N_key, mode: str):
 class _GapTable(NamedTuple):
     """What the gap pass needs of a triple table that no state changes.
 
-    Per row: its phase ``mu1``; ``pair1`` and ``pair3``, its (box, gap) pairs
-    (n1, n-n1) and (n3, n-n3), which index ``pair_box`` (state rows) and
-    ``pair_gap`` (rows of ``inv_gaps``, the factors 1 / (gap + (a-b)/B));
+    Per row: ``pair1`` and ``pair3``, its (box, gap) pairs (n1, n-n1) and
+    (n3, n-n3), which index ``pair_box`` (state rows) and ``pair_gap`` (rows
+    of ``inv_gaps``, the factors 1 / (gap + (a-b)/B));
     ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}, which selects the
     contraction table ``_contraction(B)[slack]`` of the row; and ``group``,
     its (n, n1, n3) group, whose rows share both pairs and have
@@ -376,7 +403,6 @@ class _GapTable(NamedTuple):
     """
 
     rows: tuple
-    mu1: np.ndarray
     pair1: np.ndarray
     pair3: np.ndarray
     pair_box: np.ndarray
@@ -407,7 +433,6 @@ def _gap_index(grid: Grid, table) -> _GapTable:
     keys, group_key = np.unique(keys, axis=0, return_inverse=True)
     return _GapTable(
         rows=table,
-        mu1=phase_value(n, n1, n2, n3, QUARTIC),
         pair1=inverse[: len(n)],
         pair3=inverse[len(n) :],
         pair_box=_rows(grid, pairs[:, 0]),
@@ -441,13 +466,6 @@ def _contraction(B: int) -> np.ndarray:
     m = s * B - 1 + a - j
     w = np.exp(2j * np.pi * (m * k % (2 * B)) / (2 * B)) / (2 * B)
     return np.where((m >= 0) & (m <= 2 * B - 2), w, 0.0)
-
-
-def _hat(bands: np.ndarray) -> np.ndarray:
-    """(T, 3, B, 2B): bands[t] @ W[s] for every slack s (``_contraction``)."""
-    T, B = bands.shape
-    W = _contraction(B).transpose(1, 0, 2, 3).reshape(B, -1)
-    return (bands @ W).reshape(T, 3, B, 2 * B)
 
 
 def _max_abs_phase(window: int) -> float:
@@ -571,25 +589,20 @@ def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int |
 class _InnerBuckets:
     """Live non-resonant q1 bands, summed over phase intervals per box.
 
-    The rows are those of the cached phase table (``resonance.phase_table``)
-    of the output boxes over the live boxes: the non-resonant triples whose
-    three boxes hold nonzero bands.  ``rows`` keeps (n, phase, band) in table
-    order.  ``prefix`` holds, parent box after parent box, a zero row and the
-    running sums of the box's bands in the table's phase order (a cumsum per
-    box, so small boxes do not cancel against large ones), and one more zero
-    row; a ``span`` run of a box, shifted by the zero rows ahead of it, sums
-    to the difference of two prefix rows, and to zero for a box without rows.
+    The rows are those of the node's ``inner_table``: the non-resonant
+    triples of the output boxes whose three boxes hold nonzero bands, one q1
+    band each.  ``prefix`` holds, parent box after parent box, a zero row and
+    the running sums of the box's bands in the table's phase order (a cumsum
+    per box, so small boxes do not cancel against large ones), and one more
+    zero row; a ``span`` run of a box, shifted by the zero rows ahead of it,
+    sums to the difference of two prefix rows, and to zero for a box without
+    rows.
     """
 
     def __init__(self, node: _Node):
-        g = node.grid
-        parents = tuple(_output_boxes(g.n_max, node.window).tolist())
-        self.table = tab = phase_table(parents, node.window, (node.boxes,) * 3, 1)
-        n = tab.parents[tab.row]
-        bands = _q1_rows(node, n, tab.c1, tab.c2, tab.c3)
-        self.rows = (n, tab.m, bands)
-        self.boxes = tab.parents[tab.stop > tab.start]
-        self.prefix = np.zeros((len(n) + len(parents) + 1, g.bins_per_box), complex)
+        self.table = tab = node.inner_table
+        bands = _q1_rows(node, tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
+        self.prefix = np.zeros((len(bands) + len(tab.parents) + 1, bands.shape[1]), complex)
         for k in np.flatnonzero(tab.stop > tab.start):
             a, b = tab.start[k], tab.stop[k]
             np.cumsum(bands[tab.order[a:b]], axis=0, out=self.prefix[a + k + 1 : b + k + 1])
@@ -616,30 +629,18 @@ def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
     """(T, B) insert rows, restricted by the level-J phase set.
 
     ``sign`` is the conjugation sign the insert enters with: which = "low"
-    keeps the ``_low_set``, "high" its complement, "all" applies no
-    restriction.
+    keeps the ``_low_set``, "high" its complement, whose rows are exact zeros
+    wherever the low set's run is the box's whole run, and are summed only
+    where it is not.
     """
-    if which == "all":
-        return buckets.sum(boxes)
-    low = buckets.sum(boxes, *_low_set(sign, mu_prev, mu_first, J))
-    return low if which == "low" else buckets.sum(boxes) - low
-
-
-def _cut_pairs(buckets: _InnerBuckets, gt: _GapTable, sel: np.ndarray) -> np.ndarray:
-    """(3, len(sel)) mask, slot by row: True where the level-1 low set of row
-    sel[i] at that slot leaves out some inner phase of the slot's box.
-
-    Decided exactly: the low set's run in the inner phase table differs from
-    the box's whole run.  Only at such (row, slot) pairs do the "low" and
-    "high" inserts differ from the box's full and empty inner sums.
-    """
-    _, n1, n2, n3, _ = gt.rows
-    mu1 = np.tile(gt.mu1[sel], 3)
-    signs = np.repeat([1, -1, 1], len(sel))  # the slots' conjugation signs
-    boxes = np.concatenate([n1[sel], n2[sel], n3[sel]])
-    tab = buckets.table
-    (i, j), (i_all, j_all) = tab.span(boxes, *_low_set(signs, mu1, mu1, 1)), tab.span(boxes)
-    return ((i != i_all) | (j != j_all)).reshape(3, -1)
+    lo, hi = _low_set(sign, mu_prev, mu_first, J)
+    if which == "low":
+        return buckets.sum(boxes, lo, hi)
+    (i, j), (i_all, j_all) = buckets.table.span(boxes, lo, hi), buckets.table.span(boxes)
+    cut = np.flatnonzero((i != i_all) | (j != j_all))
+    rows = np.zeros((len(boxes), buckets.prefix.shape[1]), dtype=np.complex128)
+    rows[cut] = buckets.sum(boxes[cut]) - buckets.sum(boxes[cut], lo[cut], hi[cut])
+    return rows
 
 
 class _GenerationOne(NamedTuple):
@@ -653,12 +654,13 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
 
     ``boundary`` is N21, the gap kernel summed over A_N^c.  ``inserts`` sums,
     over A_N^c and the three slots, fsgn(slot) * q1_tilde(... insert at
-    slot ...), where the insert is (R2 - R1)(v) if ``resonant`` plus the
-    non-resonant q1 bands on the ``which`` joint-phase set ("all", "low" or
-    "high") if ``which`` is given; it is None when neither is asked for.
-    ``n12`` is N12, read off the live non-resonant q1 rows the inserts are
-    built from, when ``which`` is given.  A triple ``table`` (unit weights)
-    other than A_N^c of the window replaces it for the boundary and inserts.
+    slot ...), where the insert is (R2 - R1)(v) if ``resonant`` plus, if
+    which = "all", the box's full non-resonant inner sum; it is None when
+    neither is asked for.  ``n12`` is N12, the high-phase part of the same
+    inner sums (``_Node.inner``), when ``which`` is given.  The phase-restricted
+    inserts are the tree path's (N32 is its J = 1 pass).  A triple ``table``
+    (unit weights) other than A_N^c of the window replaces it for the boundary
+    and inserts.
 
     Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
     (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
@@ -674,19 +676,15 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     G^[m + s - 1, s], m = n1 + n3 - n, which depends only on the group's key
     (``_GapTable``) and is computed once per key.
 
-    A slot insert is the same for every row at a box -- (R2 - R1)(v), plus
-    the box's full inner sum for which = "low" or "all" -- except at the
-    (row, slot) pairs whose level-1 low set does not hold every inner phase
-    of the slot's box (``_cut_pairs``; only for "low" and "high").
-    The per-box insert is transformed with u, once per (box, gap) pair (FX',
-    FY'), and its H^ = conj(x[::-1]) @ W[s] summed per key into S'.  With
-    slot signs (+1, -1, +1) a group's insert is
-    sum_k [(FX'.FY + FX.FY').S - FX.FY.S'].  A cut pair's own insert less
-    the per-box one, transformed row by row (dFX', dH^, dFY'), adds
-    sum_k [(dFX'.FY + FX.dFY').G^ - FX.FY.dH^] to its row.  Only the groups
-    with a row of at least two live slots are contracted (a row with fewer
-    contributes exact zeros); if there are none, nothing is built.
+    A slot insert depends on the slot's box alone, so it is transformed with
+    u, once per (box, gap) pair (FX', FY'), and its H^ = conj(x[::-1]) @ W[s]
+    summed per key into S'.  With slot signs (+1, -1, +1) a group's insert is
+    sum_k [(FX'.FY + FX.FY').S - FX.FY.S'].  Only the groups with a row of at
+    least two live slots are contracted (a row with fewer contributes exact
+    zeros); if there are none, nothing is built.
     """
+    if which not in (None, "all"):
+        raise ConfigurationError(f"the gap pass takes which = None or 'all', not {which!r}")
     g = node.grid
     B = g.bins_per_box
     gt = _gap_table(g, node.window, N) if table is None else _gap_index(g, table)
@@ -700,16 +698,10 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
         # per-box factors in the u-picture: u, then the per-box insert
         factors = [node.u]
         all_boxes = np.arange(-g.n_max, g.n_max)
-        cut = np.zeros((3, len(sel)), dtype=bool)
         if which is not None:
-            bn, phase, bands = node.buckets.rows
-            high = np.abs(phase) > N
-            _scatter_rows(g, bn[high], bands[high], out=n12)
-            if which != "all":
-                cut = _cut_pairs(node.buckets, gt, sel)
+            n12[:] = node.inner(N)[1]
         if inserting:
-            full = "all" if which in ("all", "low") else None
-            factors.append(node.inserts(all_boxes, resonant, full) * node.phase)
+            factors.append(node.inserts(all_boxes, N, resonant, which) * node.phase)
 
         # FX of every factor and (box, gap) pair: X zero-padded to 2B, in place
         F = np.zeros((len(factors), len(gt.pair_box), B, 2 * B), dtype=np.complex128)
@@ -738,25 +730,6 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
                 band[:, 1] = np.einsum("tak,tak->ta", fy, S[0, k])
                 band[:, 1] -= np.einsum("tak,tak->ta", xy, S[1, k])
             _scatter_rows(g, n[r], band.reshape(len(r), -1), out=acc.reshape(len(acc), -1))
-        # per cut row, its own insert less the per-box one at each cut slot
-        # (dFX', dH^ or dFY'), transformed and contracted with the other two
-        rows, cut = sel[cut.any(axis=0)], cut[:, cut.any(axis=0)]
-        for lo in range(0, len(rows), ROW_CHUNK):
-            r, c = rows[lo : lo + ROW_CHUNK], cut[:, lo : lo + ROW_CHUNK]
-            fx, fy = F[0, gt.pair1[r]], F[0, gt.pair3[r]]
-            g2 = _hat(node.g[_rows(g, n2[r])])[np.arange(len(r)), gt.slack[r]]
-            partner = (fy * g2, -fx * fy, fx * g2)
-            for slot in np.flatnonzero(c.any(axis=1)):
-                rc, boxes = r[c[slot]], (n1, n2, n3)[slot][r[c[slot]]]
-                x = node.inserts(boxes, resonant, which, -1 if slot == 1 else 1, gt.mu1[rc], gt.mu1[rc])
-                x = x * node.phase[_rows(g, boxes)] - factors[1][_rows(g, boxes)]
-                if slot == 1:
-                    dx = _hat(np.conj(x[:, ::-1]))[np.arange(len(rc)), gt.slack[rc]]
-                else:
-                    pair = (gt.pair1 if slot == 0 else gt.pair3)[rc]
-                    dx = np.fft.fft(x[:, None, :] * gt.inv_gaps[gt.pair_gap[pair]], 2 * B)
-                band = np.einsum("tak,tak->ta", dx, partner[slot][c[slot]])
-                _scatter_rows(g, n[rc], band, out=acc[:, 1])
         # the output phase and normalisation depend on the box alone
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)
@@ -774,6 +747,15 @@ def n4_state(state: BoxedState, N: float, t: float | None = None, window: int | 
     return _generation_one(_Node(state, t, window), N, resonant=True).inserts
 
 
+def _generation_one_low(node: _Node, N, resonant=False) -> _GenerationOne:
+    """``_generation_one`` with the non-resonant insert restricted to the
+    level-1 low set: N31 = N3 - N32, where N32, the insert on its complement,
+    is the J = 1 tree pass."""
+    first = _generation_one(node, N, resonant, "all")
+    n32 = _tree_level_sum(node, 1, N, which="high")
+    return first._replace(inserts=first.inserts.plus(n32, -1.0))
+
+
 def n3_state(state, N, t=None, window=None):
     """Full non-resonant insert sum at generation one (no phase restriction)."""
     return _generation_one(_Node(state, t, window), N, which="all").inserts
@@ -781,12 +763,12 @@ def n3_state(state, N, t=None, window=None):
 
 def n31_state(state, N, t=None, window=None):
     """Non-resonant insert restricted to the low joint-phase set."""
-    return _generation_one(_Node(state, t, window), N, which="low").inserts
+    return _generation_one_low(_Node(state, t, window), N).inserts
 
 
 def n32_state(state, N, t=None, window=None):
     """Non-resonant insert on the high joint-phase complement (next remainder)."""
-    return _generation_one(_Node(state, t, window), N, which="high").inserts
+    return _tree_level_sum(_Node(state, t, window), 1, N, which="high")
 
 
 def n22_state(state, N, t=None, window=None):
@@ -834,7 +816,9 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
     With no insert asked for this is the boundary sum; otherwise one leaf
     carries the insert, which is (R2 - R1)(v) if ``resonant`` plus the
     non-resonant q1 bands on the ``which`` joint-phase set ("all", "low" or
-    "high") if ``which`` is given, as in ``_generation_one``.
+    "high") if ``which`` is given (``_Node.inserts``).  The "high" set is the
+    next chain step, so a "high" insert alone is zero unless the chain of
+    J + 1 levels is possible.
     ``allowed_all``, when given, becomes the operative box window for every
     node of every tree (sparse-support runs).
 
@@ -848,14 +832,16 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
     """
     g = node.grid
     w = node.window
-    if not _chain_possible(J, N, w) or not node.boxes:
+    levels = J + 1 if which == "high" and not resonant else J
+    if not _chain_possible(levels, N, w) or not node.boxes:
         return BoxedState.zero(g, node.t)
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     active = set(node.boxes)
     inserting = resonant or which is not None
     insert_boxes = set(node.resonant.boxes if resonant else ())
     if which is not None:
-        insert_boxes |= set(node.buckets.boxes.tolist())
+        tab = node.inner_table
+        insert_boxes |= set(tab.parents[tab.stop > tab.start].tolist())
     if allowed_all is not None:
         active &= internal_allowed
         insert_boxes &= internal_allowed
@@ -886,7 +872,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
             if li is not None:
                 leaf = leaf_ids[li]
                 inserts = node.inserts(
-                    freq[:, leaf], resonant, which, signs.fsgn[leaf],
+                    freq[:, leaf], N, resonant, which, signs.fsgn[leaf],
                     mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J,
                 )
                 live = np.any(inserts != 0, axis=1)
@@ -1050,13 +1036,14 @@ def _integrand(state, params):
     state and time (the boundary is zero at J = 1).
 
     All levels evaluate at one node, which builds the insert states once.
-    Level 2 comes from one generation-one pass.  Each level j >= 3 takes its
+    Level 2 comes from one generation-one pass, less N32 (the J = 1 tree
+    pass, ``_generation_one_low``).  Each level j >= 3 takes its
     boundary from one tree pass and its resonant and low-set inserts, which
     share the weight, from another.
     """
     sigma, N = params.sign, params.N
     node = _Node(state, window=params.window)
-    first = None if params.J == 1 else _generation_one(node, N, resonant=True, which="low")
+    first = None if params.J == 1 else _generation_one_low(node, N, resonant=True)
     n12 = apply_n12(state, N, node.t, node.window) if first is None else first.n12
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
     total = boxed_cubic(state, node.t).plus(n12, -1.0).scaled(1j * sigma)

@@ -40,7 +40,6 @@ sums.  All functions here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,7 +49,6 @@ from .errors import BoxRangeError, DomainError, ResourceGuardError
 
 __all__ = [
     "FrequencyTriple",
-    "ResonanceThreshold",
     "QUARTIC",
     "PRODUCT",
     "phase_phi",
@@ -77,17 +75,6 @@ class FrequencyTriple(NamedTuple):
     n1: int
     n2: int
     n3: int
-
-
-@dataclass(frozen=True)
-class ResonanceThreshold:
-    """The large splitting threshold N > 0 for |Phi| <= N vs |Phi| > N."""
-
-    N: float
-
-    def __post_init__(self):
-        if not self.N > 0:
-            raise DomainError(f"threshold must be positive, got {self.N}")
 
 
 def phase_phi(xi: float, xi1: float, xi2: float, xi3: float) -> float:
@@ -252,7 +239,7 @@ def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None, convention: str):
 def enumerate_triples(
     n: int,
     window: int,
-    N: ResonanceThreshold | float | None = None,
+    N: float | None = None,
     mode: str = "A_N_complement",
     convention: str = QUARTIC,
 ) -> list[FrequencyTriple]:
@@ -261,11 +248,8 @@ def enumerate_triples(
     Exhaustive within the window, duplicate-free, lexicographic in
     (n1, n2, n3).
     """
-    thr = None
-    if N is not None:
-        thr = N.N if isinstance(N, ResonanceThreshold) else float(N)
     _, n1, n2, n3 = expand_triples([n], window)
-    keep = _mode_mask(n, n1, n2, n3, mode, thr, convention)
+    keep = _mode_mask(n, n1, n2, n3, mode, None if N is None else float(N), convention)
     return [
         FrequencyTriple(n, *row)
         for row in np.stack([n1[keep], n2[keep], n3[keep]], axis=1).tolist()

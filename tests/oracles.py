@@ -618,6 +618,21 @@ def scatter(grid, n, bands, w):
     return out
 
 
+def bucket_inserts(buckets, sign, boxes, mu_prev, mu_first, J, which):
+    """Insert rows read off the per-row bands of the inner phase buckets: the
+    box's whole run for which = "all", else the level-J low set or its
+    complement."""
+    if which == "all":
+        return buckets.sum(boxes)
+    return _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which)
+
+
+def bucket_boxes(buckets):
+    """The boxes with at least one row in the buckets' phase table."""
+    tab = buckets.table
+    return set(tab.parents[tab.stop > tab.start].tolist())
+
+
 def per_slot_n21(v, t, N, window):
     g = v.grid
     alive = np.any(v.data != 0, axis=1)
@@ -650,7 +665,7 @@ def per_slot_inserts(v, t, N, window, resonant=False, which=None):
         if which is not None:
             mu1 = phase_value(nk, n1k, n2k, n3k, QUARTIC)
             sign = (+1, -1, +1)[slot]
-            rows += _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
+            rows += bucket_inserts(buckets, sign, boxes, mu1, mu1, 1, which)
         stacks = [v.data[x + g.n_max] for x in (n1k, n2k, n3k)]
         stacks[slot] = rows
         bands = rowwise_q1_tilde_rows(g, t, *stacks, nk, n1k, n2k, n3k)
@@ -669,6 +684,7 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
     w = node.window
     gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
     n, n1, n2, n3, wt = gt.rows
+    mu1 = phase_value(n, n1, n2, n3, QUARTIC)
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
     # row's (B, 2B) block, or of the zeroed wrap-around term 2B - 1
@@ -679,11 +695,11 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
     res = apply_resonant(state, t, w).data if resonant else None
     buckets = _InnerBuckets(node) if which is not None else None
 
-    def inserted(boxes, sign, mu1):
+    def inserted(boxes, sign, mu):
         rows = boxes + g.n_max
         bands = res[rows] if resonant else 0.0
         if which is not None:
-            bands = bands + _coupled_insert_rows(buckets, sign, boxes, mu1, mu1, 1, which)
+            bands = bands + bucket_inserts(buckets, sign, boxes, mu, mu, 1, which)
         return bands * node.phase[rows]
 
     F = np.fft.fft(node.u[gt.pair_box][:, None, :] * gt.inv_gaps[gt.pair_gap], 2 * B)
@@ -696,8 +712,8 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
         xy[..., -1] = 0.0
         xy = xy.reshape(-1)[pick]
         bnd += scatter(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r])
-        x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(gt.mu1[r], 2)), 2)
-        x2 = inserted(n2[r], -1, gt.mu1[r])
+        x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(mu1[r], 2)), 2)
+        x2 = inserted(n2[r], -1, mu1[r])
         fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
         fy3 = np.fft.fft(x3[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair3[r]]], 2 * B)
         outer = np.fft.ifft(fx1 * fy + fx * fy3)
@@ -770,7 +786,7 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
         insert_boxes = {int(b) for b in boxes_axis[insert_state.box_norms() > 0]}
     elif mode in ("n1", "rem"):
         buckets = _InnerBuckets(_Node(state, t, w))
-        insert_boxes = set(buckets.boxes.tolist())
+        insert_boxes = bucket_boxes(buckets)
     internal_allowed = set(allowed_all) if allowed_all is not None else None
     if allowed_all is not None:
         active &= set(allowed_all)
@@ -814,7 +830,7 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
                 if mode == "nr":
                     inserts = insert_state.data[boxes + g.n_max]
                 else:
-                    inserts = _coupled_insert_rows(
+                    inserts = bucket_inserts(
                         buckets, signs.fsgn[leaf], boxes,
                         np.array([float(a.phases.mu_tilde[-1]) for a in assigns]),
                         np.array([float(a.phases.mu[0]) for a in assigns]),

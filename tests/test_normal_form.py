@@ -42,11 +42,9 @@ from nfnls.normal_form import (
     threshold_from_bound,
     _contraction,
     _coupled_insert_rows,
-    _cut_pairs,
     _gap_index,
-    _gap_table,
     _generation_one,
-    _hat,
+    _generation_one_low,
     _InnerBuckets,
     _max_abs_phase,
     _Node,
@@ -60,7 +58,7 @@ from nfnls.normal_form import (
 from nfnls.resonance import PRODUCT, QUARTIC, enumerate_triples, expand_triples, phase_table, phase_value
 from nfnls.trees import enumerate_index_functions, enumerate_trees
 from oracles import (
-    c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, per_assignment_tree_level_sum,
+    bucket_boxes, c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, per_assignment_tree_level_sum,
     per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over, per_slot_inserts, per_slot_n21,
     per_triple_gap_sum, product_triple_table, rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
 )
@@ -143,7 +141,7 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
     for op in (n4_state, n3_state, n31_state, n32_state, n22_state, n21_state):
         assert np.all(op(v, N, window=13).data == 0)
-    first = _generation_one(_Node(v, 0.0, 13), N, resonant=True, which="low")
+    first = _generation_one_low(_Node(v, 0.0, 13), N, resonant=True)
     for part in first:
         assert np.all(part.data == 0)
 
@@ -160,14 +158,17 @@ GENERATION_ONE_CONFIGS = [
     (G, 2, 44.0, 2),
     (make_grid(4, 64), 14, 1.0, 14),
 ]
+# the gap pass's insert kinds: none (the boundary), resonant, all, both
+GAP_PASS_INSERTS = [{}, dict(resonant=True), dict(which="all"), dict(resonant=True, which="all")]
 
 
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
 def test_fused_generation_one_inserts(grid, span, N, window):
-    # one gap pass gives the boundary and generation_nr + generation_n1 at J = 1
+    # one gap pass less the J = 1 tree pass on the high set (N32) gives the
+    # boundary and generation_nr + generation_n1 at J = 1
     rng = np.random.default_rng(14)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    got = _generation_one(_Node(v, 0.2, window), N, resonant=True, which="low")
+    got = _generation_one_low(_Node(v, 0.2, window), N, resonant=True)
     want_bnd = per_slot_n21(v, 0.2, N, window)
     want_ins = per_slot_inserts(v, 0.2, N, window, resonant=True) + per_slot_inserts(
         v, 0.2, N, window, which="low"
@@ -204,33 +205,79 @@ def test_gap_pass_matches_inverse_fft_pick_oracle(grid, span, N, window):
     # inserts, per-row transforms and the inverse-FFT picks
     rng = np.random.default_rng(18)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    for kw in (dict(resonant=True, which="low"), dict(which="all"), dict(which="high"),
-               dict(resonant=True)):
+    for kw in GAP_PASS_INSERTS:
         got = _generation_one(_Node(v, 0.2, window), N, **kw)
         want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, N, window, **kw)
         assert np.any(want_bnd != 0)
         assert np.max(np.abs(got.boundary.data - want_bnd)) <= 1e-13 * np.max(np.abs(want_bnd))
-        scale = np.max(np.abs(want_ins))
-        if kw.get("which") == "high" and window < 14:
-            assert scale == 0 and np.all(got.inserts.data == 0)
-            continue
-        assert scale > 0
-        assert np.max(np.abs(got.inserts.data - want_ins)) <= 1e-13 * scale
+        if kw:
+            scale = np.max(np.abs(want_ins))
+            assert scale > 0
+            assert np.max(np.abs(got.inserts.data - want_ins)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("config, cut_any", [(0, False), (2, True)])
-def test_cut_pairs_only_where_the_low_set_is_narrow(config, cut_any):
-    # on the live compare config every low set holds all inner phases of the
-    # slot box; window 14 has pairs of both kinds
-    grid, span, N, window = GENERATION_ONE_CONFIGS[config]
-    rng = np.random.default_rng(18)
+@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
+def test_tree_pass_at_one_generation_is_the_gap_pass(grid, span, N, window):
+    # the J = 1 tree kernel, which gives N32, equals the gap pass on the
+    # boundary and every per-box insert
+    rng = np.random.default_rng(23)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    gt = _gap_table(grid, window, N)
-    sel = np.flatnonzero(_Node(v, 0.2).live(*gt.rows[1:4]) >= 2)
-    cut = _cut_pairs(_InnerBuckets(_Node(v, 0.2, window)), gt, sel)
-    assert cut.shape == (3, len(sel)) and len(sel) > 0
-    assert np.any(cut) == cut_any
-    assert not np.all(cut)
+    node = _Node(v, 0.2, window)
+    for kw in GAP_PASS_INSERTS:
+        first = _generation_one(node, N, **kw)
+        want = (first.inserts if kw else first.boundary).data
+        got = _tree_level_sum(node, 1, N, **kw).data
+        assert np.any(want != 0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def high_pass_cases():
+    """(J, state, N, window): the generation-one configs and N31/N32's slow
+    oracle config at J = 1; the sparse tree-path states at J = 2."""
+    rng = np.random.default_rng(24)
+    for grid, span, N, window in GENERATION_ONE_CONFIGS + [(make_grid(8, 16), 2, 6.0, 3)]:
+        yield 1, random_state(rng, span=span, t=0.2, grid=grid), N, window
+    v, _ = tiny_remainder_inputs()
+    yield 2, v.at_time(0.37), 1.0, 16
+    yield 2, roots_outside_state(), 0.0, 15
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_high_tree_pass_needs_the_next_chain_step(case, monkeypatch):
+    # with the prefilter off, a nonzero "high" pass at J needs a possible
+    # chain of J + 1 levels; window 14, N = 1 is nonzero at J = 1
+    J, v, N, window = list(high_pass_cases())[case]
+    chain_possible = normal_form._chain_possible
+    monkeypatch.setattr(normal_form, "_chain_possible", lambda *args: True)
+    got = _tree_level_sum(_Node(v, v.time, window), J, N, which="high").data
+    assert chain_possible(J + 1, N, window) or not np.any(got)
+    assert np.any(got) == ((J, N, window) == (1, 1.0, 14))
+
+
+def test_live_config_builds_no_inner_buckets(monkeypatch):
+    # the live compare state: N32 is structurally empty at window 6, so the
+    # J = 2 integrand and the full inserts read only per-box inner sums; the
+    # gap pass builds no buckets where N32 is live either (window 14)
+    from nfnls.grids import forward
+    from nfnls.harness import gaussian_field
+
+    grid = make_grid(8, 16)
+    u0 = gaussian_field(grid, amplitude=0.5, width=2.0)
+    v = normal_form._trim_state(BoxedState.from_spectrum(forward(u0), 0.01), 1e-8)
+    params = SolverParams(J=2, N=16.0, T=0.03, q=2.0, R=1.0, R_tilde=1.0, K=6, window=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inner phase buckets built")
+
+    monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
+    total, boundary = normal_form._integrand(v, params)
+    assert np.any(total.data != 0) and np.any(boundary.data != 0)
+    for op in (n3_state, n22_state):
+        assert np.any(op(v, 16.0, 0.01, 6).data != 0)
+    grid, span, N, window = GENERATION_ONE_CONFIGS[2]
+    w = random_state(np.random.default_rng(14), span=span, t=0.2, grid=grid)
+    first = _generation_one(_Node(w, 0.2, window), N, resonant=True, which="all")
+    assert np.any(first.inserts.data != 0)
 
 
 @pytest.mark.parametrize("B", [4, 8, 16])
@@ -249,9 +296,9 @@ def test_contraction_table_equals_inverse_fft_and_pick(B):
                 m = slack[t] * B - 1 + a - j
                 if 0 <= m <= 2 * B - 2:
                     want[t, a] += conv[t, a, m] * g2[t, j]
-    got = np.einsum("tak,tak->ta", P, _hat(g2)[np.arange(T), slack])
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     W = _contraction(B)
+    got = np.einsum("tak,tak->ta", P, np.einsum("tj,tjak->tak", g2, W[slack]))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     s, j, a = np.ogrid[:3, :B, :B]
     m = s * B - 1 + a - j
     assert W.shape == (3, B, B, 2 * B)
@@ -346,12 +393,11 @@ def random_gap_table(rng, window, groups):
     groups=st.integers(1, 30),
     window=st.sampled_from([3, 10]),
     chunk=st.integers(1, 9),
-    kw=st.sampled_from([{}, dict(resonant=True), dict(which="all"), dict(which="high"),
-                        dict(resonant=True, which="low")]),
+    kw=st.sampled_from(GAP_PASS_INSERTS),
 )
 def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, groups, window, chunk, kw):
-    # rows on boxes |n1|, |n3|, |m| <= 3; at window 10 the inner phases of
-    # the slot boxes reach past the low sets of small-phase rows (cut pairs)
+    # rows on boxes |n1|, |n3|, |m| <= 3; the slot boxes' inner sums reach
+    # window 3 or 10
     rng = np.random.default_rng(seed)
     grid = make_grid(B, 16)
     table = random_gap_table(rng, 3, groups)
@@ -384,7 +430,7 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
 def test_n12_from_shared_rows_matches_apply_n12(grid, span, N, window):
     rng = np.random.default_rng(16)
     v = random_state(rng, span=span, t=0.2, grid=grid)
-    got = _generation_one(_Node(v, 0.2, window), N, which="low").n12.data
+    got = _generation_one(_Node(v, 0.2, window), N, which="all").n12.data
     want = apply_n12(v, N, 0.2, window).data
     assert np.any(want != 0)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -530,7 +576,7 @@ def test_inner_buckets_sum_matches_masked_per_box_sum():
     buckets = _InnerBuckets(_Node(v, t, window))
 
     query_boxes = np.arange(-25, 26)
-    indexed = set(buckets.boxes.tolist())
+    indexed = bucket_boxes(buckets)
     assert query_boxes[0] < min(indexed) and query_boxes[-1] > max(indexed)
     assert any(min(indexed) < m < max(indexed) and m not in indexed for m in query_boxes)
     rows = {}
@@ -574,15 +620,15 @@ def test_inner_buckets_sum_matches_masked_per_box_sum():
     totals = np.array([masked(m, -math.inf, math.inf) for m in query_boxes])
     assert np.max(np.abs(buckets.sum(query_boxes) - totals)) <= 1e-12 * scale
 
-    # "low" + "high" == "all"; radii 125 * max(|mu_prev|, |mu_first|)^0.99 up to
-    # ~250 leave rows of phase up to ~280 on both sides
+    # "low" + "high" == the whole run; radii 125 * max(|mu_prev|, |mu_first|)^0.99
+    # up to ~250 leave rows of phase up to ~280 on both sides
     mu_prev = rng.integers(-2, 3, len(boxes)).astype(float)
     mu_first = rng.integers(-2, 3, len(boxes)).astype(float)
     for sign in (+1, -1):
         parts = [
             _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, 1, which)
-            for which in ("low", "high", "all")
-        ]
+            for which in ("low", "high")
+        ] + [buckets.sum(boxes)]
         assert np.any(parts[0] != 0) and np.any(parts[1] != 0)
         assert np.max(np.abs(parts[0] + parts[1] - parts[2])) <= 1e-15 * np.max(
             np.abs(parts[2])
@@ -1090,9 +1136,9 @@ def test_tree_level_sum_singular_prefix_and_zero_inserts(monkeypatch):
         q_tree(tree, assign, BandTuple(bands, (False, True, False)), 0.0, min_denominator=1e6)
     assert str(batched.value) == str(single.value)
 
-    def no_inserts(buckets, sign, boxes, *args):
+    def no_inserts(node, boxes, *args):
         return np.zeros((len(boxes), v.grid.bins_per_box), dtype=complex)
 
-    monkeypatch.setattr(normal_form, "_coupled_insert_rows", no_inserts)
+    monkeypatch.setattr(_Node, "inserts", no_inserts)
     for J in (1, 2):
         assert not np.any(remainder_n2(v, J, 1.0, window=16, allowed_all=allowed).data)

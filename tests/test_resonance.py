@@ -12,7 +12,6 @@ from nfnls.resonance import (
     PRODUCT,
     QUARTIC,
     PhaseTable,
-    ResonanceThreshold,
     divisor_sieve,
     enumerate_triples,
     phase_phi,
@@ -227,8 +226,3 @@ def test_divisor_choice_bound():
     for mu in (2, 12, 24, 60):
         cnt = divisor_choice_count(0, mu, 10_000)
         assert cnt <= 2 * divisor_count(mu // 2)
-
-
-def test_threshold_type_guard():
-    with pytest.raises(DomainError):
-        ResonanceThreshold(0.0)
