@@ -49,10 +49,6 @@ class Grid:
     box_window: int
 
     @property
-    def B(self) -> int:
-        return self.bins_per_box
-
-    @property
     def n_max(self) -> int:
         return self.box_window
 

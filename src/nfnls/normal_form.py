@@ -35,8 +35,9 @@ Index sums are window-bounded (windows adapt to the state's active support in
 the solver) and deterministic.  The triple tables over all output boxes come
 from one ``resonance.expand_triples`` call masked by the set predicate, and
 are cached across Picard iterations; the tree path enumerates index functions
-with the same engine.  R2 - R1 is one q1 pass over the rows of both tables
-with signed weights, summed per (output box, slack) before one inverse FFT.
+with the same engine.  R2 counts the doubly matched triples twice and R1 takes
+them off once, so R2 - R1 is one q1 pass over the resonant set (n1 ~ n or
+n3 ~ n), summed per (output box, slack) before one inverse FFT.
 Heavy paths are batched in numpy, ``ROW_CHUNK`` = 128 rows at a time.  Every
 operator evaluates at a node (``_Node``), one state at one time and window:
 the u-picture phases exp(i t xi^2) of every box come from one table, the
@@ -292,7 +293,7 @@ class _Node:
 
     @cached_property
     def resonant(self) -> "_Node":
-        table = _resonant_table(self.grid.n_max, self.window)
+        table = _triple_table(self.grid.n_max, self.window, None, "resonant_R2")
         return _Node(self.state_of(_sum_q1_over(self, table)), self.t, self.window)
 
     @cached_property
@@ -306,7 +307,7 @@ class _Node:
         high is N12; low + high is each box's full inner sum."""
         if N not in self._inner:
             tab = self.inner_table
-            cols = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3, np.ones(len(tab.row)))
+            cols = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
             high = np.abs(tab.m) > N
             self._inner[N] = tuple(_sum_q1_over(self, [c[k] for c in cols]) for k in (~high, high))
         return self._inner[N]
@@ -371,21 +372,14 @@ def _output_boxes(n_max: int, window: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _triple_table(n_max: int, window: int, N_key, mode: str):
-    """Stacked triple arrays (n, n1, n2, n3, weight) over all output boxes.
-
-    Lexicographic in (n, n1, n2, n3).  The R2 weight is two on the doubly
-    matched overlap (n1 ~ n and n3 ~ n), one elsewhere and in every other mode.
-    """
+    """The rows (n, n1, n2, n3) of a frequency set over all output boxes, as
+    four integer columns, lexicographic in (n, n1, n2, n3)."""
     N = None if N_key is None else float(N_key)
     boxes = _output_boxes(n_max, window)
     rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
     keep = _mode_mask(n, n1, n2, n3, mode, N, QUARTIC)
-    n, n1, n2, n3 = n[keep], n1[keep], n2[keep], n3[keep]
-    weight = np.ones(len(n))
-    if mode == "resonant_R2":
-        weight += (np.abs(n1 - n) <= 1) & (np.abs(n3 - n) <= 1)
-    return n, n1, n2, n3, weight
+    return n[keep], n1[keep], n2[keep], n3[keep]
 
 
 class _GapTable(NamedTuple):
@@ -393,13 +387,12 @@ class _GapTable(NamedTuple):
 
     Per row: ``pair1`` and ``pair3``, its (box, gap) pairs (n1, n-n1) and
     (n3, n-n3), which index ``pair_box`` (state rows) and ``pair_gap`` (rows
-    of ``inv_gaps``, the factors 1 / (gap + (a-b)/B));
-    ``slack`` = n - (n1 - n2 + n3) + 1 in {0, 1, 2}, which selects the
-    contraction table ``_contraction(B)[slack]`` of the row; and ``group``,
-    its (n, n1, n3) group, whose rows share both pairs and have
-    n2 = m + slack - 1, m = n1 + n3 - n.  Per group, in (n, n1, n3) order:
-    ``group_row``, its first row, and ``group_key``, its row of ``keys`` =
-    (m, its rows at slack 0, 1, 2).
+    of ``inv_gaps``, the factors 1 / (gap + (a-b)/B)); and ``group``, its
+    (n, n1, n3) group, whose rows share both pairs and have n2 = m + slack - 1,
+    m = n1 + n3 - n, slack = n - (n1 - n2 + n3) + 1 in {0, 1, 2} (which
+    selects the contraction table ``_contraction(B)[slack]``).  Per group, in
+    (n, n1, n3) order: ``group_row``, its first row, and ``group_key``, its
+    row of ``keys`` = (m, its rows at slack 0, 1, 2).
     """
 
     rows: tuple
@@ -408,7 +401,6 @@ class _GapTable(NamedTuple):
     pair_box: np.ndarray
     pair_gap: np.ndarray
     inv_gaps: np.ndarray
-    slack: np.ndarray
     group: np.ndarray
     group_row: np.ndarray
     group_key: np.ndarray
@@ -417,9 +409,7 @@ class _GapTable(NamedTuple):
 
 def _gap_index(grid: Grid, table) -> _GapTable:
     B = grid.bins_per_box
-    n, n1, n2, n3, weight = table
-    if np.any(weight != 1):
-        raise ConfigurationError("the gap pass sums rows of unit weight only")
+    n, n1, n2, n3 = table
     pairs = np.stack([np.concatenate([n1, n3]), np.concatenate([n - n1, n - n3])], axis=1)
     pairs, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -438,7 +428,6 @@ def _gap_index(grid: Grid, table) -> _GapTable:
         pair_box=_rows(grid, pairs[:, 0]),
         pair_gap=pair_gap.reshape(-1),
         inv_gaps=1.0 / (gap_values[:, None, None] + (a - b) / B),
-        slack=slack,
         group=group.reshape(-1),
         group_row=group_row,
         group_key=group_key.reshape(-1),
@@ -478,24 +467,20 @@ def _max_abs_phase(window: int) -> float:
     return float((2 * window + 1) * (4 * window + 1))
 
 
-def _scatter_rows(grid: Grid, n_rows, bands, weights=None, out=None) -> np.ndarray:
-    """Add the row bands (times their weights) into their output boxes.
+def _scatter_rows(grid: Grid, n_rows, bands, out=None) -> np.ndarray:
+    """Add the row bands into their output boxes.
 
-    The rows of a box are one segment when ``n_rows`` is non-decreasing, as
-    in every table lexicographic in n; each segment is summed by one
-    ``np.add.reduceat``.  Rows out of that order are sorted first.
+    ``n_rows`` must be non-decreasing, as in every table lexicographic in n
+    and in the gap pass's row groups: the rows of a box are then one segment,
+    summed by one ``np.add.reduceat``.
     """
     if out is None:
         out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=np.complex128)
     if len(n_rows) == 0:
         return out
     rows = _rows(grid, n_rows)
-    vals = bands if weights is None else bands * weights[:, None]
-    if np.any(rows[1:] < rows[:-1]):
-        order = np.argsort(rows, kind="stable")
-        rows, vals = rows[order], vals[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    out[rows[starts]] += np.add.reduceat(vals, starts, axis=0)
+    out[rows[starts]] += np.add.reduceat(bands, starts, axis=0)
     return out
 
 
@@ -503,13 +488,13 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
     """Sum of q1 over the table rows whose three bands are live.
 
     A row's band is a pick at (d + 1)B - 1, d = n - (n1 - n2 + n3), of the
-    inverse FFT of its product spectrum, so the weighted spectra are summed
-    per (n, d) first: one inverse FFT and one pick per (box, slack).
+    inverse FFT of its product spectrum, so the spectra are summed per (n, d)
+    first: one inverse FFT and one pick per (box, slack).
     """
     g = node.grid
     B = g.bins_per_box
     keep = node.live(*table[1:4]) == 3
-    n, n1, n2, n3, w = (a[keep] for a in table)
+    n, n1, n2, n3 = (a[keep] for a in table)
     if not len(n):
         return np.zeros_like(node.data)
     chunk = max(ROW_CHUNK * B // 2, 1)  # rows of 4B: (ROW_CHUNK, B, 2B) temporaries
@@ -519,7 +504,7 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
         for lo in range(0, len(rows), chunk):
             r = rows[lo : lo + chunk]
             prod = node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
-            _scatter_rows(g, n[r], prod, w[r], out=out)
+            _scatter_rows(g, n[r], prod, out=out)
     conv = np.fft.ifft(spectra, axis=-1)
     bands = sum(conv[s][:, s * B - 1 + np.arange(B)] for s in range(3))
     return node.out(bands, np.arange(-g.n_max, g.n_max))
@@ -550,19 +535,9 @@ def _table_state(node: _Node, N, mode) -> BoxedState:
     return node.state_of(_sum_q1_over(node, table))
 
 
-@lru_cache(maxsize=256)
-def _resonant_table(n_max: int, window: int):
-    """The R2 rows with their weights and the R1 rows with weight -1, in one
-    table lexicographic in n (R2 rows ahead of R1 rows within a box)."""
-    r2 = _triple_table(n_max, window, None, "resonant_R2")
-    r1 = _triple_table(n_max, window, None, "resonant_R1")
-    cols = [np.concatenate([a, b]) for a, b in zip(r2, r1[:4] + (-r1[4],))]
-    order = np.argsort(cols[0], kind="stable")
-    return tuple(c[order] for c in cols)
-
-
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
-    """R2 - R1 over all boxes (the resonant part of the cubic), in one q1 pass."""
+    """R2 - R1 over all boxes (the resonant part of the cubic): by
+    inclusion-exclusion, one q1 pass over the resonant set n1 ~ n or n3 ~ n."""
     return _Node(state, t, window).resonant.state
 
 
@@ -571,7 +546,9 @@ def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int |
 
 
 def resonant_r2(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    return _table_state(_Node(state, t, window), None, "resonant_R2").band(n)
+    """R2 counts the doubly matched rows twice: the resonant set plus R1."""
+    node = _Node(state, t, window)
+    return node.resonant.state.plus(_table_state(node, None, "resonant_R1")).band(n)
 
 
 def apply_n11(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -659,8 +636,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     neither is asked for.  ``n12`` is N12, the high-phase part of the same
     inner sums (``_Node.inner``), when ``which`` is given.  The phase-restricted
     inserts are the tree path's (N32 is its J = 1 pass).  A triple ``table``
-    (unit weights) other than A_N^c of the window replaces it for the boundary
-    and inserts.
+    other than A_N^c of the window replaces it for the boundary and inserts.
 
     Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
     (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
@@ -688,7 +664,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     g = node.grid
     B = g.bins_per_box
     gt = _gap_table(g, node.window, N) if table is None else _gap_index(g, table)
-    n, n1, n2, n3, _ = gt.rows
+    n, n1, n2, n3 = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     inserting = resonant or which is not None
     bnd = np.zeros_like(node.data)
@@ -1044,7 +1020,7 @@ def _integrand(state, params):
     sigma, N = params.sign, params.N
     node = _Node(state, window=params.window)
     first = None if params.J == 1 else _generation_one_low(node, N, resonant=True)
-    n12 = apply_n12(state, N, node.t, node.window) if first is None else first.n12
+    n12 = _table_state(node, N, "A_N_complement") if first is None else first.n12
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
     total = boxed_cubic(state, node.t).plus(n12, -1.0).scaled(1j * sigma)
     boundary = BoxedState.zero(state.grid, node.t)

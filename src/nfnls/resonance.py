@@ -18,9 +18,9 @@ Set modes for :func:`enumerate_triples` (one predicate, ``_mode_mask``, also
 used for the operator tables in ``normal_form``):
 
 * ``resonant_R1`` — doubly matched: n1 ~ n and n3 ~ n.
-* ``resonant_R2`` — singly-or-doubly matched union: n1 ~ n or n3 ~ n
-  (emitted as a set; the operator layer re-applies multiplicity two on the
-  doubly matched overlap).
+* ``resonant_R2`` — singly-or-doubly matched union: n1 ~ n or n3 ~ n, the
+  resonant set, each triple once (R2 itself counts the doubly matched overlap
+  twice, so R2 - R1 sums this set once).
 * ``A_N`` — non-resonant with |Phi| <= N.
 * ``A_N_complement`` — non-resonant with |Phi| > N.
 

@@ -17,7 +17,7 @@ from nfnls.multilinear import (
 )
 from nfnls.normal_form import (
     BoxedState, _chain_possible, _coupled_insert_rows, _gap_index, _gap_table, _InnerBuckets,
-    _Node, _output_boxes, _q1_rows, _scatter_rows, _tree_sign, _triple_table, apply_resonant,
+    _Node, _output_boxes, _q1_rows, _tree_sign, _triple_table, apply_resonant,
 )
 from nfnls.resonance import (
     PRODUCT, QUARTIC, FrequencyTriple, _mode_mask, c_set_radius, enumerate_triples,
@@ -134,30 +134,35 @@ def brute_triples(n, window, N, mode, convention=QUARTIC):
 def per_n_triple_table(n_max, window, N, mode, convention):
     """The triple table built per output box from enumerate_triples (reference)."""
     out_lim = min(3 * window + 1, n_max - 1)
-    rows = []
-    for n in range(-out_lim, out_lim + 1):
-        for tr in enumerate_triples(n, window, N, mode, convention):
-            doubly = abs(tr.n1 - n) <= 1 and abs(tr.n3 - n) <= 1
-            w = 2.0 if mode == "resonant_R2" and doubly else 1.0
-            rows.append((n, tr.n1, tr.n2, tr.n3, w))
-    if not rows:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty, np.zeros(0)
-    arr = np.array(rows)
-    return tuple(arr[:, i].astype(np.int64) for i in range(4)) + (arr[:, 4].astype(float),)
+    rows = [
+        tuple(tr)
+        for n in range(-out_lim, out_lim + 1)
+        for tr in enumerate_triples(n, window, N, mode, convention)
+    ]
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return tuple(arr[:, i].copy() for i in range(4))
 
 
 def product_triple_table(n_max, window, N, mode):
     """The triple table of ``mode`` over all output boxes under the product
-    phase 2*(n-n1)*(n-n3): one expansion masked by the set predicate, with the
-    weights of ``normal_form._triple_table`` (criterion 7's fixed protocol)."""
+    phase 2*(n-n1)*(n-n3): one expansion masked by the set predicate, as in
+    ``normal_form._triple_table`` (criterion 7's fixed protocol)."""
     boxes = _output_boxes(n_max, window)
     rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
     keep = _mode_mask(n, n1, n2, n3, mode, N, PRODUCT)
-    doubly = (np.abs(n1 - n) <= 1) & (np.abs(n3 - n) <= 1)
-    weight = 1.0 + (doubly & (mode == "resonant_R2"))
-    return n[keep], n1[keep], n2[keep], n3[keep], weight[keep]
+    return n[keep], n1[keep], n2[keep], n3[keep]
+
+
+def merged_resonant_table(n_max, window):
+    """R2 - R1 as one weighted table (n, n1, n2, n3, weight): the R2 rows with
+    weight two on the doubly matched overlap and one elsewhere, the R1 rows
+    with weight -1, sorted stably by n (reference for the resonant set)."""
+    r2, r1 = (_triple_table(n_max, window, None, m) for m in ("resonant_R2", "resonant_R1"))
+    doubly = (np.abs(r2[1] - r2[0]) <= 1) & (np.abs(r2[3] - r2[0]) <= 1)
+    cols = [np.concatenate(pair) for pair in zip(r2 + (1.0 + doubly,), r1 + (-np.ones(len(r1[0])),))]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(c[order] for c in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +617,9 @@ def gather_q1_tilde_rows(grid, t, v1, v2, v3, n, n1, n2, n3, chunk=512):
     return per_row_u(B, -t, out, n) / (2.0 * np.pi * B * B)
 
 
-def scatter(grid, n, bands, w):
+def scatter(grid, n, bands, w=None):
     out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=complex)
-    np.add.at(out, n + grid.n_max, bands * w[:, None])
+    np.add.at(out, n + grid.n_max, bands if w is None else bands * w[:, None])
     return out
 
 
@@ -636,13 +641,13 @@ def bucket_boxes(buckets):
 def per_slot_n21(v, t, N, window):
     g = v.grid
     alive = np.any(v.data != 0, axis=1)
-    n, n1, n2, n3, w = _triple_table(g.n_max, window, N, "A_N_complement")
+    n, n1, n2, n3 = _triple_table(g.n_max, window, N, "A_N_complement")
     keep = alive[n1 + g.n_max] & alive[n2 + g.n_max] & alive[n3 + g.n_max]  # live rows
-    n, n1, n2, n3, w = (a[keep] for a in (n, n1, n2, n3, w))
+    n, n1, n2, n3 = (a[keep] for a in (n, n1, n2, n3))
     bands = rowwise_q1_tilde_rows(
         g, t, *(v.data[b + g.n_max] for b in (n1, n2, n3)), n, n1, n2, n3
     )
-    return scatter(g, n, bands, w)
+    return scatter(g, n, bands)
 
 
 def per_slot_inserts(v, t, N, window, resonant=False, which=None):
@@ -650,14 +655,14 @@ def per_slot_inserts(v, t, N, window, resonant=False, which=None):
     fsgn(slot) * q1_tilde(... insert at slot ...), one gap-kernel run per slot
     over the rows whose other two slots are live."""
     g = v.grid
-    n, n1, n2, n3, wt = _triple_table(g.n_max, window, N, "A_N_complement")
+    n, n1, n2, n3 = _triple_table(g.n_max, window, N, "A_N_complement")
     alive = np.any(v.data != 0, axis=1)
     res = apply_resonant(v, t, window).data if resonant else None
     buckets = _InnerBuckets(_Node(v, t, window)) if which is not None else None
     total = np.zeros_like(v.data)
     for slot, (a, b) in enumerate(((n2, n3), (n1, n3), (n1, n2))):
         keep = alive[a + g.n_max] & alive[b + g.n_max]
-        nk, n1k, n2k, n3k, wk = (x[keep] for x in (n, n1, n2, n3, wt))
+        nk, n1k, n2k, n3k = (x[keep] for x in (n, n1, n2, n3))
         boxes = (n1k, n2k, n3k)[slot]
         rows = np.zeros((len(nk), g.bins_per_box), dtype=complex)
         if resonant:
@@ -669,7 +674,7 @@ def per_slot_inserts(v, t, N, window, resonant=False, which=None):
         stacks = [v.data[x + g.n_max] for x in (n1k, n2k, n3k)]
         stacks[slot] = rows
         bands = rowwise_q1_tilde_rows(g, t, *stacks, nk, n1k, n2k, n3k)
-        total += (+1, -1, +1)[slot] * scatter(g, nk, bands, wk)
+        total += (+1, -1, +1)[slot] * scatter(g, nk, bands)
     return total
 
 
@@ -683,7 +688,8 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
     node = _Node(state, t, window)
     w = node.window
     gt = _gap_table(g, w, N) if table is None else _gap_index(g, table)
-    n, n1, n2, n3, wt = gt.rows
+    n, n1, n2, n3 = gt.rows
+    slack = n - (n1 - n2 + n3) + 1
     mu1 = phase_value(n, n1, n2, n3, QUARTIC)
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     # cidx[s, a, j]: flat index a * 2B + m of the term m = sB - 1 + a - j in a
@@ -706,12 +712,12 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
     for lo in range(0, len(sel), 128):
         r = sel[lo : lo + 128]
         fx, fy = F[gt.pair1[r]], F[gt.pair3[r]]
-        pick = cidx[gt.slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
+        pick = cidx[slack[r]] + 2 * B * B * np.arange(len(r))[:, None, None]
         g2 = node.g[n2[r] + g.n_max, :, None]
         xy = np.fft.ifft(fx * fy)
         xy[..., -1] = 0.0
         xy = xy.reshape(-1)[pick]
-        bnd += scatter(g, n[r], node.out((xy @ g2)[..., 0], n[r]), wt[r])
+        bnd += scatter(g, n[r], node.out((xy @ g2)[..., 0], n[r]))
         x1, x3 = np.split(inserted(np.append(n1[r], n3[r]), +1, np.tile(mu1[r], 2)), 2)
         x2 = inserted(n2[r], -1, mu1[r])
         fx1 = np.fft.fft(x1[:, None, :] * gt.inv_gaps[gt.pair_gap[gt.pair1[r]]], 2 * B)
@@ -719,15 +725,16 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
         outer = np.fft.ifft(fx1 * fy + fx * fy3)
         outer[..., -1] = 0.0
         band = outer.reshape(-1)[pick] @ g2 - xy @ np.conj(x2[:, ::-1, None])
-        ins += scatter(g, n[r], node.out(band[..., 0], n[r]), wt[r])
+        ins += scatter(g, n[r], node.out(band[..., 0], n[r]))
     return bnd, ins
 
 
 def per_row_sum_q1_over(node, table):
-    """The q1 table sum with one inverse FFT and pick per row (test oracle)."""
+    """The q1 table sum with one inverse FFT and pick per row (test oracle);
+    a fifth column of ``table`` weights the rows."""
     keep = node.live(*table[1:4]) == 3
-    n, n1, n2, n3, w = (a[keep] for a in table)
-    return _scatter_rows(node.grid, n, _q1_rows(node, n, n1, n2, n3), w)
+    n, n1, n2, n3, *w = (a[keep] for a in table)
+    return scatter(node.grid, n, _q1_rows(node, n, n1, n2, n3), *w)
 
 
 def per_triple_gap_sum(v, N, t, window, insert=None):

@@ -223,7 +223,7 @@ def test_criterion_07_threshold_exponents():
 def _holder_mass(v, N, W, q):
     # (sum over the low set of prod ||v_ni||^q)^(1/q), the second Hoelder factor
     g = v.grid
-    _, n1, n2, n3, _ = product_triple_table(g.n_max, W, N, "A_N")
+    _, n1, n2, n3 = product_triple_table(g.n_max, W, N, "A_N")
     norms = v.box_norms()
     prod = norms[_rows(g, n1)] * norms[_rows(g, n2)] * norms[_rows(g, n3)]
     return float(np.sum(prod**q) ** (1.0 / q))

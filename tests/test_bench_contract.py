@@ -5,9 +5,12 @@ exports only what src/ or bench/ runs and the paper-named operators."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from nfnls.resonance import phase_table
+import nfnls.normal_form as normal_form
+from nfnls.normal_form import SolverParams
+from test_normal_form import tiny_remainder_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -33,16 +36,30 @@ def test_traced_layers_resolve_to_package_callables():
 
 
 def test_clear_caches_empties_the_phase_table_cache(monkeypatch):
-    # every benchmark operation starts cold, the cached phase tables included;
-    # bench/run.py pins the BLAS threads on import, as conftest.py already has
+    # every benchmark operation starts cold: after a warm level-3 integrand,
+    # which fills the triple, gap, phase and contraction tables, no lru_cache
+    # of the package holds an entry.  bench/run.py pins the BLAS threads on
+    # import, as conftest.py already has
     monkeypatch.syspath_prepend(str(TRACER.parent))
     spec = importlib.util.spec_from_file_location("bench_run", TRACER.parent / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    phase_table((0, 1), 3, (None, None, None), 1)
-    assert phase_table.cache_info().currsize > 0
+    v, _ = tiny_remainder_inputs()
+    normal_form._integrand(v.at_time(0.37), SolverParams(J=3, N=1.0, T=1.0, q=2.0, window=16))
+
+    def caches():
+        return {
+            f"{name}.{attr}": val.cache_info().currsize
+            for name, mod in list(sys.modules.items())
+            if name == "nfnls" or name.startswith("nfnls.")
+            for attr, val in vars(mod).items()
+            if callable(getattr(val, "cache_info", None))
+        }
+
+    warm = caches()
+    assert warm["nfnls.resonance.phase_table"] > 0 and warm["nfnls.normal_form._triple_table"] > 0
     run._clear_caches()
-    assert phase_table.cache_info().currsize == 0
+    assert set(caches().values()) == {0}
 
 
 def test_public_names_have_a_caller_or_are_paper_named():

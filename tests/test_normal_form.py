@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -50,7 +51,6 @@ from nfnls.normal_form import (
     _Node,
     _output_boxes,
     _q1_rows,
-    _resonant_table,
     _sum_q1_over,
     _tree_level_sum,
     _triple_table,
@@ -58,9 +58,10 @@ from nfnls.normal_form import (
 from nfnls.resonance import PRODUCT, QUARTIC, enumerate_triples, expand_triples, phase_table, phase_value
 from nfnls.trees import enumerate_index_functions, enumerate_trees
 from oracles import (
-    bucket_boxes, c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, per_assignment_tree_level_sum,
-    per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over, per_slot_inserts, per_slot_n21,
-    per_triple_gap_sum, product_triple_table, rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
+    bucket_boxes, c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, merged_resonant_table,
+    per_assignment_tree_level_sum, per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over,
+    per_slot_inserts, per_slot_n21, per_triple_gap_sum, product_triple_table, rowwise_q1_tilde_rows,
+    scatter, slow_n3_oracle,
 )
 
 G = make_grid(16, 32)
@@ -137,7 +138,7 @@ def test_no_insert_built_when_high_phase_set_empty(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("insert built for an empty high-phase set")
 
-    monkeypatch.setattr(normal_form, "_resonant_table", refuse)
+    monkeypatch.setattr(_Node, "resonant", property(refuse))
     monkeypatch.setattr(normal_form, "_InnerBuckets", refuse)
     for op in (n4_state, n3_state, n31_state, n32_state, n22_state, n21_state):
         assert np.all(op(v, N, window=13).data == 0)
@@ -310,46 +311,68 @@ def test_scatter_rows_segment_sum_matches_add_at():
     grid = make_grid(4, 8)
     n = np.sort(rng.integers(-8, 8, 300))
     bands = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
-    w = rng.uniform(-2, 2, 300)
-    want = scatter(grid, n, bands, w)
+    want = scatter(grid, n, bands)
     scale = np.max(np.abs(want))
-    for order in (np.arange(300), rng.permutation(300)):
-        got = normal_form._scatter_rows(grid, n[order], bands[order], w[order])
-        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    got = normal_form._scatter_rows(grid, n, bands)
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
     out = np.ones_like(want)
-    normal_form._scatter_rows(grid, n, bands, w, out=out)
+    normal_form._scatter_rows(grid, n, bands, out=out)
     assert np.max(np.abs(out - 1 - want)) <= 1e-14 * scale
 
 
-def test_resonant_one_pass_is_r2_minus_r1():
-    rng = np.random.default_rng(20)
-    v = random_state(rng, span=5, t=0.3)
-    node = _Node(v, 0.3)
-    r2, r1 = (
-        normal_form._sum_q1_over(node, _triple_table(G.n_max, 7, None, mode))
-        for mode in ("resonant_R2", "resonant_R1")
-    )
-    want = r2 - r1
-    got = apply_resonant(v, window=7).data
+def test_scattered_rows_are_non_decreasing_in_n():
+    # the precondition of _scatter_rows: the triple tables, the rows of a
+    # node's inner table and the gap pass's group rows come in order of n
+    rng = np.random.default_rng(25)
+    for grid, span, N, window in GENERATION_ONE_CONFIGS:
+        node = _Node(random_state(rng, span=span, t=0.2, grid=grid), 0.2, window)
+        tab, gt = node.inner_table, normal_form._gap_table(grid, window, N)
+        modes = ("resonant_R1", "resonant_R2", "A_N", "A_N_complement")
+        columns = [_triple_table(grid.n_max, window, N, m)[0] for m in modes]
+        columns += [tab.parents[tab.row], gt.rows[0][gt.group_row]]
+        assert len(tab.row) and len(gt.group_row)
+        for n in columns:
+            assert np.all(np.diff(n) >= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.sampled_from([2, 4, 8]),
+    n_max=st.sampled_from([8, 16]),
+    window=st.integers(1, 7),
+    t=st.floats(0.0, 1.0),
+)
+def test_resonant_one_pass_is_r2_minus_r1(seed, B, n_max, window, t):
+    # the resonant set summed once is R2 (overlap twice) less R1, summed as
+    # one weighted table; n_max = 8 clips the output boxes from window 3 on
+    rng = np.random.default_rng(seed)
+    grid = make_grid(B, n_max)
+    data = np.zeros((2 * n_max, B), dtype=complex)
+    boxes = rng.choice(np.arange(n_max - window, n_max + window), size=window + 1, replace=False)
+    data[boxes] = rng.standard_normal((len(boxes), B)) + 1j * rng.standard_normal((len(boxes), B))
+    v = BoxedState(grid, data, t)
+    node = _Node(v, t, window)
+    want = per_row_sum_q1_over(node, merged_resonant_table(n_max, node.window))
+    got = apply_resonant(v, t, window).data
+    assert np.any(want != 0)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    r2, r1 = (
+        set(zip(*_triple_table(n_max, node.window, None, m))) for m in ("resonant_R2", "resonant_R1")
+    )
+    assert r1 and r1 < r2
 
 
 @pytest.mark.parametrize("chunk", [128, 12])
-@pytest.mark.parametrize("mode", ["resonant_R2", "resonant_R1", "A_N", "A_N_complement", "merged"])
+@pytest.mark.parametrize("mode", ["resonant_R2", "resonant_R1", "A_N", "A_N_complement"])
 def test_sum_q1_over_matches_per_row_picks(mode, chunk, monkeypatch):
     # the spectra summed per (box, slack) before one inverse FFT give the sum
-    # of the per-row picks; the merged R2 - R1 table (weights 2, 1 and -1) is
-    # not sorted by slack within a box
+    # of the per-row picks
     monkeypatch.setattr(normal_form, "ROW_CHUNK", chunk)
     rng = np.random.default_rng(21)
     v = random_state(rng, span=5, t=0.3)
     node = _Node(v, 0.3, 7)
-    if mode == "merged":
-        table = _resonant_table(G.n_max, 7)
-        slack = table[0] - (table[1] - table[2] + table[3])
-        assert np.any(np.diff(slack)[np.diff(table[0]) == 0] < 0)
-    else:
-        table = _triple_table(G.n_max, 7, 12.0, mode)
+    table = _triple_table(G.n_max, 7, 12.0, mode)
     if chunk == 12:  # more than one chunk of summed spectra
         assert np.count_nonzero(node.live(*table[1:4]) == 3) > chunk * G.bins_per_box // 2
     want = per_row_sum_q1_over(node, table)
@@ -358,21 +381,9 @@ def test_sum_q1_over_matches_per_row_picks(mode, chunk, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_gap_index_rejects_weighted_tables():
-    # the gap pass contracts row groups and carries no per-row weight
-    n, n1, n2, n3 = (np.array([b]) for b in (4, 1, -1, 2))
-    _gap_index(G, (n, n1, n2, n3, np.ones(1)))
-    v = random_state(np.random.default_rng(22), span=5)
-    for w in (np.array([2.0]), np.array([-1.0])):
-        with pytest.raises(ConfigurationError):
-            _gap_index(G, (n, n1, n2, n3, w))
-        with pytest.raises(ConfigurationError):
-            _generation_one(_Node(v, 0.0, 5), None, table=(n, n1, n2, n3, w))
-
-
 def random_gap_table(rng, window, groups):
-    """Distinct rows (n, n1, n2, n3) of unit weight in random order: per
-    (n, n1, n3) group one, two or three slacks in turn, at random."""
+    """Distinct rows (n, n1, n2, n3) in random order: per (n, n1, n3) group
+    one, two or three slacks in turn, at random."""
     seen, rows = set(), []
     while len(seen) < groups:
         n1, n3, m = rng.integers(-window, window + 1, 3)
@@ -382,8 +393,7 @@ def random_gap_table(rng, window, groups):
         slacks = rng.choice(3, len(seen) % 3 + 1, replace=False)
         seen.add((n, n1, n3))
         rows += [(n, n1, m + s - 1, n3) for s in slacks]
-    n, n1, n2, n3 = np.array(rows)[rng.permutation(len(rows))].T
-    return n, n1, n2, n3, np.ones(len(n))
+    return tuple(np.array(rows)[rng.permutation(len(rows))].T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,7 +411,7 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
     rng = np.random.default_rng(seed)
     grid = make_grid(B, 16)
     table = random_gap_table(rng, 3, groups)
-    n, n1, n2, n3, _ = table
+    n, n1, n2, n3 = table
     data = rng.standard_normal((32, B)) + 1j * rng.standard_normal((32, B))
     data[rng.random(32) < 0.3] = 0.0  # some dead boxes
     v = BoxedState(grid, data, 0.2)
@@ -415,7 +425,7 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
     assert np.array_equal(gt.pair1[first], gt.pair1) and np.array_equal(gt.pair3[first], gt.pair3)
     assert np.all(np.diff(n[gt.group_row]) >= 0)
     count = np.zeros((groups, 3), dtype=int)
-    np.add.at(count, (gt.group, gt.slack), 1)
+    np.add.at(count, (gt.group, n - (n1 - n2 + n3) + 1), 1)
     assert np.array_equal(gt.keys[gt.group_key], np.column_stack([(n1 + n3 - n)[gt.group_row], count]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normal_form, "ROW_CHUNK", chunk)
@@ -443,7 +453,7 @@ def test_state_gathered_q1_rows_equal_per_row_transforms(grid, span, window):
     rng = np.random.default_rng(17)
     v = random_state(rng, span=span, t=0.2, grid=grid)
     node = _Node(v, 0.2)
-    n, n1, n2, n3, _ = _triple_table(grid.n_max, window, math.inf, "A_N")
+    n, n1, n2, n3 = _triple_table(grid.n_max, window, math.inf, "A_N")
     assert len(n) > normal_form.ROW_CHUNK
     bands = [v.data[b + grid.n_max] for b in (n1, n2, n3)]
     got = _q1_rows(node, n, n1, n2, n3)
@@ -861,14 +871,13 @@ def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
 
     for T in (5, chunk, 29):
         n, n1, n2, n3 = gap_kernel_rows(rng, T)
-        w = np.ones(T)
         stacks = [data[b + grid.n_max] for b in (n1, n2, n3)]
         per_triple = np.array([
             q1_tilde(int(n[i]), band(n1[i]), band(n2[i]), band(n3[i]), t).coeffs
             for i in range(T)
         ])
         got = np.array([
-            boundary(tuple(a[i : i + 1] for a in (n, n1, n2, n3, w)))[n[i] + grid.n_max]
+            boundary(tuple(a[i : i + 1] for a in (n, n1, n2, n3)))[n[i] + grid.n_max]
             for i in range(T)
         ])
         for want in (
@@ -878,8 +887,8 @@ def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
         ):
             scale = np.max(np.abs(want), axis=1)
             assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * scale)
-        want = scatter(grid, n, per_triple, w)
-        got = boundary((n, n1, n2, n3, w))
+        want = scatter(grid, n, per_triple)
+        got = boundary((n, n1, n2, n3))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -927,7 +936,7 @@ def test_live_triple_table_is_the_masked_full_table(mode):
                 i, j = tab.span(boxes, -12.0, 12.0)
                 pos = np.sort(np.concatenate([tab.order[:0]] + [tab.order[a:b] for a, b in zip(i, j)]))
             got = (boxes[tab.row[pos]], tab.c1[pos], tab.c2[pos], tab.c3[pos])
-        for g, w in zip(got, full[:4]):
+        for g, w in zip(got, full):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w[keep])
         nonempty += len(got[0]) > 0
@@ -941,7 +950,7 @@ def test_live_phase_table_is_the_masked_full_table(sign):
     # window and an empty live set included
     nonempty = 0
     for n_max, window, live in LIVE_CASES:
-        n, n1, n2, n3, _ = _triple_table(n_max, window, math.inf, "A_N")
+        n, n1, n2, n3 = _triple_table(n_max, window, math.inf, "A_N")
         keep = np.all(np.isin(np.stack([n1, n2, n3]), live), axis=0)
         lim = min(3 * window + 1, n_max - 1)  # the output boxes of _triple_table
         tab = phase_table(tuple(range(-lim, lim + 1)), window, (live,) * 3, sign)
@@ -1088,22 +1097,23 @@ def test_level_three_integrand_builds_each_insert_state_once(monkeypatch):
     # which builds the resonant insert and the inner phase buckets once, on a
     # state whose level-3 inserts are live
     v, _ = tiny_remainder_inputs()
-    built = {"_resonant_table": 0, "_InnerBuckets": 0}
+    built = {"resonant": 0, "_InnerBuckets": 0}
 
-    def counted(name):
-        original = getattr(normal_form, name)
-
+    def counted(name, original):
         def build(*args, **kwargs):
             built[name] += 1
             return original(*args, **kwargs)
 
         return build
 
-    for name in built:
-        monkeypatch.setattr(normal_form, name, counted(name))
+    resonant = cached_property(counted("resonant", _Node.resonant.func))
+    resonant.__set_name__(_Node, "resonant")
+    monkeypatch.setattr(_Node, "resonant", resonant)
+    buckets = counted("_InnerBuckets", normal_form._InnerBuckets)
+    monkeypatch.setattr(normal_form, "_InnerBuckets", buckets)
     params = SolverParams(J=3, N=1.0, T=1.0, q=2.0, window=16)
     normal_form._integrand(v.at_time(0.37), params)
-    assert built == {"_resonant_table": 1, "_InnerBuckets": 1}
+    assert built == {"resonant": 1, "_InnerBuckets": 1}
 
 
 def test_tree_level_sum_assignment_guard(monkeypatch):
