@@ -2,7 +2,8 @@
 
 The config file is flat ``key = value`` lines with dotted keys matching the
 experiment fields (``grid.B = 16``, ``solver.q = 2.0``, ...).  ``#`` starts a
-comment.  Exit code 0 means every check in the report passed.
+comment.  A key the kind's suite does not read is a configuration error (exit
+code 2).  Exit code 0 means every check in the report passed.
 """
 
 from __future__ import annotations

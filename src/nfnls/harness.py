@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "report_v1"
-EXPERIMENT_KINDS = ("verify_lemmas", "converge", "solve", "compare", "trees", "norms")
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +74,13 @@ def split_step_solve(
     dt: float,
     steps: int,
     sign: int = +1,
-    record_every: int | None = None,
 ) -> Trajectory:
     """Strang split-step for i u_t - u_xx + sign*|u|^2 u = 0.
 
     Kinetic half-steps multiply bin xi by exp(+i*(dt/2)*xi^2) (the free flow
     of the equation); the nonlinear step rotates u -> u * exp(i*sign*|u|^2*dt)
-    pointwise.  States are recorded every ``record_every`` steps (default:
-    about 16 snapshots) as box states in the u-picture.
+    pointwise.  States are recorded every max(1, steps // 16) steps (about 16
+    snapshots) and at the last step, as box states in the u-picture.
     """
     g = u0.grid
     xi_max = g.M / (2 * g.bins_per_box)
@@ -91,10 +89,7 @@ def split_step_solve(
             f"dt={dt:g} is coarse for the fastest phase (xi_max^2={xi_max**2:g})",
             stacklevel=2,
         )
-    if record_every is None:
-        record_every = max(1, steps // 16)
-    if record_every < 1:
-        raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
+    record_every = max(1, steps // 16)
     half = np.exp(1j * (dt / 2.0) * (np.arange(g.M) - g.M // 2) ** 2 / g.bins_per_box**2)
     coeffs = forward(u0).coeffs.copy()
     norm0 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
@@ -153,6 +148,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(kind: str, kv: dict) -> "ExperimentConfig":
+        """The config of ``kind`` from file keys: each spelled one way, each read by the suite."""
         alias = {
             "grid.B": "grid_B",
             "grid.n_max": "grid_n_max",
@@ -166,16 +162,17 @@ class ExperimentConfig:
             "trees.J": "trees_J",
         }
         types = {f.name: f.type for f in fields(ExperimentConfig)}
+        if kind not in EXPERIMENT_KINDS:
+            raise ConfigurationError(f"unknown experiment kind {kind!r}")
+        reads = ("seed", "out") + _SUITES[kind][1]
         cfg = ExperimentConfig(kind=kind)
         for key, val in kv.items():
+            if key not in reads:
+                raise ConfigurationError(f"the {kind} suite reads no key {key!r}; it reads {reads}")
             name = alias.get(key, key)
-            if name not in types:
-                raise ConfigurationError(f"unknown config key {key!r}")
             if isinstance(val, bool) or not isinstance(val, _ACCEPTED[types[name]]):
                 raise ConfigurationError(f"config key {key!r} needs {types[name]}, got {val!r}")
             setattr(cfg, name, val)
-        if cfg.kind not in EXPERIMENT_KINDS:
-            raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
         return cfg
 
     def echo(self) -> dict:
@@ -326,6 +323,8 @@ def compare_with_reference(cfg: ExperimentConfig, params: SolverParams, J_values
 
 
 def _suite_trees(cfg, rep, rng):
+    if cfg.trees_J < 1:  # no generation, no check: the report would pass vacuously
+        raise ConfigurationError(f"trees.J must be >= 1, got {cfg.trees_J}")
     rows = []
     for J in range(1, cfg.trees_J + 1):
         trees = enumerate_trees(J)
@@ -354,7 +353,7 @@ def _suite_norms(cfg, rep, rng):
     emb_ok = True
     for _ in range(20):
         F = random_boxed_state(grid, rng, 8, 2.0).to_spectrum()
-        if modulation_norm(F, 0.0, 2, math.inf) > modulation_norm(F, 0.0, 2, cfg.q) + 1e-12:
+        if modulation_norm(F, 0.0, math.inf) > modulation_norm(F, 0.0, cfg.q) + 1e-12:
             emb_ok = False
     rep.add_check("sup-box-below-lq", "sequence-embedding", int(emb_ok), 1, emb_ok, "==")
     rows = [(i, r) for i, r in enumerate(ratios)]
@@ -466,7 +465,7 @@ def _suite_solve(cfg, rep, rng):
 
 
 def _suite_compare(cfg, rep, rng):
-    params = choose_parameters(cfg.R, cfg.q, J=cfg.J, s=cfg.s, K=cfg.K, sign=cfg.sign)
+    params = choose_parameters(cfg.R, cfg.q, s=cfg.s, K=cfg.K, sign=cfg.sign)
     errors, _ = compare_with_reference(cfg, params, J_values=(1, 2, 3))
     for J, err in errors.items():
         rep.add_check(f"solver-agreement-J{J}", "reference-comparison", err, 1e-3, err <= 1e-3)
@@ -476,6 +475,22 @@ def _suite_compare(cfg, rep, rng):
     rep.tables["errors"] = (["J", "relative_error"], sorted(errors.items()))
 
 
+# each kind's suite and the config keys it reads, besides seed and out
+_GRID = ("grid.B", "grid.n_max")
+_SOLVER = _GRID + (
+    "solver.R", "solver.q", "solver.s", "solver.K", "solver.sign", "amplitude", "width",
+)
+_SUITES = {
+    "verify_lemmas": (_suite_verify_lemmas, _GRID + ("solver.q", "solver.R", "solver.eps")),
+    "converge": (_suite_converge, _GRID + ("solver.sign",)),
+    "solve": (_suite_solve, _SOLVER + ("solver.J",)),
+    "compare": (_suite_compare, _SOLVER),
+    "trees": (_suite_trees, ("trees.J",)),
+    "norms": (_suite_norms, _GRID + ("solver.s", "solver.q")),
+}
+EXPERIMENT_KINDS = tuple(_SUITES)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one suite; deterministic given config and seed."""
     if cfg.kind not in EXPERIMENT_KINDS:
@@ -483,14 +498,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     rng = np.random.default_rng(cfg.seed)
     rep = RunReport(kind=cfg.kind, config=cfg.echo())
     t0 = time.perf_counter()
-    suite = {
-        "trees": _suite_trees,
-        "norms": _suite_norms,
-        "verify_lemmas": _suite_verify_lemmas,
-        "converge": _suite_converge,
-        "solve": _suite_solve,
-        "compare": _suite_compare,
-    }[cfg.kind]
+    suite = _SUITES[cfg.kind][0]
     try:
         suite(cfg, rep, rng)
     except ConfigurationError:

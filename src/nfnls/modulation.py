@@ -10,10 +10,11 @@ Two window families realize the unit-box decomposition:
   are C^1, supported in {|xi - n| <= 1}, and bounded below by 1/2 on the core
   half-box.  Used for the norm-equivalence diagnostics only.
 
-The norm with indices (s, p=2, q) is (sum_n <n>^{sq} ||box_n F||_2^q)^{1/q}
-with <n> = (1 + n^2)^(1/2); q = inf takes the sup.  Only p = 2 is exact on
-this discretization; discrete l^p sample quadrature is exposed solely for the
-multiplier diagnostic below and is labeled diagnostic accuracy.
+The M^s_{2,q} norm is (sum_n <n>^{sq} ||box_n F||_2^q)^{1/q} with
+<n> = (1 + n^2)^(1/2); q = inf takes the sup.  Only p = 2 is exact on this
+discretization, so no other p is offered; discrete l^p sample quadrature is
+exposed solely for the multiplier diagnostic below and is labeled diagnostic
+accuracy.
 
 Everything here is pure and thread-safe; per-box work may be parallelized.
 """
@@ -155,13 +156,10 @@ def box_l2_profile(F: Spectrum, w: WindowFamily | None = None) -> np.ndarray:
 def modulation_norm(
     F: Spectrum,
     s: float = 0.0,
-    p: int = 2,
     q: float = 2.0,
     w: WindowFamily | None = None,
 ) -> float:
     """(sum_n <n>^{sq} ||sigma_n F||_2^q)^{1/q}; q = math.inf takes the sup."""
-    if p != 2:
-        raise DomainError("only p = 2 norms are exact here; see multiplier_bound_check")
     if not (q >= 1.0 or q == math.inf):
         raise DomainError(f"need q >= 1 or q = inf, got {q}")
     g = F.grid
@@ -177,10 +175,10 @@ def modulation_norm(
 def norm_equivalence_ratio(F: Spectrum, s: float = 0.0, q: float = 2.0) -> float:
     """Raised-cosine norm divided by the sharp norm for the same (s, q)."""
     g = F.grid
-    sharp = modulation_norm(F, s, 2, q, WindowFamily.sharp(g.bins_per_box))
+    sharp = modulation_norm(F, s, q, WindowFamily.sharp(g.bins_per_box))
     if sharp == 0.0:
         raise UndefinedRatioError("norm ratio undefined for zero input")
-    smooth = modulation_norm(F, s, 2, q, WindowFamily.raised_cosine(g.bins_per_box))
+    smooth = modulation_norm(F, s, q, WindowFamily.raised_cosine(g.bins_per_box))
     return smooth / sharp
 
 

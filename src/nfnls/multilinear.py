@@ -274,14 +274,14 @@ def _kernel(plan: _TreePlan, gap1: np.ndarray, gap3: np.ndarray, B: int):
     return kernel, np.abs(prefix).min(axis=1)
 
 
-def _evaluate(plan, gap1, gap3, u, min_denominator, target, size, scale=1.0):
+def _evaluate(plan, gap1, gap3, u, target, size, scale=1.0):
     """Root-box bins, before the output phase, of a (R, L, B) stack of leaf rows.
 
     Row r of ``u`` holds u-picture leaf values with the conjugations applied;
     it takes the kernel of row r of the box gaps (or of their only row) and
     is added, times ``scale``, into row ``target[r]`` of the (size, B)
     output.  Raises if nonzero data meet a prefix denominator below
-    ``min_denominator``.
+    ``MIN_PREFIX_DENOMINATOR``.
     """
     R, L, B = u.shape
     weight = scale * (2.0 * np.pi * B * B) ** (-len(plan.fsgn))
@@ -297,7 +297,7 @@ def _evaluate(plan, gap1, gap3, u, min_denominator, target, size, scale=1.0):
         values = u[sl, 0].take(plan.offsets[0], axis=1)
         for i in range(1, L):
             values = values * u[sl, i].take(plan.offsets[i], axis=1)
-        small = min_prefix < min_denominator
+        small = min_prefix < MIN_PREFIX_DENOMINATOR
         if small.any() and np.any(small & (values != 0)):
             raise PreconditionError(
                 "singular prefix denominator met by nonzero data inside the windows"
@@ -309,7 +309,7 @@ def _evaluate(plan, gap1, gap3, u, min_denominator, target, size, scale=1.0):
     return out.reshape(size, B)
 
 
-def _tree_sum(tree, freq, u, target, size, scale=1.0, min_denominator=MIN_PREFIX_DENOMINATOR):
+def _tree_sum(tree, freq, u, target, size, scale=1.0):
     """The tree operator of every row of index functions, summed by target row.
 
     Row r of ``freq`` (A, nodes) is an index function and row r of ``u`` (A,
@@ -325,9 +325,7 @@ def _tree_sum(tree, freq, u, target, size, scale=1.0, min_denominator=MIN_PREFIX
     for k, pattern in enumerate(patterns):
         rows = np.flatnonzero(group.reshape(-1) == k)
         plan = _slack_plan(tree, tuple(pattern.tolist()), B)
-        out += _evaluate(
-            plan, gap1[rows], gap3[rows], u[rows], min_denominator, target[rows], size, scale
-        )
+        out += _evaluate(plan, gap1[rows], gap3[rows], u[rows], target[rows], size, scale)
     return out
 
 
@@ -348,7 +346,6 @@ def q_tree(
     assign: IndexAssignment,
     leaves: BandTuple,
     t: float,
-    min_denominator: float = MIN_PREFIX_DENOMINATOR,
 ) -> BandCoefficients:
     """Kernel-exact evaluation of the generation-J tree operator.
 
@@ -358,7 +355,7 @@ def q_tree(
     half-phase prefix sums and weight (2*pi*B^2)^{-J}.  Raises a resource
     guard for J > 3 or B^(2J+1) over the budget and a precondition error if
     a window-surviving tuple with nonzero data drives any prefix denominator
-    below ``min_denominator``.
+    below ``MIN_PREFIX_DENOMINATOR``.
     """
     if tree.J > TREE_KERNEL_J_MAX:  # checked before the leaves are read
         raise ResourceGuardError(f"kernel-exact path is capped at J={TREE_KERNEL_J_MAX}")
@@ -378,7 +375,7 @@ def q_tree(
             raise PreconditionError("conjugation flags disagree with the sign table")
         ub = _u_block(band, t)
         u[0, i] = np.conj(ub) if plan.conjugated[i] else ub
-    out = _evaluate(plan, gap1, gap3, u, min_denominator, np.zeros(1, dtype=np.intp), 1)
+    out = _evaluate(plan, gap1, gap3, u, np.zeros(1, dtype=np.intp), 1)
     out = out[0] * _output_phase(assign.n_root, B, t)
     return BandCoefficients(
         box_index=assign.n_root, grid=grid, coeffs=out, start_bin=assign.n_root * B
@@ -440,7 +437,7 @@ def certify_tree_bound(
     conj = list(plan.conjugated)
     u[:, conj] = np.conj(u[:, conj])
     D = len(u)
-    out = _evaluate(plan, gap1, gap3, u, MIN_PREFIX_DENOMINATOR, np.arange(D), D)
+    out = _evaluate(plan, gap1, gap3, u, np.arange(D), D)
     out = out * _output_phase(assign.n_root, B, t)
     norms = np.sqrt(np.sum(np.abs(out) ** 2, axis=1) / B)
     return float(np.max(norms) * den)

@@ -97,9 +97,7 @@ from .errors import (
 from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
 from .modulation import BandCoefficients, modulation_norm
 from .multilinear import _tree_sum
-from .resonance import (
-    QUARTIC, PhaseTable, _mode_mask, c_set_radius, expand_triples, phase_table, phase_value,
-)
+from .resonance import PhaseTable, _mode_mask, c_set_radius, expand_triples, phase_table
 from .trees import _frontier, compute_signs, enumerate_trees
 
 __all__ = [
@@ -135,6 +133,7 @@ __all__ = [
 DEFAULT_EMPIRICAL_C = 0.35
 
 SUPPORT_FLOOR = 1e-14
+PICARD_MAX_ITER = 25
 ASSIGNMENT_GUARD = 400_000
 
 
@@ -181,16 +180,16 @@ class BoxedState:
         return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=1) / self.grid.bins_per_box)
 
     def lq_norm(self, q: float, s: float = 0.0) -> float:
-        return modulation_norm(self.to_spectrum(), s, 2, q)
+        return modulation_norm(self.to_spectrum(), s, q)
 
-    def active_window(self, floor: float = SUPPORT_FLOOR) -> int:
+    def active_window(self) -> int:
         norms = self.box_norms()
         total = float(np.sqrt(np.sum(norms**2)))
         if total == 0.0:
             return 0
         g = self.grid
         boxes = np.arange(-g.n_max, g.n_max)
-        hot = boxes[norms > floor * total]
+        hot = boxes[norms > SUPPORT_FLOOR * total]
         if len(hot) == 0:
             return 0
         return int(max(abs(hot.min()), abs(hot.max())) + 1)
@@ -378,7 +377,7 @@ def _triple_table(n_max: int, window: int, N_key, mode: str):
     boxes = _output_boxes(n_max, window)
     rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
-    keep = _mode_mask(n, n1, n2, n3, mode, N, QUARTIC)
+    keep = _mode_mask(n, n1, n2, n3, mode, N)
     return n[keep], n1[keep], n2[keep], n3[keep]
 
 
@@ -541,14 +540,14 @@ def apply_resonant(state: BoxedState, t: float | None = None, window: int | None
     return _Node(state, t, window).resonant.state
 
 
-def resonant_r1(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
-    return _table_state(_Node(state, t, window), None, "resonant_R1").band(n)
+def resonant_r1(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
+    return _table_state(_Node(state, t, window), None, "resonant_R1")
 
 
-def resonant_r2(state: BoxedState, n: int, t: float | None = None, window: int | None = None) -> BandCoefficients:
+def resonant_r2(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 counts the doubly matched rows twice: the resonant set plus R1."""
     node = _Node(state, t, window)
-    return node.resonant.state.plus(_table_state(node, None, "resonant_R1")).band(n)
+    return node.resonant.state.plus(_table_state(node, None, "resonant_R1"))
 
 
 def apply_n11(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -626,7 +625,7 @@ class _GenerationOne(NamedTuple):
     n12: BoxedState | None
 
 
-def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
+def _generation_one(node: _Node, N, resonant=False, which=None):
     """Generation one at a node, in one pass over the high-phase rows.
 
     ``boundary`` is N21, the gap kernel summed over A_N^c.  ``inserts`` sums,
@@ -635,8 +634,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
     which = "all", the box's full non-resonant inner sum; it is None when
     neither is asked for.  ``n12`` is N12, the high-phase part of the same
     inner sums (``_Node.inner``), when ``which`` is given.  The phase-restricted
-    inserts are the tree path's (N32 is its J = 1 pass).  A triple ``table``
-    other than A_N^c of the window replaces it for the boundary and inserts.
+    inserts are the tree path's (N32 is its J = 1 pass).
 
     Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
     (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
@@ -663,7 +661,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None, table=None):
         raise ConfigurationError(f"the gap pass takes which = None or 'all', not {which!r}")
     g = node.grid
     B = g.bins_per_box
-    gt = _gap_table(g, node.window, N) if table is None else _gap_index(g, table)
+    gt = _gap_table(g, node.window, N)
     n, n1, n2, n3 = gt.rows
     sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
     inserting = resonant or which is not None
@@ -837,9 +835,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
             node_sets = dict(sets)
             if li is not None:
                 node_sets[leaf_ids[li]] = insert_boxes
-            freq, mu, _ = _frontier(
-                tree, roots, w, N, node_sets.get, "C_complement_chain", ASSIGNMENT_GUARD
-            )
+            freq, mu, _ = _frontier(tree, roots, w, N, node_sets.get, ASSIGNMENT_GUARD)
             count += len(freq)
             if count > ASSIGNMENT_GUARD:
                 raise ResourceGuardError("tree-level operator sum exceeded the assignment guard")
@@ -917,17 +913,15 @@ class SolverParams:
     R_tilde: float = 4.0
     K: int = 16
     picard_tol: float = 1e-12
-    picard_max_iter: int = 25
     sign: int = +1
     window: int | None = None
-    empirical_c: float = DEFAULT_EMPIRICAL_C
     support_trim: float = 0.0  # relative band floor zeroed between iterates
 
     def validate(self):
         if not (1.0 <= self.q <= 2.0):
             raise ConfigurationError(f"q must lie in [1, 2], got {self.q}")
-        if self.J < 1 or self.K < 2 or self.T <= 0 or self.picard_max_iter < 1:
-            raise ConfigurationError("need J >= 1, K >= 2, T > 0, picard_max_iter >= 1")
+        if self.J < 1 or self.K < 2 or self.T <= 0:
+            raise ConfigurationError("need J >= 1, K >= 2, T > 0")
         if self.support_trim < 0 or (self.window is not None and self.window < 1):
             raise ConfigurationError("need support_trim >= 0 and window >= 1")
         if self.sign not in (+1, -1):
@@ -936,7 +930,7 @@ class SolverParams:
             raise ConfigurationError(
                 f"threshold N={self.N} below the geometric-series bound"
             )
-        if self.empirical_c * self.T * _t_bracket(self.N, self.q, self.R_tilde) >= 0.1:
+        if DEFAULT_EMPIRICAL_C * self.T * _t_bracket(self.N, self.q, self.R_tilde) >= 0.1:
             raise ConfigurationError("time horizon violates the smallness condition")
 
 
@@ -973,7 +967,6 @@ def choose_parameters(
     s: float = 0.0,
     K: int = 16,
     sign: int = +1,
-    empirical_c: float = DEFAULT_EMPIRICAL_C,
 ) -> SolverParams:
     """Threshold and horizon from the a-priori bound R (R~ = 4R).
 
@@ -986,10 +979,9 @@ def choose_parameters(
         raise DomainError(f"a-priori bound must satisfy R >= 1, got {R}")
     R_tilde = 4.0 * R
     N = threshold_from_bound(R_tilde, q)
-    T = 0.099 / (empirical_c * _t_bracket(N, q, R_tilde))
+    T = 0.099 / (DEFAULT_EMPIRICAL_C * _t_bracket(N, q, R_tilde))
     p = SolverParams(
         J=J, N=N, T=T, q=q, s=s, R=R, R_tilde=R_tilde, K=K, sign=sign,
-        empirical_c=empirical_c,
     )
     p.validate()
     return p
@@ -1124,7 +1116,7 @@ def solve(u0, params: SolverParams):
     start = _integrand(v0, params)
     diffs: list[float] = []
     ratios: list[float] = []
-    for it in range(params.picard_max_iter):
+    for it in range(PICARD_MAX_ITER):
         nxt = _gamma_partial(v0, current, params, start)
         if params.support_trim > 0.0:
             nxt = Trajectory(
@@ -1145,7 +1137,7 @@ def solve(u0, params: SolverParams):
     else:
         if diffs[-1] >= params.picard_tol * max(1.0, params.R_tilde):
             raise DivergenceError(
-                f"no convergence in {params.picard_max_iter} iterations", ratios=ratios
+                f"no convergence in {PICARD_MAX_ITER} iterations", ratios=ratios
             )
     u_states = tuple(
         BoxedState.from_spectrum(

@@ -9,10 +9,9 @@ xi = xi1 - xi2 + xi3.  Integer box triples satisfy the surface equation only
 up to the near-match slack (n1 - n2 + n3 in {n-1, n, n+1}), so the quartic
 value and the product 2*(n-n1)*(n-n3) differ on a thin shell.  The quartic
 value decides set membership everywhere; the product value is carried as
-data (``PhaseTable.mp``) for the certification, and ``phase_value`` and
-``enumerate_triples`` take either convention for the fixed product-convention
-counting protocol.  The continuous kernels elsewhere always use the (exact
-there) product form.
+data (``PhaseTable.mp``) for the certification and the sampler, and
+``phase_value`` evaluates either convention.  The continuous kernels
+elsewhere always use the (exact there) product form.
 
 Set modes for :func:`enumerate_triples` (one predicate, ``_mode_mask``, also
 used for the operator tables in ``normal_form``):
@@ -220,7 +219,7 @@ class PhaseTable:
 phase_table = lru_cache(maxsize=256)(PhaseTable)
 
 
-def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None, convention: str):
+def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None):
     """Membership of the triple columns in the frequency set ``mode``."""
     if mode not in _MODES:
         raise DomainError(f"unknown mode {mode!r}")
@@ -232,7 +231,7 @@ def _mode_mask(n, n1, n2, n3, mode: str, thr: float | None, convention: str):
         return near1 & near3
     if mode == "resonant_R2":
         return near1 | near3
-    inside = np.abs(phase_value(n, n1, n2, n3, convention)) <= thr
+    inside = np.abs(phase_phi(n, n1, n2, n3)) <= thr
     return ~near1 & ~near3 & (inside == (mode == "A_N"))
 
 
@@ -241,7 +240,6 @@ def enumerate_triples(
     window: int,
     N: float | None = None,
     mode: str = "A_N_complement",
-    convention: str = QUARTIC,
 ) -> list[FrequencyTriple]:
     """All triples (n1, n2, n3) in [-window, window]^3 with n1-n2+n3 ~ n, by mode.
 
@@ -249,7 +247,7 @@ def enumerate_triples(
     (n1, n2, n3).
     """
     _, n1, n2, n3 = expand_triples([n], window)
-    keep = _mode_mask(n, n1, n2, n3, mode, None if N is None else float(N), convention)
+    keep = _mode_mask(n, n1, n2, n3, mode, None if N is None else float(N))
     return [
         FrequencyTriple(n, *row)
         for row in np.stack([n1[keep], n2[keep], n3[keep]], axis=1).tolist()

@@ -239,42 +239,32 @@ def enumerate_index_functions(
     n_root: int,
     window: int,
     N: float,
-    cJ_filter: str = "C_complement_chain",
-    allowed_boxes=None,
+    allowed_boxes: dict | None = None,
     max_count: int = 2_000_000,
 ) -> list[IndexAssignment]:
     """Exhaustive index functions on ``tree`` with root box ``n_root``.
 
     Constraints: convolution slack and non-resonance at every internal node,
     |phase| > N at the root (same membership predicate as the generation-one
-    complement set), and, with the default filter, the complement chain
+    complement set), and the complement chain
     |mu~_j| > (2j+1)^3 * max(|mu~_{j-1}|, |mu~_1|)^{0.99} for j = 2..J.
 
-    ``allowed_boxes`` restricts node frequencies: a plain set applies to the
-    final terminal nodes, while a dict maps node ids to per-node sets (missing
-    or None entries mean the full window).  More than ``max_count`` partial
-    or complete assignments raise ``ResourceGuardError``.  Assignments come
-    in lexicographic order of their generation triples in chronicle order.
+    ``allowed_boxes`` maps node ids to the box sets their frequencies must lie
+    in (missing or None entries mean the full window).  More than
+    ``max_count`` partial or complete assignments raise
+    ``ResourceGuardError``.  Assignments come in lexicographic order of their
+    generation triples in chronicle order.
     """
-    if cJ_filter not in ("C_complement_chain", "none"):
-        raise DomainError(f"unknown filter {cJ_filter!r}")
     if window < 1:
         raise BoxRangeError(f"window must be >= 1, got {window}")
     if abs(n_root) > 3 * window + 1:
         raise BoxRangeError(f"root box {n_root} unreachable from window {window}")
-    if isinstance(allowed_boxes, dict):
-        node_set = allowed_boxes.get
-    else:
-        leaves = set(tree.terminal_ids())
-
-        def node_set(c):
-            return allowed_boxes if c in leaves else None
-
-    freq, mu, mu_p = _frontier(tree, [n_root], window, N, node_set, cJ_filter, max_count)
+    node_set = (allowed_boxes or {}).get
+    freq, mu, mu_p = _frontier(tree, [n_root], window, N, node_set, max_count)
     return _assignments(tree, n_root, freq, mu, mu_p)
 
 
-def _frontier(tree, roots, window, N, node_set, cJ_filter, max_count):
+def _frontier(tree, roots, window, N, node_set, max_count):
     """The complete frontier of every root: (freq, mu, mu_p) integer arrays.
 
     One row per index function, one ``freq`` column per node and one signed
@@ -286,10 +276,10 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, max_count):
 
     At each generation the distinct parent boxes of the frontier are expanded
     once (a ``resonance.PhaseTable``, built afresh: cached tables would hold
-    every generation's children), and every filter keeps the children whose
+    every generation's children), and each generation keeps the children whose
     signed phase m lies outside an interval: |m| > N at the root, and
     |prev + m| > X with X the radius of the C set (``c_set_radius``) on the
-    chain.  So a row's children are two tails of its parent's block, sorted
+    complement chain.  So a row's children are two tails of its parent's block, sorted
     by m, found by two searchsorted calls (``PhaseTable.outside``); their
     lengths are the exact row count, and only the kept children are gathered.
     """
@@ -302,14 +292,12 @@ def _frontier(tree, roots, window, N, node_set, cJ_filter, max_count):
         parents, block = np.unique(freq[:, a], return_inverse=True)
         table = PhaseTable(parents, window, [node_set(c) for c in kids], signs.fsgn[a])
         # keep |m - center| > X for integer m: m <= center - F - 1 or
-        # m >= center + F + 1 with F = floor(X); F = -inf keeps every child
+        # m >= center + F + 1 with F = floor(X)
         if j == 0:
             center, F = 0.0, np.floor(float(N))
-        elif cJ_filter == "C_complement_chain":
+        else:
             prev = mu.sum(axis=1)
             center, F = -prev.astype(float), np.floor(c_set_radius(j, prev, mu[:, 0]))
-        else:
-            center, F = 0.0, -np.inf
         rows, pos = table.outside(block, center - F - 1, center + F + 1, max_count)
         c1, c2, c3, m, mp = (x[pos] for x in (table.c1, table.c2, table.c3, table.m, table.mp))
         freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)

@@ -132,25 +132,33 @@ def brute_triples(n, window, N, mode, convention=QUARTIC):
 
 
 def per_n_triple_table(n_max, window, N, mode, convention):
-    """The triple table built per output box from enumerate_triples (reference)."""
+    """The triple table built per output box from enumerate_triples, or from
+    the brute force under the product phase (reference)."""
     out_lim = min(3 * window + 1, n_max - 1)
-    rows = [
-        tuple(tr)
-        for n in range(-out_lim, out_lim + 1)
-        for tr in enumerate_triples(n, window, N, mode, convention)
-    ]
+
+    def per_n(n):
+        if convention == QUARTIC:
+            return enumerate_triples(n, window, N, mode)
+        return brute_triples(n, window, N, mode, convention)
+
+    rows = [tuple(tr) for n in range(-out_lim, out_lim + 1) for tr in per_n(n)]
     arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
     return tuple(arr[:, i].copy() for i in range(4))
 
 
 def product_triple_table(n_max, window, N, mode):
     """The triple table of ``mode`` over all output boxes under the product
-    phase 2*(n-n1)*(n-n3): one expansion masked by the set predicate, as in
-    ``normal_form._triple_table`` (criterion 7's fixed protocol)."""
+    phase 2*(n-n1)*(n-n3): one expansion masked as in
+    ``normal_form._triple_table``, the phase sets split by the product phase
+    (criterion 7's fixed protocol)."""
     boxes = _output_boxes(n_max, window)
     rows, n1, n2, n3 = expand_triples(boxes, window)
     n = boxes[rows]
-    keep = _mode_mask(n, n1, n2, n3, mode, N, PRODUCT)
+    if mode.startswith("resonant"):
+        keep = _mode_mask(n, n1, n2, n3, mode, N)
+    else:
+        inside = np.abs(phase_value(n, n1, n2, n3, PRODUCT)) <= N
+        keep = (np.abs(n1 - n) > 1) & (np.abs(n3 - n) > 1) & (inside == (mode == "A_N"))
     return n[keep], n1[keep], n2[keep], n3[keep]
 
 
@@ -224,20 +232,13 @@ def _reference_child_choices(fa, window, child_sets):
 
 
 def reference_index_functions(
-    tree, n_root, window, N, cJ_filter="C_complement_chain", allowed_boxes=None
+    tree, n_root, window, N, allowed_boxes=None, cJ_filter="C_complement_chain"
 ):
-    """enumerate_index_functions as one recursion over scalar candidates."""
+    """enumerate_index_functions as one recursion over scalar candidates;
+    cJ_filter = "none" drops the complement chain (the unfiltered set)."""
     signs = compute_signs(tree)
     chron = tree.chronicle
-    expanded = set(chron)
-    if isinstance(allowed_boxes, dict):
-        node_set = dict(allowed_boxes).get
-    else:
-        allowed = None if allowed_boxes is None else set(allowed_boxes)
-
-        def node_set(c):
-            return None if c in expanded else allowed
-
+    node_set = dict(allowed_boxes or {}).get
     out = []
     freq = [0] * tree.size()
     freq[0] = n_root
@@ -266,8 +267,9 @@ def reference_index_functions(
     return out
 
 
-def reference_frontier(tree, roots, window, N, node_set, cJ_filter, max_count):
-    """trees._frontier as masks over every candidate child of every row."""
+def reference_frontier(tree, roots, window, N, node_set, max_count, cJ_filter="C_complement_chain"):
+    """trees._frontier as masks over every candidate child of every row;
+    cJ_filter = "none" drops the complement chain."""
     signs = compute_signs(tree)
     freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
     freq[:, 0] = roots
@@ -682,7 +684,8 @@ def ifft_pick_generation_one(state, t, N, window, resonant=False, which=None, ta
     """The gap pass row by row, with per-row inserts: every (row, slot) pair
     searches its insert and transforms it, and two inverse FFTs per chunk
     with a pick of the valid terms replace the contraction table (test
-    oracle).  ``table`` replaces A_N^c of the window, as in the gap pass."""
+    oracle).  ``table`` replaces A_N^c of the window, as a patched
+    ``normal_form._gap_table`` does in the gap pass."""
     g = state.grid
     B = g.bins_per_box
     node = _Node(state, t, window)

@@ -1,12 +1,11 @@
 """Reference solver, experiment runner, report determinism, CLI."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nfnls import harness
+from nfnls import harness, normal_form
 from nfnls.cli import main as cli_main, parse_config_text
 from nfnls.errors import ConfigurationError, DivergenceError
 from nfnls.grids import Field, forward, free_propagate, make_grid
@@ -24,7 +23,7 @@ G = make_grid(16, 32)
 
 def test_split_step_zero_data():
     u0 = Field(grid=G, samples=np.zeros(G.M, complex))
-    traj = split_step_solve(u0, 1e-3, 32, record_every=8)
+    traj = split_step_solve(u0, 1e-3, 32)
     for st in traj.states:
         assert np.all(st.data == 0)
 
@@ -32,7 +31,7 @@ def test_split_step_zero_data():
 def test_split_step_linear_limit_matches_free_flow():
     u0 = gaussian_field(G, amplitude=1e-6)
     steps = 10_000
-    traj = split_step_solve(u0, 1.0 / steps, steps, record_every=steps)
+    traj = split_step_solve(u0, 1.0 / steps, steps)
     got = traj.states[-1].to_spectrum()
     want = free_propagate(forward(u0), 1.0, direction=-1)
     err = np.max(np.abs(got.coeffs - want.coeffs)) / np.max(np.abs(want.coeffs))
@@ -42,7 +41,7 @@ def test_split_step_linear_limit_matches_free_flow():
 def test_split_step_l2_conservation_long_run():
     u0 = gaussian_field(G, amplitude=0.5)
     norm0 = forward(u0).l2_norm()
-    traj = split_step_solve(u0, 1e-4, 10_000, record_every=2_000)
+    traj = split_step_solve(u0, 1e-4, 10_000)
     for st in traj.states:
         assert abs(st.to_spectrum().l2_norm() - norm0) / norm0 < 1e-8
 
@@ -51,14 +50,6 @@ def test_split_step_warns_on_coarse_dt():
     u0 = gaussian_field(G, amplitude=0.1)
     with pytest.warns(UserWarning):
         split_step_solve(u0, 1.0, 1)
-
-
-@pytest.mark.parametrize("record_every", [0, -1])
-def test_split_step_rejects_record_every_below_one(record_every):
-    # 0 divided by zero at the first step, -1 recorded every step
-    u0 = gaussian_field(G, amplitude=0.1)
-    with pytest.raises(ConfigurationError, match="record_every"):
-        split_step_solve(u0, 1e-3, 4, record_every=record_every)
 
 
 def test_strang_self_convergence_suite():
@@ -134,7 +125,7 @@ def test_constants_visible_at_moderate_threshold():
 
 def test_cli_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.B = 8\ngrid.n_max = 16\nseed = 4\n# comment\ntrees.J = 3\n")
+    cfg.write_text("seed = 4\n# comment\ntrees.J = 3\n")
     out = tmp_path / "out"
     code = cli_main(["trees", "--config", str(cfg), "--out", str(out)])
     assert code == 0
@@ -142,6 +133,14 @@ def test_cli_round_trip(tmp_path):
     assert doc["schema"] == "report_v1"
     assert doc["all_passed"] is True
     assert (out / "chronicles.csv").exists()
+
+
+@pytest.mark.parametrize("J", [0, -2])
+def test_cli_rejects_trees_without_generations(tmp_path, J):
+    # no generation means no check, which would report all_passed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trees.J = {J}\n")
+    assert cli_main(["trees", "--config", str(cfg)]) == 2
 
 
 def test_config_parser_types():
@@ -155,6 +154,19 @@ def test_config_parser_types():
 def test_config_rejects_keys_no_suite_reads(key):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_mapping("solve", {key: 1.0})
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("converge", "solver.q"), ("converge", "solver.J"), ("converge", "amplitude"),
+     ("compare", "solver.J"), ("trees", "grid.B"), ("norms", "solver.K"),
+     ("solve", "grid_B"), ("solve", "J"), ("solve", "kind")],
+)
+def test_config_rejects_keys_the_kind_does_not_read(kind, key):
+    # a key acts or is rejected, and each key has one spelling (grid_B and J
+    # are the fields behind grid.B and solver.J)
+    with pytest.raises(ConfigurationError, match=key):
+        ExperimentConfig.from_mapping(kind, {key: 3})
 
 
 @pytest.mark.parametrize(
@@ -204,10 +216,11 @@ def test_solver_s_reaches_solve(monkeypatch, kind):
     assert rep.constants["suite_error"] == "RuntimeError: stop before the fixed point"
 
 
-def test_compare_keeps_picard_iteration_limit():
+def test_compare_keeps_picard_iteration_limit(monkeypatch):
     # the tiny compliant inputs do not converge in one Picard iteration
     cfg = ExperimentConfig(kind="compare", grid_B=8, grid_n_max=16, amplitude=0.01, K=2)
-    params = replace(choose_parameters(1.0, 2.0, J=2, K=2), picard_max_iter=1)
+    monkeypatch.setattr(normal_form, "PICARD_MAX_ITER", 1)
+    params = choose_parameters(1.0, 2.0, J=2, K=2)
     u0 = gaussian_field(make_grid(8, 16), amplitude=0.01)
     with pytest.raises(DivergenceError, match="no convergence in 1 iterations"):
         solve(u0, params)

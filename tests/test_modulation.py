@@ -100,13 +100,13 @@ def test_single_band_norm_is_one():
     F = Spectrum(grid=G, coeffs=coeffs)
     for s in (0.0, 1.5):
         for q in (1.0, 2.0, math.inf):
-            assert modulation_norm(F, s, 2, q) == pytest.approx(1.0, rel=1e-12)
+            assert modulation_norm(F, s, q) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_s0_q2_is_l2():
     rng = np.random.default_rng(4)
     F = random_spectrum(G, rng)
-    assert modulation_norm(F, 0.0, 2, 2.0) == pytest.approx(F.l2_norm(), rel=1e-12)
+    assert modulation_norm(F, 0.0, 2.0) == pytest.approx(F.l2_norm(), rel=1e-12)
 
 
 def test_gaussian_norm_vs_independent_quadrature():
@@ -132,16 +132,16 @@ def test_gaussian_norm_vs_independent_quadrature():
         lo = (n + g.n_max) * B
         band = oracle_coeffs[lo : lo + B]
         oracle_norm += math.sqrt(float(np.sum(np.abs(band) ** 2)) / B)
-    assert modulation_norm(F, 0.0, 2, 1.0) == pytest.approx(oracle_norm, rel=1e-6)
+    assert modulation_norm(F, 0.0, 1.0) == pytest.approx(oracle_norm, rel=1e-6)
 
 
 def test_norm_monotone_in_q():
     rng = np.random.default_rng(5)
     for _ in range(50):
         F = random_spectrum(G, rng, box_limit=(-10, 10))
-        n1 = modulation_norm(F, 0.0, 2, 1.0)
-        n2 = modulation_norm(F, 0.0, 2, 2.0)
-        ninf = modulation_norm(F, 0.0, 2, math.inf)
+        n1 = modulation_norm(F, 0.0, 1.0)
+        n2 = modulation_norm(F, 0.0, 2.0)
+        ninf = modulation_norm(F, 0.0, math.inf)
         assert n1 >= n2 - 1e-12 >= ninf - 2e-12
 
 
@@ -149,8 +149,8 @@ def test_norm_invariant_under_free_flow():
     rng = np.random.default_rng(6)
     F = random_spectrum(G, rng)
     for q in (1.0, 2.0):
-        a = modulation_norm(F, 0.0, 2, q)
-        b = modulation_norm(free_propagate(F, 0.8), 0.0, 2, q)
+        a = modulation_norm(F, 0.0, q)
+        b = modulation_norm(free_propagate(F, 0.8), 0.0, q)
         assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -158,9 +158,7 @@ def test_norm_rejects_bad_indices():
     rng = np.random.default_rng(7)
     F = random_spectrum(G, rng)
     with pytest.raises(DomainError):
-        modulation_norm(F, 0.0, 2, 0.5)
-    with pytest.raises(DomainError):
-        modulation_norm(F, 0.0, 4, 2.0)
+        modulation_norm(F, 0.0, 0.5)
 
 
 def test_equivalence_ratio_single_band_and_homogeneity():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nfnls import multilinear
 from nfnls.errors import PreconditionError, ResourceGuardError
 from nfnls.grids import make_grid
 from nfnls.modulation import BandCoefficients
@@ -27,7 +28,7 @@ from nfnls.trees import (
 )
 from oracles import (
     assignment_from_freqs, generation_tuples, loop_certify_tree_bound, mesh_q_tree,
-    per_assignment_tree_plan, physical_q1_oracle, rho_symbol,
+    per_assignment_tree_plan, physical_q1_oracle, reference_index_functions, rho_symbol,
 )
 
 G = make_grid(16, 32)
@@ -419,7 +420,7 @@ def _tree_cases():
             assigns = _sampled(tree, 2, rng)
             # unfiltered chains also reach singular prefix denominators
             window = 4 if J <= 2 else 2
-            assigns += enumerate_index_functions(
+            assigns += reference_index_functions(
                 tree, 1, window, 2.0, cJ_filter="none")[::97][:4]
             if J <= 2:  # criterion 8's level 3 is structurally empty
                 assigns += _sparse_enumerated(tree, 1)
@@ -468,27 +469,32 @@ def test_certify_tree_bound_matches_loop_oracle_and_stream(J):
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_q_tree_singular_prefix_precondition():
-    # the single-bin tuple of the hand check: prefixes m1 = -21, m1 + m2 = -5
+def test_q_tree_singular_prefix_precondition(monkeypatch):
+    # the single-bin tuple of the hand check: prefixes m1 = -21, m1 + m2 = -5;
+    # the floor is read at call time
     tree = build_tree([0, 1])
     freq = [0, 7, 4, -3, 3, -1, 3]
     assign = assignment_from_freqs(tree, freq)
     flags = (False, True, False, True, False)
     leaves = [single_bin_band(f, 0, 1.0) for f in (3, -1, 3, 4, -3)]
     tup = BandTuple(tuple(leaves), flags)
+    monkeypatch.setattr(multilinear, "MIN_PREFIX_DENOMINATOR", 6.0)
     with pytest.raises(PreconditionError, match="singular prefix"):
-        q_tree(tree, assign, tup, 0.0, min_denominator=6.0)
-    assert np.any(q_tree(tree, assign, tup, 0.0, min_denominator=4.0).coeffs)
+        q_tree(tree, assign, tup, 0.0)
+    monkeypatch.setattr(multilinear, "MIN_PREFIX_DENOMINATOR", 4.0)
+    assert np.any(q_tree(tree, assign, tup, 0.0).coeffs)
+    monkeypatch.setattr(multilinear, "MIN_PREFIX_DENOMINATOR", 6.0)
     leaves[3] = single_bin_band(4, 0, 0.0)
-    out = q_tree(tree, assign, BandTuple(tuple(leaves), flags), 0.0, min_denominator=6.0)
+    out = q_tree(tree, assign, BandTuple(tuple(leaves), flags), 0.0)
     assert not np.any(out.coeffs)
     # coherent bands: every surviving tuple carries data, so a large floor raises
+    monkeypatch.setattr(multilinear, "MIN_PREFIX_DENOMINATOR", 1e6)
     grid = make_grid(4, 32)
     coherent = [coherent_band(grid, f) for f in (3, -1, 3, 4, -3)]
     with pytest.raises(PreconditionError, match="singular prefix"):
-        q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0, min_denominator=1e6)
+        q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0)
     coherent[3] = band(4, np.zeros(4), grid=grid)
-    out = q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0, min_denominator=1e6)
+    out = q_tree(tree, assign, BandTuple(tuple(coherent), flags), 0.0)
     assert not np.any(out.coeffs)
 
 

@@ -16,7 +16,8 @@ from nfnls.errors import (
     ResourceGuardError,
 )
 from nfnls.grids import make_grid
-from nfnls.multilinear import BandTuple, _tree_sum, q1, q1_tilde, q_tree
+from nfnls.multilinear import BandTuple, q1, q1_tilde, q_tree
+import nfnls.multilinear as multilinear
 import nfnls.normal_form as normal_form
 from nfnls.normal_form import (
     BoxedState,
@@ -429,7 +430,8 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
     assert np.array_equal(gt.keys[gt.group_key], np.column_stack([(n1 + n3 - n)[gt.group_row], count]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normal_form, "ROW_CHUNK", chunk)
-        got = _generation_one(_Node(v, 0.2, window), 0.0, table=table, **kw)
+        mp.setattr(normal_form, "_gap_table", lambda *args: gt)
+        got = _generation_one(_Node(v, 0.2, window), 0.0, **kw)
     want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, 0.0, window, table=table, **kw)
     parts = [(got.boundary.data, want_bnd)] + ([(got.inserts.data, want_ins)] if kw else [])
     for part, want in parts:
@@ -474,7 +476,7 @@ def test_r1_single_band_matches_brute_force():
         G.bins_per_box
     )
     v = BoxedState(G, data, 0.1)
-    got = resonant_r1(v, 0, window=4)
+    got = resonant_r1(v, window=4).band(0)
     acc = np.zeros(G.bins_per_box, dtype=complex)
     for tr in enumerate_triples(0, 4, mode="resonant_R1"):
         acc += q1(0, v.band(tr.n1), v.band(tr.n2), v.band(tr.n3), 0.1).coeffs
@@ -484,7 +486,7 @@ def test_r1_single_band_matches_brute_force():
 def test_r2_weights_doubly_matched_twice():
     rng = np.random.default_rng(2)
     v = random_state(rng, span=3)
-    got = resonant_r2(v, 0, window=5)
+    got = resonant_r2(v, window=5).band(0)
     acc = np.zeros(G.bins_per_box, dtype=complex)
     for tr in enumerate_triples(0, 5, mode="resonant_R2"):
         w = 2.0 if (abs(tr.n1) <= 1 and abs(tr.n3) <= 1) else 1.0
@@ -680,16 +682,6 @@ def test_params_validation():
         choose_parameters(0.5, 2.0)
 
 
-def test_picard_max_iter_below_one_is_rejected():
-    from nfnls.normal_form import solve
-
-    p = replace(choose_parameters(1.0, 2.0, K=4), picard_max_iter=0)
-    with pytest.raises(ConfigurationError, match="picard_max_iter"):
-        p.validate()
-    with pytest.raises(ConfigurationError, match="picard_max_iter"):
-        solve(BoxedState.zero(make_grid(8, 16)), p)
-
-
 @pytest.mark.parametrize("field, value", [("support_trim", -1.0), ("window", 0)])
 def test_negative_trim_and_window_below_one_are_rejected(field, value):
     # a negative trim acted as no trim; window 0 failed at the first node
@@ -867,7 +859,8 @@ def test_gap_kernel_matches_gather_and_per_triple_oracles(B, monkeypatch):
         return v.band(int(box))
 
     def boundary(table):
-        return _generation_one(_Node(v, t), None, table=table).boundary.data
+        monkeypatch.setattr(normal_form, "_gap_table", lambda *args: _gap_index(grid, table))
+        return _generation_one(_Node(v, t), None).boundary.data
 
     for T in (5, chunk, 29):
         n, n1, n2, n3 = gap_kernel_rows(rng, T)
@@ -1129,21 +1122,19 @@ def test_tree_level_sum_singular_prefix_and_zero_inserts(monkeypatch):
     # a prefix floor no tuple clears: nonzero data raise as in q_tree, and
     # rows whose insert is exactly zero never reach the check
     v, allowed = tiny_remainder_inputs()
-
-    def strict(*args, **kwargs):
-        return _tree_sum(*args, **kwargs, min_denominator=1e6)
-
-    monkeypatch.setattr(normal_form, "_tree_sum", strict)
+    monkeypatch.setattr(multilinear, "MIN_PREFIX_DENOMINATOR", 1e6)
     with pytest.raises(PreconditionError, match="singular prefix") as batched:
         remainder_n2(v, 1, 1.0, window=16, allowed_all=allowed)
     tree = enumerate_trees(1)[0]
     assign = next(
-        a for a in enumerate_index_functions(tree, 0, 16, 1.0, allowed_boxes=[-2, 0, 2, 9, 12])
+        a for a in enumerate_index_functions(
+            tree, 0, 16, 1.0, allowed_boxes={b: [-2, 0, 2, 9, 12] for b in tree.terminal_ids()}
+        )
         if all(np.any(v.band(a.freq[b]).coeffs) for b in tree.terminal_ids())
     )
     bands = tuple(v.band(assign.freq[b]) for b in tree.terminal_ids())
     with pytest.raises(PreconditionError) as single:
-        q_tree(tree, assign, BandTuple(bands, (False, True, False)), 0.0, min_denominator=1e6)
+        q_tree(tree, assign, BandTuple(bands, (False, True, False)), 0.0)
     assert str(batched.value) == str(single.value)
 
     def no_inserts(node, boxes, *args):

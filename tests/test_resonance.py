@@ -95,11 +95,10 @@ def test_enumeration_matches_brute_force():
     window=st.integers(1, 6),
     N=st.floats(0.0, 200.0),
     mode=st.sampled_from(["resonant_R1", "resonant_R2", "A_N", "A_N_complement"]),
-    convention=st.sampled_from([QUARTIC, PRODUCT]),
 )
-def test_enumeration_matches_brute_force_property(n, window, N, mode, convention):
-    got = enumerate_triples(n, window, N=N, mode=mode, convention=convention)
-    assert got == brute_triples(n, window, N, mode, convention)
+def test_enumeration_matches_brute_force_property(n, window, N, mode):
+    got = enumerate_triples(n, window, N=N, mode=mode)
+    assert got == brute_triples(n, window, N, mode)
 
 
 BOUND = st.one_of(

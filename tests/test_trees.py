@@ -30,6 +30,12 @@ from oracles import (
 )
 
 
+def unchained(mp):
+    """Patch the package's C-set radius to -inf: every child clears it, so the
+    frontier keeps what the oracles keep with cJ_filter = "none"."""
+    mp.setattr(trees, "c_set_radius", lambda J, mu_J, mu_1: np.full(np.shape(mu_J), -np.inf))
+
+
 @pytest.mark.parametrize("J,count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945), (6, 10395)])
 def test_tree_counts_double_factorial(J, count):
     assert double_factorial_odd(J) == count
@@ -151,10 +157,11 @@ def test_index_functions_empty_when_threshold_unreachable():
     assert enumerate_index_functions(t, 0, window, N) == []
 
 
-def test_index_function_invariants_and_phases():
+def test_index_function_invariants_and_phases(monkeypatch):
+    unchained(monkeypatch)
     t = build_tree([0, 1])
     window, N = 6, 2.0
-    assigns = enumerate_index_functions(t, 0, window, N, cJ_filter="none")
+    assigns = enumerate_index_functions(t, 0, window, N)
     assert assigns
     signs = compute_signs(t)
     for a in assigns[::501]:
@@ -175,10 +182,10 @@ def test_chain_filter_matches_manual_filter_and_is_nonempty():
     # root tuple (2,-1,-2) has phase -7, the inner tuple (24,44,22) under
     # fa=2 has phase 880, and |-7+880| = 873 > 125*7^0.99
     t = build_tree([0, 1])
-    allowed = [-2, -1, 2, 22, 24, 44]
+    allowed = {b: [-2, -1, 2, 22, 24, 44] for b in t.terminal_ids()}
     kw = dict(window=46, N=2.0, allowed_boxes=allowed)
-    unfiltered = enumerate_index_functions(t, 0, cJ_filter="none", **kw)
-    chained = enumerate_index_functions(t, 0, cJ_filter="C_complement_chain", **kw)
+    unfiltered = reference_index_functions(t, 0, cJ_filter="none", **kw)
+    chained = enumerate_index_functions(t, 0, **kw)
     manual = [a for a in unfiltered if c_chain_ok(a.phases.mu_tilde)]
     assert {a.freq for a in chained} == {a.freq for a in manual}
     assert chained
@@ -285,15 +292,19 @@ FRONTIER_CASES = [
 ]
 
 
+# "none": the oracle's unfiltered set, against the package with an unreachable
+# C set (``unchained``)
 @pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
 @pytest.mark.parametrize("J,window,N,roots", FRONTIER_CASES)
-def test_frontier_matches_reference_recursion(J, window, N, roots, cJ_filter):
+def test_frontier_matches_reference_recursion(J, window, N, roots, cJ_filter, monkeypatch):
+    if cJ_filter == "none":
+        unchained(monkeypatch)
     nonempty = 0
     for tree in enumerate_trees(J):
         for n_root in roots:
-            args = (tree, n_root, window, N, cJ_filter)
+            args = (tree, n_root, window, N)
             got = enumerate_index_functions(*args)
-            _same_assignments(got, reference_index_functions(*args))
+            _same_assignments(got, reference_index_functions(*args, cJ_filter=cJ_filter))
             nonempty += bool(got)
     # the chain barrier (2j+1)^3 |mu|^0.99 is out of reach in windows this
     # small, so the chain filter is exercised nonempty by the sparse cases below
@@ -301,8 +312,10 @@ def test_frontier_matches_reference_recursion(J, window, N, roots, cJ_filter):
 
 
 @pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
-def test_frontier_matches_reference_with_allowed_boxes(cJ_filter):
-    # a sparse support, as a plain leaf set and per node
+def test_frontier_matches_reference_with_allowed_boxes(cJ_filter, monkeypatch):
+    # a sparse support, on the leaves only and per node
+    if cJ_filter == "none":
+        unchained(monkeypatch)
     leaf_set = [-2, 0, 3]
     inner = {-3, -1, 1, 4}
     window, N = 5, 1.0
@@ -312,34 +325,36 @@ def test_frontier_matches_reference_with_allowed_boxes(cJ_filter):
             per_node = {a: inner for a in tree.chronicle[1:]}
             per_node.update({b: leaf_set for b in tree.terminal_ids()})
             per_node[tree.terminal_ids()[0]] = None  # None: the full window
-            for allowed in (leaf_set, per_node):
+            leaves = {b: leaf_set for b in tree.terminal_ids()}
+            for allowed in (leaves, per_node):
                 for n_root in (0, 2):
-                    kw = dict(cJ_filter=cJ_filter, allowed_boxes=allowed)
-                    got = enumerate_index_functions(tree, n_root, window, N, **kw)
-                    want = reference_index_functions(tree, n_root, window, N, **kw)
+                    got = enumerate_index_functions(tree, n_root, window, N, allowed)
+                    want = reference_index_functions(tree, n_root, window, N, allowed, cJ_filter)
                     _same_assignments(got, want)
                     nonempty += bool(got)
     assert nonempty
 
 
 @pytest.mark.parametrize("cJ_filter", ["C_complement_chain", "none"])
-def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter):
-    # J = 2: the engineered support of the chain-filter test, as a leaf set
+def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter, monkeypatch):
+    # J = 2: the engineered support of the chain-filter test, on the leaves
+    if cJ_filter == "none":
+        unchained(monkeypatch)
     t = build_tree([0, 1])
-    kw = dict(window=46, N=2.0, cJ_filter=cJ_filter, allowed_boxes=[-2, -1, 2, 22, 24, 44])
+    kw = dict(window=46, N=2.0, allowed_boxes={b: [-2, -1, 2, 22, 24, 44] for b in t.terminal_ids()})
     got = enumerate_index_functions(t, 0, **kw)
     assert got
-    _same_assignments(got, reference_index_functions(t, 0, **kw))
+    _same_assignments(got, reference_index_functions(t, 0, cJ_filter=cJ_filter, **kw))
     # J = 3 chain tree, per-node sets: mu1 = -7, mu2 = 880 clears 5^3 * 7^0.99,
     # and the third tuple (24; -350, 24, 398) has phase -279752, which clears
     # 7^3 * 873^0.99
     t = build_tree([0, 1, 4])
     base = {1: 2, 2: -1, 3: -2, 4: 24, 5: 44, 6: 22, 7: -350, 8: 24, 9: 398}
     sets = {k: {v - 1, v, v + 1, v + 5} for k, v in base.items()}
-    kw = dict(window=400, N=2.0, cJ_filter=cJ_filter, allowed_boxes=sets)
+    kw = dict(window=400, N=2.0, allowed_boxes=sets)
     got = enumerate_index_functions(t, 0, **kw)
     assert got
-    _same_assignments(got, reference_index_functions(t, 0, **kw))
+    _same_assignments(got, reference_index_functions(t, 0, cJ_filter=cJ_filter, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +395,13 @@ def test_multi_root_frontier_is_concatenated_enumerations(J, window, N, roots):
         per_node[tree.terminal_ids()[-1]] = None
         for node_set in (_leaf_set(tree, None), _leaf_set(tree, leaf_set), per_node.get):
             for cJ_filter in ("C_complement_chain", "none"):
-                args = (window, N, node_set, cJ_filter, 2_000_000)
-                per_root = [reference_frontier(tree, [r], *args) for r in roots]
+                args = (window, N, node_set, 2_000_000)
+                per_root = [reference_frontier(tree, [r], *args, cJ_filter) for r in roots]
                 want = [np.concatenate(cols) for cols in zip(*per_root)]
-                _same_frontier(_frontier(tree, roots, *args), want)
+                with pytest.MonkeyPatch.context() as mp:
+                    if cJ_filter == "none":
+                        unchained(mp)
+                    _same_frontier(_frontier(tree, roots, *args), want)
                 nonempty += len(want[0]) > 0
     assert nonempty
 
@@ -434,7 +452,7 @@ def test_frontier_matches_reference_property(data):
     # the true C-set radius is out of reach in windows this small; a scaled
     # max(|mu~_j|, |mu_1|) keeps chain survivors and puts phases exactly on it
     scale = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5]), label="radius scale")
-    args = (tree, roots, window, N, sets.get, cJ_filter, 5_000)
+    args = (tree, roots, window, N, sets.get, 5_000)
     with pytest.MonkeyPatch.context() as mp:
         if scale is not None:
 
@@ -443,8 +461,10 @@ def test_frontier_matches_reference_property(data):
 
             mp.setattr(oracles, "c_set_radius", radius)
             mp.setattr(trees, "c_set_radius", radius)
+        if cJ_filter == "none":
+            unchained(mp)
         try:
-            want = reference_frontier(*args)
+            want = reference_frontier(*args, cJ_filter)
         except ResourceGuardError:
             with pytest.raises(ResourceGuardError):
                 _frontier(*args)
@@ -457,7 +477,8 @@ def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
     # and the raising generation gathers nothing
     full = build_tree([0, 2, 5])
     leaf_set = {-2, -1, 1, 2}
-    args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None, "none")
+    unchained(monkeypatch)
+    args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None)
     grows = []
     real_grow = trees._grow
     monkeypatch.setattr(trees, "_grow", lambda *a: grows.append(1) or real_grow(*a))
@@ -467,7 +488,7 @@ def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
         counts.append(len(_frontier(tree, [-1, 0, 3], *args, 10**9)[0]))
         assert counts == sorted(set(counts)), "row counts must grow"
         got = _frontier(tree, [-1, 0, 3], *args, counts[-1])
-        _same_frontier(got, reference_frontier(tree, [-1, 0, 3], *args, counts[-1]))
+        _same_frontier(got, reference_frontier(tree, [-1, 0, 3], *args, counts[-1], "none"))
         grows.clear()
         with pytest.raises(ResourceGuardError):
             _frontier(tree, [-1, 0, 3], *args, counts[-1] - 1)
@@ -481,9 +502,7 @@ def test_chain_possible_wherever_the_frontier_is_nonempty(monkeypatch):
     seen = 0
     for J, window, N, roots in FRONTIER_CASES:
         for tree in enumerate_trees(J):
-            freq, _, _ = _frontier(
-                tree, roots, window, N, lambda c: None, "C_complement_chain", 2_000_000
-            )
+            freq, _, _ = _frontier(tree, roots, window, N, lambda c: None, 2_000_000)
             if len(freq):
                 seen += 1
                 assert _chain_possible(J, N, window)
@@ -500,19 +519,18 @@ def test_public_enumeration_still_raises_typed_errors():
         enumerate_index_functions(t, 0, 0, 2.0)
     with pytest.raises(BoxRangeError):
         enumerate_index_functions(t, 14, 4, 2.0)
-    with pytest.raises(DomainError):
-        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="chain")
     with pytest.raises(ResourceGuardError):
-        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=10)
+        enumerate_index_functions(t, 0, 4, 2.0, max_count=10)
 
 
-def test_index_enumeration_guard():
+def test_index_enumeration_guard(monkeypatch):
+    unchained(monkeypatch)
     t = build_tree([0, 1])
-    full = enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none")
+    full = enumerate_index_functions(t, 0, 4, 2.0)
     assert len(full) > 100
-    assert len(enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full))) == len(full)
+    assert len(enumerate_index_functions(t, 0, 4, 2.0, max_count=len(full))) == len(full)
     with pytest.raises(ResourceGuardError):
-        enumerate_index_functions(t, 0, 4, 2.0, cJ_filter="none", max_count=len(full) - 1)
+        enumerate_index_functions(t, 0, 4, 2.0, max_count=len(full) - 1)
 
 
 # ---------------------------------------------------------------------------
