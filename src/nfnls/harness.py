@@ -2,11 +2,13 @@
 
 The ground-truth oracle is Strang split-step: exact free flow for half a
 step, exact pointwise nonlinear phase rotation for a full step, half free
-flow again.  Both substeps are unitary, so the discrete L2 norm is conserved
-to rounding; drift beyond 1e-4 aborts the run as a numerical failure.  For
-solver comparisons the oracle runs at 4x the grid resolution and 1/16 the
-time step of the normal-form run, so any disagreement is attributed to the
-normal-form path.
+flow again, on coefficients in numpy's unshifted FFT order; the half steps
+between two rotations are one multiply.  Both substeps are unitary, so the
+discrete L2 norm is conserved to rounding; drift beyond 1e-4, measured before
+each trailing half step (of modulus one), aborts the run as a numerical
+failure.  For solver comparisons the oracle runs at 4x the grid resolution
+and 1/16 the time step of the normal-form run, so any disagreement is
+attributed to the normal-form path.
 
 ``run_experiment`` executes one named suite deterministically (seeded) and
 returns a ``RunReport``: a config echo, one record per check (name, anchor,
@@ -49,7 +51,9 @@ from .normal_form import (
     solve,
 )
 from .resonance import divisor_sieve
-from .trees import double_factorial_odd, dump_chronicle, enumerate_trees, sample_index_functions
+from .trees import (
+    J_MAX_ENUMERATION, double_factorial_odd, dump_chronicle, enumerate_trees, sample_index_functions,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -79,8 +83,9 @@ def split_step_solve(
 
     Kinetic half-steps multiply bin xi by exp(+i*(dt/2)*xi^2) (the free flow
     of the equation); the nonlinear step rotates u -> u * exp(i*sign*|u|^2*dt)
-    pointwise.  States are recorded every max(1, steps // 16) steps (about 16
-    snapshots) and at the last step, as box states in the u-picture.
+    pointwise, the sample scale folded into its factor.  The half-steps between
+    rotations merge except where a state is recorded: every max(1, steps // 16)
+    steps (about 16 snapshots) and at the last step, as u-picture box states.
     """
     g = u0.grid
     xi_max = g.M / (2 * g.bins_per_box)
@@ -90,26 +95,32 @@ def split_step_solve(
             stacklevel=2,
         )
     record_every = max(1, steps // 16)
-    half = np.exp(1j * (dt / 2.0) * (np.arange(g.M) - g.M // 2) ** 2 / g.bins_per_box**2)
-    coeffs = forward(u0).coeffs.copy()
-    norm0 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+    xi2 = (np.arange(g.M) - g.M // 2) ** 2 / g.bins_per_box**2
+    half = np.fft.ifftshift(np.exp(1j * (dt / 2.0) * xi2))
+    full = half * half
+    kick = sign * dt * (g.M / (np.sqrt(2.0 * np.pi) * g.bins_per_box)) ** 2
+    F0 = forward(u0)
+    coeffs = np.fft.ifftshift(F0.coeffs) * half
+    norm0 = math.sqrt(np.vdot(coeffs, coeffs).real)
     times = [0.0]
-    states = [BoxedState.from_spectrum(Spectrum(grid=g, coeffs=coeffs), 0.0)]
-    samples_scale = g.M / (np.sqrt(2.0 * np.pi) * g.bins_per_box)
+    states = [BoxedState.from_spectrum(F0, 0.0)]
+    turn = np.empty(g.M, dtype=complex)
     for step in range(1, steps + 1):
-        coeffs = coeffs * half
-        u = np.fft.ifft(np.fft.ifftshift(coeffs)) * samples_scale
-        u = u * np.exp(1j * sign * dt * np.abs(u) ** 2)
-        coeffs = np.fft.fftshift(np.fft.fft(u)) / samples_scale
-        coeffs = coeffs * half
-        drift = abs(float(np.sqrt(np.sum(np.abs(coeffs) ** 2))) - norm0) / max(norm0, 1e-300)
+        w = np.fft.ifft(coeffs)
+        phase = kick * (w.real**2 + w.imag**2)
+        np.cos(phase, out=turn.real)
+        np.sin(phase, out=turn.imag)
+        coeffs = np.fft.fft(w * turn)
+        drift = abs(math.sqrt(np.vdot(coeffs, coeffs).real) - norm0) / max(norm0, 1e-300)
         if drift > 1e-4:
             raise NumericalFailureError(f"L2 drift {drift:g} at step {step}")
         if step % record_every == 0 or step == steps:
+            coeffs *= half
             times.append(step * dt)
-            states.append(
-                BoxedState.from_spectrum(Spectrum(grid=g, coeffs=coeffs), step * dt)
-            )
+            states.append(BoxedState(g, np.fft.fftshift(coeffs).reshape(2 * g.n_max, -1), step * dt))
+            coeffs *= half
+        else:
+            coeffs *= full
     return Trajectory(times=np.array(times), states=tuple(states))
 
 
@@ -122,6 +133,11 @@ def gaussian_field(grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
 
 # ---------------------------------------------------------------------------
 # config and report containers
+
+def _field(key: str) -> str:
+    """The field behind a config key: solver.J is J, grid.B is grid_B."""
+    return key.removeprefix("solver.").replace(".", "_")
+
 
 # value types a config key accepts, by the annotation of its field (bools,
 # though ints in Python, are rejected everywhere)
@@ -149,18 +165,6 @@ class ExperimentConfig:
     @staticmethod
     def from_mapping(kind: str, kv: dict) -> "ExperimentConfig":
         """The config of ``kind`` from file keys: each spelled one way, each read by the suite."""
-        alias = {
-            "grid.B": "grid_B",
-            "grid.n_max": "grid_n_max",
-            "solver.J": "J",
-            "solver.q": "q",
-            "solver.s": "s",
-            "solver.R": "R",
-            "solver.K": "K",
-            "solver.sign": "sign",
-            "solver.eps": "eps",
-            "trees.J": "trees_J",
-        }
         types = {f.name: f.type for f in fields(ExperimentConfig)}
         if kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
@@ -169,15 +173,16 @@ class ExperimentConfig:
         for key, val in kv.items():
             if key not in reads:
                 raise ConfigurationError(f"the {kind} suite reads no key {key!r}; it reads {reads}")
-            name = alias.get(key, key)
+            name = _field(key)
             if isinstance(val, bool) or not isinstance(val, _ACCEPTED[types[name]]):
                 raise ConfigurationError(f"config key {key!r} needs {types[name]}, got {val!r}")
             setattr(cfg, name, val)
         return cfg
 
     def echo(self) -> dict:
-        """The fields that determine the report; the output directory does not."""
-        return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__) if k != "out"}
+        """The seed and the fields the kind's suite reads: all that determine the report."""
+        names = ["seed"] + [_field(key) for key in _SUITES[self.kind][1]]
+        return {k: getattr(self, k) for k in sorted(names)}
 
 
 @dataclass
@@ -323,8 +328,9 @@ def compare_with_reference(cfg: ExperimentConfig, params: SolverParams, J_values
 
 
 def _suite_trees(cfg, rep, rng):
-    if cfg.trees_J < 1:  # no generation, no check: the report would pass vacuously
-        raise ConfigurationError(f"trees.J must be >= 1, got {cfg.trees_J}")
+    # none: no check, the report would pass vacuously; past the guard: fails late
+    if not 1 <= cfg.trees_J <= J_MAX_ENUMERATION:
+        raise ConfigurationError(f"trees.J must be in [1, {J_MAX_ENUMERATION}], got {cfg.trees_J}")
     rows = []
     for J in range(1, cfg.trees_J + 1):
         trees = enumerate_trees(J)

@@ -94,7 +94,7 @@ from .errors import (
     GridMismatchError,
     ResourceGuardError,
 )
-from .grids import Field, Grid, Spectrum, forward, free_propagate, inverse, make_grid
+from .grids import Field, Grid, Spectrum, forward, free_propagate
 from .modulation import BandCoefficients, modulation_norm
 from .multilinear import _tree_sum
 from .resonance import PhaseTable, _mode_mask, c_set_radius, expand_triples, phase_table
@@ -514,18 +514,22 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
 
 
 def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
-    """Full nonlinearity box_n(S(t)[|S(-t)v|^2 S(-t)v]) via a 4x padded grid."""
+    """Full nonlinearity box_n(S(t)[|S(-t)v|^2 S(-t)v]) via a 4x padded FFT in
+    unshifted order: the phase exp(i t xi^2) on the state's M bins only, one
+    ifft, the pointwise cube, one fft, and the centre bins turned back."""
     g = state.grid
     t = state.time if t is None else t
-    pad = make_grid(g.bins_per_box, 4 * g.n_max)
-    shift = (pad.M - g.M) // 2
-    c = np.zeros(pad.M, dtype=complex)
-    c[shift : shift + g.M] = state.data.reshape(-1)
-    u = inverse(free_propagate(Spectrum(grid=pad, coeffs=c), t, direction=-1))
-    h = u.samples * np.conj(u.samples) * u.samples
-    F = free_propagate(forward(Field(grid=pad, samples=h)), t, direction=+1)
-    sliced = F.coeffs[shift : shift + g.M]
-    return BoxedState(g, sliced.reshape(2 * g.n_max, g.bins_per_box), t)
+    h = g.M // 2
+    xi = (np.arange(g.M) - h) / g.bins_per_box
+    phase = np.exp(1j * t * xi * xi)
+    u = state.data.reshape(-1) * phase
+    a = np.zeros(4 * g.M, dtype=complex)
+    a[:h], a[-h:] = u[h:], u[:h]
+    w = np.fft.ifft(a)
+    c = np.fft.fft(w * (w.real**2 + w.imag**2))
+    scale = (4 * g.M / (math.sqrt(2.0 * math.pi) * g.bins_per_box)) ** 2
+    out = np.concatenate((c[-h:], c[:h])) * (np.conj(phase) * scale)
+    return BoxedState(g, out.reshape(2 * g.n_max, g.bins_per_box), t)
 
 
 def _table_state(node: _Node, N, mode) -> BoxedState:

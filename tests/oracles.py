@@ -9,14 +9,14 @@ from typing import NamedTuple
 import numpy as np
 
 import nfnls.normal_form as normal_form
-from nfnls.errors import DomainError, PreconditionError, ResourceGuardError
+from nfnls.errors import DomainError, NumericalFailureError, PreconditionError, ResourceGuardError
 from nfnls.grids import Field, Spectrum, forward, free_propagate, inverse, make_grid
 from nfnls.modulation import BandCoefficients, reconstruct
 from nfnls.multilinear import (
     BandTuple, _check_band, _u_block, coherent_band, q1, q1_tilde, q_tree, random_band,
 )
 from nfnls.normal_form import (
-    BoxedState, _chain_possible, _coupled_insert_rows, _gap_index, _gap_table, _InnerBuckets,
+    BoxedState, Trajectory, _chain_possible, _coupled_insert_rows, _gap_index, _gap_table, _InnerBuckets,
     _Node, _output_boxes, _q1_rows, _tree_sign, _triple_table, apply_resonant,
 )
 from nfnls.resonance import (
@@ -546,6 +546,22 @@ def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
 # normal_form: row kernels, the generation-one pass and the tree-level sums
 
 
+def padded_boxed_cubic(state, t=None):
+    """box_n(S(t)[|S(-t)v|^2 S(-t)v]) through a padded Grid, Field and Spectrum
+    in ascending frequency order, with the free flows over all 4M bins."""
+    g = state.grid
+    t = state.time if t is None else t
+    pad = make_grid(g.bins_per_box, 4 * g.n_max)
+    shift = (pad.M - g.M) // 2
+    c = np.zeros(pad.M, dtype=complex)
+    c[shift : shift + g.M] = state.data.reshape(-1)
+    u = inverse(free_propagate(Spectrum(grid=pad, coeffs=c), t, direction=-1))
+    h = u.samples * np.conj(u.samples) * u.samples
+    F = free_propagate(forward(Field(grid=pad, samples=h)), t, direction=+1)
+    sliced = F.coeffs[shift : shift + g.M]
+    return BoxedState(g, sliced.reshape(2 * g.n_max, g.bins_per_box), t)
+
+
 def per_row_u(B, t, v, n):
     """Bands v at boxes n times exp(i t xi^2), one exp per row."""
     xi = (n[:, None] * B + np.arange(B)) / B
@@ -857,3 +873,34 @@ def per_assignment_tree_level_sum(state, J, N, t, window, mode, allowed_all=None
                     band = q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
                     data[n_root + g.n_max] += tsign * signs.fsgn[leaf] * band.coeffs
     return BoxedState(g, data, t)
+
+
+# ---------------------------------------------------------------------------
+# harness: the split-step oracle
+
+
+def shifted_split_step_solve(u0, dt, steps, sign=+1):
+    """Strang split-step on ascending-order coefficients: both kinetic
+    half-steps at every step, the sample scale applied and removed around
+    each nonlinear rotation, the drift checked after the trailing half."""
+    g = u0.grid
+    record_every = max(1, steps // 16)
+    half = np.exp(1j * (dt / 2.0) * (np.arange(g.M) - g.M // 2) ** 2 / g.bins_per_box**2)
+    coeffs = forward(u0).coeffs.copy()
+    norm0 = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+    times = [0.0]
+    states = [BoxedState.from_spectrum(Spectrum(grid=g, coeffs=coeffs), 0.0)]
+    samples_scale = g.M / (np.sqrt(2.0 * np.pi) * g.bins_per_box)
+    for step in range(1, steps + 1):
+        coeffs = coeffs * half
+        u = np.fft.ifft(np.fft.ifftshift(coeffs)) * samples_scale
+        u = u * np.exp(1j * sign * dt * np.abs(u) ** 2)
+        coeffs = np.fft.fftshift(np.fft.fft(u)) / samples_scale
+        coeffs = coeffs * half
+        drift = abs(float(np.sqrt(np.sum(np.abs(coeffs) ** 2))) - norm0) / max(norm0, 1e-300)
+        if drift > 1e-4:
+            raise NumericalFailureError(f"L2 drift {drift:g} at step {step}")
+        if step % record_every == 0 or step == steps:
+            times.append(step * dt)
+            states.append(BoxedState.from_spectrum(Spectrum(grid=g, coeffs=coeffs), step * dt))
+    return Trajectory(times=np.array(times), states=tuple(states))

@@ -8,15 +8,18 @@ import pytest
 from nfnls import harness, normal_form
 from nfnls.cli import main as cli_main, parse_config_text
 from nfnls.errors import ConfigurationError, DivergenceError
-from nfnls.grids import Field, forward, free_propagate, make_grid
+from nfnls.grids import Field, forward, free_propagate, inverse, make_grid
 from nfnls.harness import (
     ExperimentConfig,
     compare_with_reference,
     gaussian_field,
+    random_boxed_state,
     run_experiment,
     split_step_solve,
 )
 from nfnls.normal_form import choose_parameters, solve
+from nfnls.trees import J_MAX_ENUMERATION
+from oracles import shifted_split_step_solve
 
 G = make_grid(16, 32)
 
@@ -26,6 +29,26 @@ def test_split_step_zero_data():
     traj = split_step_solve(u0, 1e-3, 32)
     for st in traj.states:
         assert np.all(st.data == 0)
+
+
+@pytest.mark.parametrize(
+    "sign,steps,norm", [(+1, 32, 2.0), (-1, 32, 2.0), (+1, 1, 2.0), (-1, 37, 2.0), (+1, 16, 0.0)]
+)
+def test_split_step_matches_shifted_oracle(sign, steps, norm):
+    # unshifted order, scale folded into the kick and merged half steps against
+    # both half steps and the scale round trip at every step, on asymmetric data
+    grid = make_grid(8, 16)
+    rng = np.random.default_rng(steps)
+    u0 = inverse(random_boxed_state(grid, rng, 6, 2.0, norm=norm).to_spectrum())
+    dt = 3e-4
+    got = split_step_solve(u0, dt, steps, sign)
+    want = shifted_split_step_solve(u0, dt, steps, sign)
+    recorded = np.r_[np.arange(0, steps, max(1, steps // 16)), steps]
+    assert np.array_equal(got.times, recorded * dt)
+    assert np.array_equal(got.times, want.times)
+    for a, b in zip(got.states, want.states, strict=True):
+        assert a.time == b.time
+        assert np.linalg.norm(a.data - b.data) <= 1e-13 * np.linalg.norm(b.data)
 
 
 def test_split_step_linear_limit_matches_free_flow():
@@ -135,9 +158,14 @@ def test_cli_round_trip(tmp_path):
     assert (out / "chronicles.csv").exists()
 
 
-@pytest.mark.parametrize("J", [0, -2])
-def test_cli_rejects_trees_without_generations(tmp_path, J):
-    # no generation means no check, which would report all_passed
+@pytest.mark.parametrize("J", [0, -2, J_MAX_ENUMERATION + 1])
+def test_cli_rejects_trees_without_generations(tmp_path, J, monkeypatch):
+    # no generation means no check, which would report all_passed; past the
+    # enumeration guard the input is rejected before any tree is built
+    def no_enumeration(J):
+        raise AssertionError("trees enumerated for an out-of-range trees.J")
+
+    monkeypatch.setattr(harness, "enumerate_trees", no_enumeration)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"trees.J = {J}\n")
     assert cli_main(["trees", "--config", str(cfg)]) == 2
@@ -177,6 +205,22 @@ def test_config_rejects_keys_the_kind_does_not_read(kind, key):
 def test_config_rejects_mistyped_values(key, val):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_mapping("solve", {key: val})
+
+
+@pytest.mark.parametrize(
+    "kind,echoed",
+    [("verify_lemmas", "grid_B grid_n_max q R eps"), ("converge", "grid_B grid_n_max sign"),
+     ("solve", "grid_B grid_n_max R q s K sign amplitude width J"),
+     ("compare", "grid_B grid_n_max R q s K sign amplitude width"), ("trees", "trees_J"),
+     ("norms", "grid_B grid_n_max s q")],
+)
+def test_config_echo_holds_seed_and_the_keys_the_suite_reads(kind, echoed):
+    assert set(ExperimentConfig(kind=kind).echo()) == {"seed", *echoed.split()}
+
+
+def test_trees_report_echoes_no_grid_or_solver_field():
+    rep = run_experiment(ExperimentConfig.from_mapping("trees", {"trees.J": 2}))
+    assert rep.config == {"seed": 0, "trees_J": 2}
 
 
 def test_config_accepts_typed_values():

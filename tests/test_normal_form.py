@@ -61,8 +61,8 @@ from nfnls.trees import enumerate_index_functions, enumerate_trees
 from oracles import (
     bucket_boxes, c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, merged_resonant_table,
     per_assignment_tree_level_sum, per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over,
-    per_slot_inserts, per_slot_n21, per_triple_gap_sum, product_triple_table, rowwise_q1_tilde_rows,
-    scatter, slow_n3_oracle,
+    padded_boxed_cubic, per_slot_inserts, per_slot_n21, per_triple_gap_sum, product_triple_table,
+    rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
 )
 
 G = make_grid(16, 32)
@@ -120,6 +120,18 @@ def test_threshold_split_just_below_max_phase():
     )
     assert np.max(np.abs(lhs.data - cub.data)) < 1e-8 * np.max(np.abs(cub.data))
     assert np.any(n21_state(v, N, window=window).data != 0)
+
+
+@pytest.mark.parametrize("B,n_max", [(4, 8), (8, 16), (16, 32)])
+def test_boxed_cubic_matches_padded_oracle(B, n_max):
+    # the unshifted 4M transform with the phase on M bins against the padded
+    # Grid/Field/Spectrum form, at the state's time and at another
+    grid = make_grid(B, n_max)
+    v = random_state(np.random.default_rng(B), span=n_max - 1, t=0.37, grid=grid)
+    for t in (None, 1.3):
+        got, want = boxed_cubic(v, t), padded_boxed_cubic(v, t)
+        assert got.time == want.time
+        assert np.linalg.norm(got.data - want.data) <= 1e-13 * np.linalg.norm(want.data)
 
 
 def test_max_abs_phase_is_window_maximum():
