@@ -46,15 +46,11 @@ class Grid:
     """Frequency/space lattice: B bins per unit box, boxes n in [-n_max, n_max)."""
 
     bins_per_box: int
-    box_window: int
-
-    @property
-    def n_max(self) -> int:
-        return self.box_window
+    n_max: int
 
     @property
     def M(self) -> int:
-        return 2 * self.bins_per_box * self.box_window
+        return 2 * self.bins_per_box * self.n_max
 
     @property
     def L(self) -> float:
@@ -70,7 +66,7 @@ class Grid:
 
     def box_slice(self, n: int) -> slice:
         """Positions of box [n, n+1) inside the ascending coeff array."""
-        lo = (n + self.box_window) * self.bins_per_box
+        lo = (n + self.n_max) * self.bins_per_box
         return slice(lo, lo + self.bins_per_box)
 
 
@@ -126,7 +122,7 @@ def make_grid(B: int, n_max: int) -> Grid:
     M = 2 * B * n_max
     if M % 2 != 0 or M < 2:
         raise ConfigurationError(f"unsupported sample count M={M}")
-    return Grid(bins_per_box=int(B), box_window=int(n_max))
+    return Grid(bins_per_box=int(B), n_max=int(n_max))
 
 
 def forward(f: Field) -> Spectrum:

@@ -2,13 +2,14 @@
 
 Two window families realize the unit-box decomposition:
 
-* ``sharp_indicator`` — the indicator of [n, n+1); on the bin lattice this is
+* sharp (``w=None``) — the indicator of [n, n+1); on the bin lattice this is
   an exact restriction to B consecutive bins, mutually orthogonal across boxes
   and idempotent.  This is the default everywhere in the operator stack.
-* ``raised_cosine`` — sigma_0(xi) = cos^2(pi*xi/2) on |xi| <= 1, translated to
-  sigma_n = sigma_0(. - n).  The translates form an exact partition of unity,
-  are C^1, supported in {|xi - n| <= 1}, and bounded below by 1/2 on the core
-  half-box.  Used for the norm-equivalence diagnostics only.
+* ``WindowFamily.raised_cosine`` — sigma_0(xi) = cos^2(pi*xi/2) on |xi| <= 1,
+  translated to sigma_n = sigma_0(. - n).  The translates form an exact
+  partition of unity, are C^1, supported in {|xi - n| <= 1}, and bounded
+  below by 1/2 on the core half-box.  Used for the norm-equivalence
+  diagnostics only.
 
 The M^s_{2,q} norm is (sum_n <n>^{sq} ||box_n F||_2^q)^{1/q} with
 <n> = (1 + n^2)^(1/2); q = inf takes the sup.  Only p = 2 is exact on this
@@ -42,23 +43,12 @@ __all__ = [
     "lp_sample_norm",
 ]
 
-SHARP = "sharp_indicator"
-RAISED_COSINE = "raised_cosine"
-
-
 @dataclass(frozen=True)
 class WindowFamily:
     """A translated window family sigma_n = sigma_0(. - n) on the bin lattice."""
 
-    kind: str
     profile: np.ndarray  # samples of sigma_0 on its support, bin spacing 1/B
     profile_start: int  # first profile sample sits at xi = profile_start / B
-
-    @staticmethod
-    def sharp(B: int) -> "WindowFamily":
-        prof = np.ones(B)
-        prof.flags.writeable = False
-        return WindowFamily(kind=SHARP, profile=prof, profile_start=0)
 
     @staticmethod
     def raised_cosine(B: int) -> "WindowFamily":
@@ -67,7 +57,7 @@ class WindowFamily:
         prof[0] = 0.0
         prof[-1] = 0.0
         prof.flags.writeable = False
-        return WindowFamily(kind=RAISED_COSINE, profile=prof, profile_start=-B)
+        return WindowFamily(profile=prof, profile_start=-B)
 
     def block_bins(self, n: int, B: int) -> tuple[int, int]:
         """Absolute bin range [start, stop) covered by sigma_n."""
@@ -111,7 +101,7 @@ def box_project(F: Spectrum, n: int, w: WindowFamily | None = None) -> BandCoeff
     if not (-g.n_max <= n < g.n_max):
         raise BoxRangeError(f"box {n} outside window [-{g.n_max}, {g.n_max})")
     B = g.bins_per_box
-    if w is None or w.kind == SHARP:
+    if w is None:
         block = F.coeffs[g.box_slice(n)]
         return BandCoefficients(box_index=n, grid=g, coeffs=block, start_bin=n * B)
     start, stop = w.block_bins(n, B)
@@ -147,7 +137,7 @@ def box_l2_profile(F: Spectrum, w: WindowFamily | None = None) -> np.ndarray:
     """||sigma_n F||_2 for every box n in [-n_max, n_max), in box order."""
     g = F.grid
     B = g.bins_per_box
-    if w is None or w.kind == SHARP:
+    if w is None:
         blocks = F.coeffs.reshape(2 * g.n_max, B)
         return np.sqrt(np.sum(np.abs(blocks) ** 2, axis=1) / B)
     return np.array([band_l2(F, n, w) for n in range(-g.n_max, g.n_max)])
@@ -175,7 +165,7 @@ def modulation_norm(
 def norm_equivalence_ratio(F: Spectrum, s: float = 0.0, q: float = 2.0) -> float:
     """Raised-cosine norm divided by the sharp norm for the same (s, q)."""
     g = F.grid
-    sharp = modulation_norm(F, s, q, WindowFamily.sharp(g.bins_per_box))
+    sharp = modulation_norm(F, s, q)
     if sharp == 0.0:
         raise UndefinedRatioError("norm ratio undefined for zero input")
     smooth = modulation_norm(F, s, q, WindowFamily.raised_cosine(g.bins_per_box))

@@ -11,20 +11,17 @@ frequency variable).  Because blocks convolve linearly there is no circular
 aliasing; the padded-FFT physical product is the independent oracle, tested
 equal.
 
-* ``q1``       — box-projected product of the three propagated bands:
-                 out = box_n( S(t)[ S(-t)b1 * conj(S(-t)b2) * S(-t)b3 ] ).
-* ``q1_tilde`` — same numerator with kernel 1/((xi-xi1)*(xi-xi3)); requires
-                 the non-resonant gaps |n-n1| > 1, |n-n3| > 1 so the
-                 denominator stays >= 1 in modulus on the whole cell.  On
-                 frozen band inputs d/dt q1_tilde = -2i * q1 exactly (the
-                 differentiation-by-parts constant).
-* ``q_tree``   — the generation-J operator: a sum over the leaf
-                 frequency-bin tuples that survive the sharp window of every
-                 internal node, evaluated on the upward-propagated natural
-                 frequencies, with conjugation per fsgn and kernel
-                 1/prod_j m~_j, m~_j the chronicle prefix sums of the signed
-                 continuous half-phases m_j = fsgn(a_j)*(xi_a - xi_a1)*(xi_a - xi_a3).
-                 For J=1 this reduces to q1_tilde bin by bin.
+* ``q1``     — box-projected product of the three propagated bands:
+               out = box_n( S(t)[ S(-t)b1 * conj(S(-t)b2) * S(-t)b3 ] ).
+* ``q_tree`` — the generation-J operator: a sum over the leaf
+               frequency-bin tuples that survive the sharp window of every
+               internal node, evaluated on the upward-propagated natural
+               frequencies, with conjugation per fsgn and kernel
+               1/prod_j m~_j, m~_j the chronicle prefix sums of the signed
+               continuous half-phases m_j = fsgn(a_j)*(xi_a - xi_a1)*(xi_a - xi_a3).
+               For J=1 this is the gap kernel q1_tilde, q1's numerator over
+               1/((xi-xi1)*(xi-xi3)) on the non-resonant gaps |n-n1| > 1,
+               |n-n3| > 1, whose batched form is ``normal_form``'s gap pass.
 
 The tree operator is split in two.  A node's window test depends only on its
 slack f(a1) - f(a2) + f(a3) - f(a) in {-1, 0, 1} and on the bin offsets
@@ -66,12 +63,8 @@ from .trees import IndexAssignment, OrderedTree, compute_signs
 __all__ = [
     "BandTuple",
     "q1",
-    "q1_tilde",
     "q_tree",
     "certify_tree_bound",
-    "unit_band",
-    "coherent_band",
-    "random_band",
 ]
 
 TREE_KERNEL_J_MAX = 3
@@ -134,48 +127,6 @@ def q1(
     if a < bnd:
         out[a - lo : bnd - lo] = conv[a:bnd]
     xi_out = (n * B + np.arange(B)) / B
-    out *= np.exp(-1j * t * xi_out * xi_out) / (2.0 * np.pi * B * B)
-    return BandCoefficients(box_index=n, grid=g, coeffs=out, start_bin=n * B)
-
-
-def q1_tilde(
-    n: int,
-    b1: BandCoefficients,
-    b2: BandCoefficients,
-    b3: BandCoefficients,
-    t: float,
-) -> BandCoefficients:
-    """Gap-kernel trilinear operator on a non-resonant tuple.
-
-    Output bin xi gets (2*pi*B^2)^{-1} * exp(-i*t*xi^2) times the double sum
-    of u1(xi1) * conj(u2)(xi-xi1-xi3) * u3(xi3) / ((xi-xi1)*(xi-xi3)).
-    """
-    g = b1.grid
-    _check_band(b1, g)
-    _check_band(b2, g)
-    _check_band(b3, g)
-    n1 = b1.box_index
-    n3 = b3.box_index
-    if abs(n - n1) <= 1 or abs(n - n3) <= 1:
-        raise PreconditionError(
-            f"resonant tuple (n={n}, n1={n1}, n3={n3}): kernel would be singular"
-        )
-    B = g.bins_per_box
-    u1 = _u_block(b1, t)
-    u3 = _u_block(b3, t)
-    g2, g2_start = _conj_reversed(_u_block(b2, t), b2.start_bin)
-
-    k_out = n * B + np.arange(B)
-    k1 = b1.start_bin + np.arange(B)
-    k3 = b3.start_bin + np.arange(B)
-    # gather conj-u2 at k_out - k1 - k3
-    idx = k_out[:, None, None] - k1[None, :, None] - k3[None, None, :] - g2_start
-    valid = (idx >= 0) & (idx < B)
-    g2_val = np.where(valid, g2[np.clip(idx, 0, B - 1)], 0.0)
-    d1 = (k_out[:, None] - k1[None, :]) / B
-    d3 = (k_out[:, None] - k3[None, :]) / B
-    out = np.einsum("b,c,abc,ab,ac->a", u1, u3, g2_val, 1.0 / d1, 1.0 / d3)
-    xi_out = k_out / B
     out *= np.exp(-1j * t * xi_out * xi_out) / (2.0 * np.pi * B * B)
     return BandCoefficients(box_index=n, grid=g, coeffs=out, start_bin=n * B)
 
@@ -382,27 +333,6 @@ def q_tree(
     )
 
 
-def unit_band(grid: Grid, n: int, coeffs: np.ndarray) -> BandCoefficients:
-    """Band at box n from raw coefficients, L2-normalized."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    nrm = np.sqrt(np.sum(np.abs(c) ** 2) / grid.bins_per_box)
-    if nrm == 0:
-        raise PreconditionError("cannot normalize the zero band")
-    return BandCoefficients(
-        box_index=n, grid=grid, coeffs=c / nrm, start_bin=n * grid.bins_per_box
-    )
-
-
-def coherent_band(grid: Grid, n: int) -> BandCoefficients:
-    """All-ones unit band: the sup-seeking probe for the kernel bounds."""
-    return unit_band(grid, n, np.ones(grid.bins_per_box))
-
-
-def random_band(grid: Grid, n: int, rng: np.random.Generator) -> BandCoefficients:
-    B = grid.bins_per_box
-    return unit_band(grid, n, rng.standard_normal(B) + 1j * rng.standard_normal(B))
-
-
 def certify_tree_bound(
     tree: OrderedTree,
     assign: IndexAssignment,
@@ -417,9 +347,9 @@ def certify_tree_bound(
     half-phases in chronicle order), matching the kernel convention.  One
     coherent (all-ones) tuple comes first; the ``trials`` random tuples are
     drawn with one ``standard_normal`` call, which reads the stream in the
-    order of a draw-by-draw, leaf-by-leaf ``random_band`` loop.  All draws
-    are evaluated as one batch on the plan of the index function's slack
-    pattern.
+    order of a draw-by-draw, leaf-by-leaf loop of unit random bands (real
+    part, then imaginary).  All draws are evaluated as one batch on the plan
+    of the index function's slack pattern.
     """
     leaf_ids = tree.terminal_ids()
     B = grid.bins_per_box

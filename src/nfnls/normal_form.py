@@ -609,18 +609,13 @@ def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
     """(T, B) insert rows, restricted by the level-J phase set.
 
     ``sign`` is the conjugation sign the insert enters with: which = "low"
-    keeps the ``_low_set``, "high" its complement, whose rows are exact zeros
-    wherever the low set's run is the box's whole run, and are summed only
-    where it is not.
+    keeps the ``_low_set``, "high" its complement, the box's whole sum less
+    the low one; wherever the low set's run is the box's whole run, both are
+    the same difference of two prefix rows, so the row is exactly 0.0.
     """
     lo, hi = _low_set(sign, mu_prev, mu_first, J)
-    if which == "low":
-        return buckets.sum(boxes, lo, hi)
-    (i, j), (i_all, j_all) = buckets.table.span(boxes, lo, hi), buckets.table.span(boxes)
-    cut = np.flatnonzero((i != i_all) | (j != j_all))
-    rows = np.zeros((len(boxes), buckets.prefix.shape[1]), dtype=np.complex128)
-    rows[cut] = buckets.sum(boxes[cut]) - buckets.sum(boxes[cut], lo[cut], hi[cut])
-    return rows
+    low = buckets.sum(boxes, lo, hi)
+    return low if which == "low" else buckets.sum(boxes) - low
 
 
 class _GenerationOne(NamedTuple):

@@ -12,9 +12,7 @@ import nfnls.normal_form as normal_form
 from nfnls.errors import DomainError, NumericalFailureError, PreconditionError, ResourceGuardError
 from nfnls.grids import Field, Spectrum, forward, free_propagate, inverse, make_grid
 from nfnls.modulation import BandCoefficients, reconstruct
-from nfnls.multilinear import (
-    BandTuple, _check_band, _u_block, coherent_band, q1, q1_tilde, q_tree, random_band,
-)
+from nfnls.multilinear import BandTuple, _check_band, _conj_reversed, _u_block, q1, q_tree
 from nfnls.normal_form import (
     BoxedState, Trajectory, _chain_possible, _coupled_insert_rows, _gap_index, _gap_table, _InnerBuckets,
     _Node, _output_boxes, _q1_rows, _tree_sign, _triple_table, apply_resonant,
@@ -373,8 +371,9 @@ def brute_valid_assignments(tree, n_root, window, N, min_denominator, comparabil
 
 
 # ---------------------------------------------------------------------------
-# grids and multilinear: the Gaussian's transform, the tree symbol, q1 and the
-# tree operators
+# grids and multilinear: the Gaussian's transform, the tree symbol, unit probe
+# bands, the per-triple gap kernel and its constant sweep, q1 and the tree
+# operators
 
 
 def gaussian_unitary_transform(xi):
@@ -421,6 +420,88 @@ def rho_symbol(tree, assign, xi_leaves, signs=None) -> SymbolEvaluation:
     for d in denoms:
         val /= d
     return SymbolEvaluation(value=complex(val), denominators=tuple(denoms))
+
+
+def unit_band(grid, n, coeffs):
+    """Band at box n from raw coefficients, L2-normalized."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    nrm = np.sqrt(np.sum(np.abs(c) ** 2) / grid.bins_per_box)
+    if nrm == 0:
+        raise PreconditionError("cannot normalize the zero band")
+    return BandCoefficients(
+        box_index=n, grid=grid, coeffs=c / nrm, start_bin=n * grid.bins_per_box
+    )
+
+
+def coherent_band(grid, n):
+    """All-ones unit band: the sup-seeking probe for the kernel bounds."""
+    return unit_band(grid, n, np.ones(grid.bins_per_box))
+
+
+def random_band(grid, n, rng):
+    B = grid.bins_per_box
+    return unit_band(grid, n, rng.standard_normal(B) + 1j * rng.standard_normal(B))
+
+
+def q1_tilde(n, b1, b2, b3, t):
+    """Gap-kernel trilinear operator on one non-resonant tuple.
+
+    Output bin xi gets (2*pi*B^2)^{-1} * exp(-i*t*xi^2) times the double sum
+    of u1(xi1) * conj(u2)(xi-xi1-xi3) * u3(xi3) / ((xi-xi1)*(xi-xi3)); the
+    gaps |n-n1| > 1, |n-n3| > 1 keep the denominator >= 1 in modulus.
+    """
+    g = b1.grid
+    _check_band(b1, g)
+    _check_band(b2, g)
+    _check_band(b3, g)
+    n1 = b1.box_index
+    n3 = b3.box_index
+    if abs(n - n1) <= 1 or abs(n - n3) <= 1:
+        raise PreconditionError(
+            f"resonant tuple (n={n}, n1={n1}, n3={n3}): kernel would be singular"
+        )
+    B = g.bins_per_box
+    u1 = _u_block(b1, t)
+    u3 = _u_block(b3, t)
+    g2, g2_start = _conj_reversed(_u_block(b2, t), b2.start_bin)
+
+    k_out = n * B + np.arange(B)
+    k1 = b1.start_bin + np.arange(B)
+    k3 = b3.start_bin + np.arange(B)
+    # gather conj-u2 at k_out - k1 - k3
+    idx = k_out[:, None, None] - k1[None, :, None] - k3[None, None, :] - g2_start
+    valid = (idx >= 0) & (idx < B)
+    g2_val = np.where(valid, g2[np.clip(idx, 0, B - 1)], 0.0)
+    d1 = (k_out[:, None] - k1[None, :]) / B
+    d3 = (k_out[:, None] - k3[None, :]) / B
+    out = np.einsum("b,c,abc,ab,ac->a", u1, u3, g2_val, 1.0 / d1, 1.0 / d3)
+    xi_out = k_out / B
+    out *= np.exp(-1j * t * xi_out * xi_out) / (2.0 * np.pi * B * B)
+    return BandCoefficients(box_index=n, grid=g, coeffs=out, start_bin=n * B)
+
+
+def loop_fir_constant_sweep(B, gaps=(2, 3, 5, 10, 25, 50), trials=4, seed=0):
+    """``harness.fir_constant_sweep`` one (g1, g3) row and one probe at a time."""
+    grid = make_grid(B, max(gaps) + 14)
+    rng = np.random.default_rng(seed)
+    rows = []
+    sup = 0.0
+    for g1 in gaps:
+        for g3 in gaps:
+            n, n1, n3 = 0, -g1, g3
+            n2 = n1 + n3 - n
+            best = 0.0
+            probes = [(coherent_band(grid, n1), coherent_band(grid, n2), coherent_band(grid, n3))]
+            probes += [
+                (random_band(grid, n1, rng), random_band(grid, n2, rng), random_band(grid, n3, rng))
+                for _ in range(trials)
+            ]
+            for b1, b2, b3 in probes:
+                val = q1_tilde(n, b1, b2, b3, 0.0).l2_norm() * g1 * g3
+                best = max(best, val)
+            rows.append((g1, g3, best))
+            sup = max(sup, best)
+    return sup, rows
 
 
 def physical_q1_oracle(n, b1, b2, b3, t, grid):

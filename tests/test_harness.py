@@ -7,11 +7,12 @@ import pytest
 
 from nfnls import harness, normal_form
 from nfnls.cli import main as cli_main, parse_config_text
-from nfnls.errors import ConfigurationError, DivergenceError
+from nfnls.errors import ConfigurationError, DivergenceError, PreconditionError
 from nfnls.grids import Field, forward, free_propagate, inverse, make_grid
 from nfnls.harness import (
     ExperimentConfig,
     compare_with_reference,
+    fir_constant_sweep,
     gaussian_field,
     random_boxed_state,
     run_experiment,
@@ -19,7 +20,7 @@ from nfnls.harness import (
 )
 from nfnls.normal_form import choose_parameters, solve
 from nfnls.trees import J_MAX_ENUMERATION
-from oracles import shifted_split_step_solve
+from oracles import loop_fir_constant_sweep, shifted_split_step_solve
 
 G = make_grid(16, 32)
 
@@ -69,10 +70,26 @@ def test_split_step_l2_conservation_long_run():
         assert abs(st.to_spectrum().l2_norm() - norm0) / norm0 < 1e-8
 
 
-def test_split_step_warns_on_coarse_dt():
-    u0 = gaussian_field(G, amplitude=0.1)
-    with pytest.warns(UserWarning):
-        split_step_solve(u0, 1.0, 1)
+@pytest.mark.parametrize(
+    "B, gaps, trials, seed",
+    [
+        (8, (2, 3, 5, 10, 25, 50), 4, 0),
+        (16, (2, 3, 5, 10, 25, 50), 4, 0),
+        (4, (2, 3, 5, 10), 3, 0),
+        (16, (2, 3, 5, 10, 25, 50), 3, 5),
+    ],
+)
+def test_fir_constant_sweep_matches_per_triple_loop(B, gaps, trials, seed):
+    sup, rows = fir_constant_sweep(B, gaps, trials, seed)
+    want_sup, want = loop_fir_constant_sweep(B, gaps, trials, seed)
+    assert [r[:2] for r in rows] == [r[:2] for r in want]
+    np.testing.assert_allclose([r[2] for r in rows], [r[2] for r in want], rtol=1e-13, atol=0)
+    assert sup == pytest.approx(want_sup, rel=1e-13, abs=0)
+
+
+def test_fir_constant_sweep_rejects_resonant_gaps():
+    with pytest.raises(PreconditionError):
+        fir_constant_sweep(4, gaps=(2, 1, 5), trials=1)
 
 
 def test_strang_self_convergence_suite():

@@ -13,11 +13,8 @@ from nfnls.multilinear import (
     _kernel,
     _tree_sum,
     certify_tree_bound,
-    coherent_band,
     q1,
-    q1_tilde,
     q_tree,
-    random_band,
 )
 from nfnls.trees import (
     build_tree,
@@ -27,8 +24,9 @@ from nfnls.trees import (
     sample_index_functions,
 )
 from oracles import (
-    assignment_from_freqs, generation_tuples, loop_certify_tree_bound, mesh_q_tree,
-    per_assignment_tree_plan, physical_q1_oracle, reference_index_functions, rho_symbol,
+    assignment_from_freqs, coherent_band, generation_tuples, loop_certify_tree_bound, mesh_q_tree,
+    per_assignment_tree_plan, physical_q1_oracle, q1_tilde, random_band, reference_index_functions,
+    rho_symbol,
 )
 
 G = make_grid(16, 32)

@@ -16,7 +16,7 @@ from nfnls.errors import (
     ResourceGuardError,
 )
 from nfnls.grids import make_grid
-from nfnls.multilinear import BandTuple, q1, q1_tilde, q_tree
+from nfnls.multilinear import BandTuple, q1, q_tree
 import nfnls.multilinear as multilinear
 import nfnls.normal_form as normal_form
 from nfnls.normal_form import (
@@ -48,6 +48,7 @@ from nfnls.normal_form import (
     _generation_one,
     _generation_one_low,
     _InnerBuckets,
+    _low_set,
     _max_abs_phase,
     _Node,
     _output_boxes,
@@ -62,7 +63,7 @@ from oracles import (
     bucket_boxes, c_set_member, gather_q1_tilde_rows, ifft_pick_generation_one, merged_resonant_table,
     per_assignment_tree_level_sum, per_n_triple_table, per_row_q1_rows, per_row_sum_q1_over,
     padded_boxed_cubic, per_slot_inserts, per_slot_n21, per_triple_gap_sum, product_triple_table,
-    rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
+    q1_tilde, rowwise_q1_tilde_rows, scatter, slow_n3_oracle,
 )
 
 G = make_grid(16, 32)
@@ -657,6 +658,13 @@ def test_inner_buckets_sum_matches_masked_per_box_sum():
         assert np.max(np.abs(parts[0] + parts[1] - parts[2])) <= 1e-15 * np.max(
             np.abs(parts[2])
         )
+        # where the low set holds the box's whole run, "high" is exactly zero:
+        # the tree pass's liveness test reads these rows
+        lo, hi = _low_set(sign, mu_prev, mu_first, 1)
+        (i, j), (i_all, j_all) = buckets.table.span(boxes, lo, hi), buckets.table.span(boxes)
+        whole = (i == i_all) & (j == j_all)
+        assert whole.any() and not whole.all()
+        assert np.all(parts[1][whole] == 0.0)
 
 
 def test_generation_ops_empty_at_compliant_threshold():
