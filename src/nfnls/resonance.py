@@ -64,8 +64,9 @@ QUARTIC = "quartic"
 PRODUCT = "product"
 _MODES = ("resonant_R1", "resonant_R2", "A_N", "A_N_complement")
 
-# candidate cells (parent x c1 x c2 x slack) per expansion block: bounds the
-# engine's scratch arrays at a few tens of MB whatever the window
+# candidate cells (parent x s_a x s_b x slack, s_a and s_b the two child slots
+# not solved for) per expansion block: the engine's int64 scratch arrays hold
+# at most this many entries each, about 8 MB, whatever the window
 _EXPANSION_BLOCK = 1 << 20
 
 
@@ -122,25 +123,39 @@ def expand_triples(parents, window: int, child_sets=(None, None, None)):
     c1 - c2 + c3 = parents[row] + slack with slack in {-1, 0, 1}, every child
     inside [-window, window] and, where ``child_sets[i]`` is not None, in that
     box set.  Rows come in lexicographic order of (row, c1, c2, c3).  The
-    candidates are expanded over (c1, c2, slack) in blocks of parents, so the
-    scratch memory stays bounded for any number of parents.
+    equation is solved for the slot whose in-window set is largest (c3 on a
+    tie), and the candidates are expanded over the other two slots s_a, s_b
+    and the slack, P * |s_a| * |s_b| * 3 cells for P parents, in blocks of
+    parents, so the scratch memory stays bounded for any number of parents.
     """
     if window < 1:
         raise BoxRangeError(f"window must be >= 1, got {window}")
     parents = np.asarray(parents, dtype=np.int64).reshape(-1)
     full = np.arange(-window, window + 1, dtype=np.int64)
-    ok1, ok2, ok3 = (_in_window(s, window) for s in child_sets)
-    s1, s2 = full[ok1], full[ok2]
-    # c3 = c2 - c1 + parent - slack: slack 1, 0, -1 in this order puts c3 in
-    # ascending order, so np.nonzero below yields rows lexicographically
-    lift = (s2[:, None] + np.array([-1, 0, 1]))[None] - s1[:, None, None]
+    ok = [_in_window(s, window) for s in child_sets]
+    k = max((2, 0, 1), key=lambda i: ok[i].sum())
+    a, b = (i for i in range(3) if i != k)
+    sa, sb = full[ok[a]], full[ok[b]]
+    # c_k = e_k * (parent + slack - e_a c_a - e_b c_b) with e = (1, -1, 1).
+    # np.nonzero below yields the hits of one (row, c1, c2) with c3 ascending:
+    # c3 is a loop axis, or for k = 2 rises with the slack; so the rows come
+    # out lexicographic for k = 2, and any other k sorts each block stably by
+    # (row, c1, c2)
+    e = (1, -1, 1)
+    lift = e[k] * (np.array([-1, 0, 1]) - e[a] * sa[:, None, None] - e[b] * sb[None, :, None])
     step = max(1, _EXPANSION_BLOCK // max(1, lift.size))
     cols = []
     for lo in range(0, len(parents), step):
-        c3 = lift[None] + parents[lo : lo + step, None, None, None]
-        hit = (np.abs(c3) <= window) & ok3[np.clip(c3 + window, 0, 2 * window)]
-        r, i1, i2, _ = np.nonzero(hit)
-        cols.append((r + lo, s1[i1], s2[i2], c3[hit]))
+        ck = lift[None] + e[k] * parents[lo : lo + step, None, None, None]
+        hit = (np.abs(ck) <= window) & ok[k][np.clip(ck + window, 0, 2 * window)]
+        r, ia, ib, _ = np.nonzero(hit)
+        block = [r + lo, None, None, None]
+        block[1 + a], block[1 + b], block[1 + k] = sa[ia], sb[ib], ck[hit]
+        if k != 2:
+            width = 2 * window + 1
+            order = np.argsort((r * width + block[1]) * width + block[2], kind="stable")
+            block = [c[order] for c in block]
+        cols.append(block)
     if not cols:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty

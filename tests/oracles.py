@@ -18,8 +18,8 @@ from nfnls.normal_form import (
     _Node, _output_boxes, _q1_rows, _tree_sign, _triple_table, apply_resonant,
 )
 from nfnls.resonance import (
-    PRODUCT, QUARTIC, FrequencyTriple, _mode_mask, c_set_radius, enumerate_triples,
-    expand_triples, phase_value,
+    _EXPANSION_BLOCK, PRODUCT, QUARTIC, FrequencyTriple, _in_window, _mode_mask, c_set_radius,
+    enumerate_triples, expand_triples, phase_value,
 )
 from nfnls.trees import (
     IndexAssignment, PhaseRecord, compute_signs, enumerate_index_functions, enumerate_trees,
@@ -105,6 +105,25 @@ def c_chain_ok(mu_tilde: "np.ndarray | list[float]") -> bool:
         if c_set_member(j, mt[j - 1], mt[j], mt[0]):
             return False
     return True
+
+
+def cube_expand_triples(parents, window, child_sets=(None, None, None)):
+    """expand_triples over the full (parent, c1, c2, slack) cube, solving for
+    c3 whatever the set sizes, in blocks of _EXPANSION_BLOCK cells."""
+    parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+    full = np.arange(-window, window + 1, dtype=np.int64)
+    ok1, ok2, ok3 = (_in_window(s, window) for s in child_sets)
+    s1, s2 = full[ok1], full[ok2]
+    # c3 = c2 - c1 + parent + slack, slack -1, 0, 1: c3 ascends in the last axis
+    lift = (s2[:, None] + np.array([-1, 0, 1]))[None] - s1[:, None, None]
+    step = max(1, _EXPANSION_BLOCK // max(1, lift.size))
+    cols = [tuple(np.zeros(0, dtype=np.int64) for _ in range(4))]
+    for lo in range(0, len(parents), step):
+        c3 = lift[None] + parents[lo : lo + step, None, None, None]
+        hit = (np.abs(c3) <= window) & ok3[np.clip(c3 + window, 0, 2 * window)]
+        r, i1, i2, _ = np.nonzero(hit)
+        cols.append((r + lo, s1[i1], s2[i2], c3[hit]))
+    return tuple(np.concatenate(c) for c in zip(*cols))
 
 
 def brute_triples(n, window, N, mode, convention=QUARTIC):

@@ -1,6 +1,7 @@
 """Phase identities, divisor counting, and frequency-set enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfnls.errors import DomainError
+from nfnls.normal_form import _output_boxes
 from nfnls.resonance import (
+    _EXPANSION_BLOCK,
     PRODUCT,
     QUARTIC,
     PhaseTable,
     divisor_sieve,
     enumerate_triples,
+    expand_triples,
     phase_phi,
     phase_value,
 )
-from oracles import brute_triples, c_chain_ok, c_set_member, divisor_choice_count, divisor_count
+from oracles import (
+    brute_triples, c_chain_ok, c_set_member, cube_expand_triples, divisor_choice_count,
+    divisor_count,
+)
+from test_acceptance import criterion8_inputs
 
 
 def test_phase_phi_pinned_values():
@@ -133,6 +141,65 @@ def test_phase_table_span_matches_masked_count(parents, window, child_sets, sign
         want = idx[np.argsort(tab.m[idx], kind="stable")]  # by m, ties lexicographic
         assert j[t] - i[t] == len(want)
         np.testing.assert_array_equal(tab.order[i[t] : j[t]], want)
+
+
+def assert_same_columns(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@st.composite
+def expansion_case(draw):
+    # unsorted parents with duplicates and boxes beyond reach 3 * window + 1;
+    # sets None, empty, or with members outside the window; one slot (each in
+    # turn) sparse, so every slot gets solved for, ties included
+    window = draw(st.integers(1, 12))
+    reach = 3 * window + 1
+    parents = draw(st.lists(st.integers(-reach - 4, reach + 4), min_size=1, max_size=40))
+    box = st.integers(-window - 3, window + 3)
+    sets = [draw(st.none() | st.sets(box, max_size=2 * window + 7).map(tuple)) for _ in range(3)]
+    sparse = draw(st.sampled_from([0, 1, 2]))
+    sets[sparse] = draw(st.none() | st.sets(box, max_size=3).map(tuple))
+    return parents, window, tuple(sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=expansion_case())
+def test_expand_triples_matches_cube_expansion(case):
+    parents, window, child_sets = case
+    got = expand_triples(parents, window, child_sets)
+    assert_same_columns(got, cube_expand_triples(parents, window, child_sets))
+
+
+def test_expand_triples_sorts_across_blocks():
+    # c3 is the sparse slot, so the engine solves for c1 and sorts each block;
+    # its 1,500 * 81 * 3 * 3 cells fill two blocks
+    window, sparse = 40, (-7, 3, 40)
+    parents = np.random.default_rng(23).integers(-125, 126, 1_500)
+    assert 1 < len(parents) * (2 * window + 1) * len(sparse) * 3 / _EXPANSION_BLOCK <= 2
+    child_sets = (None, None, sparse)
+    got = expand_triples(parents, window, child_sets)
+    assert_same_columns(got, cube_expand_triples(parents, window, child_sets))
+
+
+def test_phase_table_peak_memory_on_criterion_8_roots():
+    # criterion 8's root generation: the 127 output boxes of window 48, two
+    # children on the reachable set (59 boxes in the window) and one on the
+    # 5-box support; solving for a 59-box slot expands 127 * 59 * 5 * 3 cells,
+    # where solving for the support slot took about 25 MB of scratch
+    state, allowed = criterion8_inputs()
+    support = tuple(np.flatnonzero(state.box_norms() > 0) - state.grid.n_max)
+    roots = _output_boxes(state.grid.n_max, 48)
+    assert (len(support), len(roots)) == (5, 127)
+    tracemalloc.start()
+    try:
+        PhaseTable(roots, 48, (allowed, allowed, support), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"PhaseTable peak {peak / 1e6:.1f} MB"
 
 
 def test_r1_window1_finitely_many():
