@@ -236,15 +236,20 @@ class RunReport:
 
 
 def fir_constant_sweep(B: int, gaps=(2, 3, 5, 10, 25, 50), trials: int = 4, seed: int = 0):
-    """Measured sup of ||q1_tilde|| * gap1 * gap3 over coherent+random probes.
+    """(sup, rows): per row (g1, g3, value) the largest of ``_fir_probe_norms``."""
+    best = _fir_probe_norms(B, gaps, trials, seed).max(axis=2)
+    rows = [(g1, g3, float(v)) for g1, row in zip(gaps, best) for g3, v in zip(gaps, row)]
+    return max(r[2] for r in rows), rows
 
-    Row (g1, g3) is the gap kernel at t = 0 on n = 0, n1 = -g1, n3 = g3,
-    n2 = n1 + n3, measured on the coherent (all-ones) unit bands and on
-    ``trials`` random unit band triples, drawn with one ``standard_normal``
-    call in row, trial, slot order (real part, then imaginary).  Each g1 row
-    is one batch in the gap pass's factorisation: out[a] = sum_k FX.FY.G^
-    with X = u1/d1, Y = u3/d3 and G^ the middle band contracted with
-    ``_contraction(B)[1]`` (slack 0), times 1/(2 pi B^2).
+
+def _fir_probe_norms(B: int, gaps, trials: int, seed: int) -> np.ndarray:
+    """||q1_tilde|| * g1 * g3 per row (g1, g3) and probe, a (g1, g3, probe) array:
+    row (g1, g3) is the gap kernel at t = 0 on n = 0, n1 = -g1, n3 = g3, n2 = n1 + n3,
+    on the coherent (all-ones) unit bands (probe 0) and on ``trials`` random unit
+    band triples, drawn with one ``standard_normal`` call in row, trial, slot
+    order (real part, then imaginary), one g1 row per batch of the gap pass's
+    factorisation: out[a] = sum_k FX.FY.G^ with X = u1/d1, Y = u3/d3 and G^ the
+    middle band contracted with ``_contraction(B)[1]`` (slack 0), times 1/(2 pi B^2).
     """
     if min(gaps) <= 1:
         raise PreconditionError(f"gaps {tuple(gaps)} include a resonant one: singular kernel")
@@ -255,18 +260,13 @@ def fir_constant_sweep(B: int, gaps=(2, 3, 5, 10, 25, 50), trials: int = 4, seed
     diff = (np.arange(B)[:, None] - np.arange(B)[None, :]) / B  # (a - b) / B
     gap3 = np.array(gaps, dtype=float)[:, None, None, None]
     W = _contraction(B)[1]
-    rows = []
-    # per g1 row, each slot's (g3, probe, bin) block
-    for g1, (u1, u2, u3) in zip(gaps, np.moveaxis(probes, 3, 1)):
-        X = np.zeros(u1.shape[:2] + (B, 2 * B), dtype=np.complex128)
-        Y = np.zeros_like(X)
-        X[..., :B] = u1[:, :, None, :] / (g1 + diff)
-        Y[..., :B] = u3[:, :, None, :] / (diff - gap3)
-        xy = np.fft.fft(X, axis=-1) * np.fft.fft(Y, axis=-1)
-        out = np.einsum("gpak,gpak->gpa", xy, np.tensordot(np.conj(u2[..., ::-1]), W, 1))
-        norms = np.sqrt(np.sum(np.abs(out / (2.0 * np.pi * B * B)) ** 2, axis=-1) / B)
-        rows += [(g1, g3, float(v) * g1 * g3) for g3, v in zip(gaps, norms.max(axis=1))]
-    return max(r[2] for r in rows), rows
+    norms = []
+    for g1, (u1, u2, u3) in zip(gaps, np.moveaxis(probes, 3, 1)):  # slots' (g3, probe, bin) blocks
+        X, Y = u1[:, :, None, :] / (g1 + diff), u3[:, :, None, :] / (diff - gap3)
+        xy = np.fft.fft(X, 2 * B) * np.fft.fft(Y, 2 * B)  # zero-padded to 2B
+        band = np.einsum("gpak,gpak->gpa", xy, np.tensordot(np.conj(u2[..., ::-1]), W, 1))
+        norms.append(np.sqrt(np.sum(np.abs(band / (2.0 * np.pi * B * B)) ** 2, axis=-1) / B) * g1 * gap3[..., 0, 0])
+    return np.stack(norms)
 
 
 def random_boxed_state(grid, rng, span, q, norm=1.0, t=0.0):

@@ -53,11 +53,11 @@ X = u1/d1 and Y = u3/d3 depend only on a (box, gap) pair and are transformed
 once per pair, and one contraction table per B (``_contraction``) holds the
 inverse FFT and the pick of the valid convolution terms, so the middle band
 enters through a per-box contraction and the rows of an (n, n1, n3) group
-contract once, against their sum.  Every insert of the pass depends on its box
-alone: the resonant sum plus the box's full inner sum.  The structure that
-depends only on (grid, window, N) -- the rows, their phases, the pair index
-with its 1/d factors, the slacks, the row groups -- is cached like the triple
-tables.  The high-phase table is also the only emptiness test: the insert
+contract once, against their sum, and a group and its mirror (n, n3, n1) once
+together.  Every insert of the pass depends on its box alone: the resonant sum
+plus the box's full inner sum.  What depends only on (grid, window, N) -- the
+rows, phases, pair index with its 1/d factors, slacks, row groups and their
+fold -- is cached.  The high-phase table is also the only emptiness test: the insert
 states and the contractions are built only when some high-phase row has two
 live slots, so at compliant thresholds, where that set is empty on the active
 window, generation one costs one table lookup.  The non-resonant inserts read
@@ -292,7 +292,7 @@ class _Node:
 
     @cached_property
     def resonant(self) -> "_Node":
-        table = _triple_table(self.grid.n_max, self.window, None, "resonant_R2")
+        table = _q1_table(self.grid.n_max, self.window, None, "resonant_R2")
         return _Node(self.state_of(_sum_q1_over(self, table)), self.t, self.window)
 
     @cached_property
@@ -302,13 +302,10 @@ class _Node:
 
     def inner(self, N) -> tuple:
         """(low, high): q1 summed per box over the inner table's rows with
-        |phase| <= N and with |phase| > N, spectrum first (``_sum_q1_over``).
+        |phase| <= N and with |phase| > N (``_inner_split``), spectrum first.
         high is N12; low + high is each box's full inner sum."""
         if N not in self._inner:
-            tab = self.inner_table
-            cols = (tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
-            high = np.abs(tab.m) > N
-            self._inner[N] = tuple(_sum_q1_over(self, [c[k] for c in cols]) for k in (~high, high))
+            self._inner[N] = tuple(_sum_q1_over(self, rows) for rows in _inner_split(self.inner_table, N))
         return self._inner[N]
 
     @cached_property
@@ -381,6 +378,30 @@ def _triple_table(n_max: int, window: int, N_key, mode: str):
     return n[keep], n1[keep], n2[keep], n3[keep]
 
 
+def _mirror_fold(n, n1, n2, n3) -> tuple:
+    """The rows (n, n1, n2, n3) and a fifth column, their weights in the fold under
+    n1 <-> n3: rows equal up to the swap weigh their number on the first of them,
+    0 on the others."""
+    cols = np.stack([n, np.minimum(n1, n3), n2, np.maximum(n1, n3)])
+    cols -= cols.min(axis=1, initial=0, keepdims=True)
+    key = np.ravel_multi_index(tuple(cols), tuple(cols.max(axis=1, initial=0) + 1))
+    _, first, size = np.unique(key, return_index=True, return_counts=True)
+    return n, n1, n2, n3, np.bincount(first, size, len(key))
+
+
+@lru_cache(maxsize=256)
+def _q1_table(n_max: int, window: int, N_key, mode: str) -> tuple:
+    """``_triple_table`` with its ``_mirror_fold`` weights."""
+    return _mirror_fold(*_triple_table(n_max, window, N_key, mode))
+
+
+@lru_cache(maxsize=256)
+def _inner_split(tab: PhaseTable, N) -> tuple:
+    """A node's inner table (one per live set) at |phase| <= N and > N, as in ``_q1_table``."""
+    cols = _mirror_fold(tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
+    return tuple([c[k] for c in cols] for k in (np.abs(tab.m) <= N, np.abs(tab.m) > N))
+
+
 class _GapTable(NamedTuple):
     """What the gap pass needs of a triple table that no state changes.
 
@@ -390,8 +411,9 @@ class _GapTable(NamedTuple):
     (n, n1, n3) group, whose rows share both pairs and have n2 = m + slack - 1,
     m = n1 + n3 - n, slack = n - (n1 - n2 + n3) + 1 in {0, 1, 2} (which
     selects the contraction table ``_contraction(B)[slack]``).  Per group, in
-    (n, n1, n3) order: ``group_row``, its first row, and ``group_key``, its
-    row of ``keys`` = (m, its rows at slack 0, 1, 2).
+    (n, n1, n3) order: ``group_row``, its first row, ``group_key``, its
+    row of ``keys`` = (m, its rows at slack 0, 1, 2), and ``group_weight``, its
+    ``_mirror_fold`` weight among the groups of its key (same middle bands).
     """
 
     rows: tuple
@@ -403,6 +425,7 @@ class _GapTable(NamedTuple):
     group: np.ndarray
     group_row: np.ndarray
     group_key: np.ndarray
+    group_weight: np.ndarray
     keys: np.ndarray
 
 
@@ -430,6 +453,7 @@ def _gap_index(grid: Grid, table) -> _GapTable:
         group=group.reshape(-1),
         group_row=group_row,
         group_key=group_key.reshape(-1),
+        group_weight=_mirror_fold(*trip[group_row, :2].T, group_key.reshape(-1), trip[group_row, 2])[4],
         keys=keys,
     )
 
@@ -488,12 +512,15 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
 
     A row's band is a pick at (d + 1)B - 1, d = n - (n1 - n2 + n3), of the
     inverse FFT of its product spectrum, so the spectra are summed per (n, d)
-    first: one inverse FFT and one pick per (box, slack).
+    first: one inverse FFT and one pick per (box, slack).  Each row weighs its
+    ``_mirror_fold`` weight (the cached tables' fifth column): spectrum, d and
+    liveness are symmetric under n1 <-> n3, so that is exact up to rounding.
     """
     g = node.grid
     B = g.bins_per_box
-    keep = node.live(*table[1:4]) == 3
-    n, n1, n2, n3 = (a[keep] for a in table)
+    table = table if len(table) == 5 else _mirror_fold(*table)
+    keep = (node.live(*table[1:4]) == 3) & (table[4] > 0)
+    n, n1, n2, n3, w = (a[keep] for a in table)
     if not len(n):
         return np.zeros_like(node.data)
     chunk = max(ROW_CHUNK * B // 2, 1)  # rows of 4B: (ROW_CHUNK, B, 2B) temporaries
@@ -502,7 +529,7 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
         rows = np.flatnonzero(n - (n1 - n2 + n3) == s - 1)
         for lo in range(0, len(rows), chunk):
             r = rows[lo : lo + chunk]
-            prod = node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
+            prod = w[r, None] * node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
             _scatter_rows(g, n[r], prod, out=out)
     conv = np.fft.ifft(spectra, axis=-1)
     bands = sum(conv[s][:, s * B - 1 + np.arange(B)] for s in range(3))
@@ -534,7 +561,7 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
 
 def _table_state(node: _Node, N, mode) -> BoxedState:
     """q1 summed over the (N, mode) triple table of the node's window."""
-    table = _triple_table(node.grid.n_max, node.window, N, mode)
+    table = _q1_table(node.grid.n_max, node.window, N, mode)
     return node.state_of(_sum_q1_over(node, table))
 
 
@@ -652,9 +679,11 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
     A slot insert depends on the slot's box alone, so it is transformed with
     u, once per (box, gap) pair (FX', FY'), and its H^ = conj(x[::-1]) @ W[s]
     summed per key into S'.  With slot signs (+1, -1, +1) a group's insert is
-    sum_k [(FX'.FY + FX.FY').S - FX.FY.S'].  Only the groups with a row of at
-    least two live slots are contracted (a row with fewer contributes exact
-    zeros); if there are none, nothing is built.
+    sum_k [(FX'.FY + FX.FY').S - FX.FY.S'].  Both are symmetric in X and Y,
+    read from one table F[0], so a group and its mirror (n, n3, n1) with the
+    same key give one band, and each group contracts once with its fold weight
+    (``_GapTable.group_weight``) if it has a row of at least two live slots (a
+    row with fewer contributes exact zeros); if there are none, nothing is built.
     """
     if which not in (None, "all"):
         raise ConfigurationError(f"the gap pass takes which = None or 'all', not {which!r}")
@@ -683,7 +712,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
         np.fft.fft(F, axis=-1, out=F)
         # S[f, key] = sum_s count_s G^[m + s - 1, s], the middle bands of the
         # key's slacks (zero at a slack without rows) contracted with W
-        groups = np.flatnonzero(np.bincount(gt.group[sel], minlength=len(gt.group_row)))
+        groups = np.flatnonzero(np.bincount(gt.group[sel], minlength=len(gt.group_row)) * gt.group_weight)
         keys, key = np.unique(gt.group_key[groups], return_inverse=True)
         m, count = gt.keys[keys, :1], gt.keys[keys, 1:, None]
         mid = np.clip(_rows(g, m - 1 + np.arange(3)), 0, 2 * g.n_max - 1)
@@ -702,6 +731,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
                 fy += fx * F[1, gt.pair3[r]]  # FX'.FY + FX.FY'
                 band[:, 1] = np.einsum("tak,tak->ta", fy, S[0, k])
                 band[:, 1] -= np.einsum("tak,tak->ta", xy, S[1, k])
+            band *= gt.group_weight[groups[lo : lo + ROW_CHUNK], None, None]
             _scatter_rows(g, n[r], band.reshape(len(r), -1), out=acc.reshape(len(acc), -1))
         # the output phase and normalisation depend on the box alone
         for k, out in enumerate((bnd, ins)[: len(factors)]):

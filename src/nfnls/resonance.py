@@ -180,12 +180,12 @@ class PhaseTable:
         self.row, fa, self.c1, self.c2, self.c3 = (x[nonres] for x in (row, fa, c1, c2, c3))
         self.m = sign * phase_value(fa, self.c1, self.c2, self.c3)
         self.mp = sign * phase_value(fa, self.c1, self.c2, self.c3, PRODUCT)
-        self.order = np.lexsort((self.m, self.row))
         # keys parent * width + (m - offset), sorted; phase offsets run over
         # 1..width-2, so 0 and width-1 take clipped bounds and a box without
         # children falls between the blocks
         self._offset = int(self.m.min(initial=0)) - 1
         self._width = int(self.m.max(initial=0)) - self._offset + 2
+        self.order = np.argsort(self.row * self._width + (self.m - self._offset), kind="stable")
         self._keys = fa[self.order] * self._width + (self.m[self.order] - self._offset)
         sizes = np.bincount(self.row, minlength=len(self.parents))
         self.stop = np.cumsum(sizes)

@@ -499,28 +499,31 @@ def q1_tilde(n, b1, b2, b3, t):
     return BandCoefficients(box_index=n, grid=g, coeffs=out, start_bin=n * B)
 
 
-def loop_fir_constant_sweep(B, gaps=(2, 3, 5, 10, 25, 50), trials=4, seed=0):
-    """``harness.fir_constant_sweep`` one (g1, g3) row and one probe at a time."""
+def loop_fir_probe_norms(B, gaps=(2, 3, 5, 10, 25, 50), trials=4, seed=0):
+    """``harness._fir_probe_norms`` one (g1, g3) row and one probe at a time:
+    the (g1, g3, probe) array of ||q1_tilde|| * g1 * g3."""
     grid = make_grid(B, max(gaps) + 14)
     rng = np.random.default_rng(seed)
-    rows = []
-    sup = 0.0
-    for g1 in gaps:
-        for g3 in gaps:
+    norms = np.zeros((len(gaps), len(gaps), trials + 1))
+    for i, g1 in enumerate(gaps):
+        for j, g3 in enumerate(gaps):
             n, n1, n3 = 0, -g1, g3
             n2 = n1 + n3 - n
-            best = 0.0
             probes = [(coherent_band(grid, n1), coherent_band(grid, n2), coherent_band(grid, n3))]
             probes += [
                 (random_band(grid, n1, rng), random_band(grid, n2, rng), random_band(grid, n3, rng))
                 for _ in range(trials)
             ]
-            for b1, b2, b3 in probes:
-                val = q1_tilde(n, b1, b2, b3, 0.0).l2_norm() * g1 * g3
-                best = max(best, val)
-            rows.append((g1, g3, best))
-            sup = max(sup, best)
-    return sup, rows
+            for p, (b1, b2, b3) in enumerate(probes):
+                norms[i, j, p] = q1_tilde(n, b1, b2, b3, 0.0).l2_norm() * g1 * g3
+    return norms
+
+
+def loop_fir_constant_sweep(B, gaps=(2, 3, 5, 10, 25, 50), trials=4, seed=0):
+    """``harness.fir_constant_sweep`` from the per-probe loop."""
+    best = loop_fir_probe_norms(B, gaps, trials, seed).max(axis=2)
+    rows = [(g1, g3, float(v)) for g1, row in zip(gaps, best) for g3, v in zip(gaps, row)]
+    return max(r[2] for r in rows), rows
 
 
 def physical_q1_oracle(n, b1, b2, b3, t, grid):

@@ -20,7 +20,7 @@ from nfnls.harness import (
 )
 from nfnls.normal_form import choose_parameters, solve
 from nfnls.trees import J_MAX_ENUMERATION
-from oracles import loop_fir_constant_sweep, shifted_split_step_solve
+from oracles import loop_fir_constant_sweep, loop_fir_probe_norms, shifted_split_step_solve
 
 G = make_grid(16, 32)
 
@@ -85,6 +85,11 @@ def test_fir_constant_sweep_matches_per_triple_loop(B, gaps, trials, seed):
     assert [r[:2] for r in rows] == [r[:2] for r in want]
     np.testing.assert_allclose([r[2] for r in rows], [r[2] for r in want], rtol=1e-13, atol=0)
     assert sup == pytest.approx(want_sup, rel=1e-13, abs=0)
+    # every probe, not only the row maxima, which the coherent probe sets
+    # (its all-ones middle band is its own reversal)
+    got = harness._fir_probe_norms(B, gaps, trials, seed)
+    np.testing.assert_allclose(got, loop_fir_probe_norms(B, gaps, trials, seed), rtol=1e-13, atol=0)
+    assert got.shape == (len(gaps), len(gaps), trials + 1)
 
 
 def test_fir_constant_sweep_rejects_resonant_gaps():

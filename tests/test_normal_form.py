@@ -451,6 +451,148 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
         assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# ---------------------------------------------------------------------------
+# the n1 <-> n3 fold of the gap pass and of the q1 sums, against the per-row
+# oracles, which evaluate both rows of a mirrored pair
+
+
+def mirrored(table):
+    """The table with the mirror (n, n3, n2, n1) of every row added, each row
+    once, lexicographic."""
+    n, n1, n2, n3 = table
+    rows = np.concatenate([np.stack([n, n1, n2, n3], axis=1), np.stack([n, n3, n2, n1], axis=1)])
+    return tuple(np.unique(rows, axis=0).T)
+
+
+def random_q1_table(rng, rows):
+    """Random rows (n, n1, n2, n3) on the slack shell, duplicates allowed,
+    lexicographic (so non-decreasing in n)."""
+    c = rng.integers(-4, 5, (rows, 3))
+    n = c[:, 0] - c[:, 1] + c[:, 2] + rng.integers(-1, 2, rows)
+    table = np.column_stack([n, c])
+    return tuple(table[np.lexsort(table.T[::-1])].T)
+
+
+def fold_state(rng, B, dead, outside=None):
+    """Random bands on 32 boxes, a fraction ``dead`` of them zero; box
+    ``outside``, when given, live (as a box outside the window)."""
+    data = rng.standard_normal((32, B)) + 1j * rng.standard_normal((32, B))
+    data[rng.random(32) < dead] = 0.0
+    if outside is not None:
+        data[outside + 16] = rng.standard_normal(B)
+    return BoxedState(make_grid(B, 16), data, 0.2)
+
+
+def assert_folded_sum(got, want, rel, v):
+    # the output boxes without a live row stay exactly 0.0; the scale is the
+    # sum's, or where the terms cancel to rounding noise (a sparse state), a
+    # floor at the size of a cubic term of the state
+    assert np.all(got[~np.any(want != 0, axis=1)] == 0)
+    scale = max(np.max(np.abs(want)), 1e-3 * np.max(np.abs(v.data)) ** 3)
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+FOLD_KINDS = ["symmetric", "random", "one row", "window"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.sampled_from([2, 4, 8]),
+    kind=st.sampled_from(FOLD_KINDS),
+    groups=st.integers(1, 30),
+    dead=st.sampled_from([0.3, 0.8]),
+    kw=st.sampled_from(GAP_PASS_INSERTS),
+)
+def test_folded_gap_pass_matches_per_row_oracle(seed, B, kind, groups, dead, kw):
+    # symmetric tables fold every group with n1 != n3; random and one-row
+    # tables fold only the mirrors they happen to hold; the window's A_N^c
+    # table with a live box outside the window, as at the live compare config
+    rng = np.random.default_rng(seed)
+    window = 3
+    table = {
+        "symmetric": lambda: mirrored(random_gap_table(rng, window, groups)),
+        "random": lambda: random_gap_table(rng, window, groups),
+        "one row": lambda: tuple(c[:1] for c in random_gap_table(rng, window, 1)),
+        "window": lambda: _triple_table(16, window, 4.0, "A_N_complement"),
+    }[kind]()
+    v = fold_state(rng, B, dead, -window - 1 if kind == "window" else None)
+    gt = _gap_index(v.grid, table)
+    n1, n3 = gt.rows[1], gt.rows[3]
+    r = gt.group_row
+    assert gt.group_weight.sum() == len(r) and set(gt.group_weight.tolist()) <= {0, 1, 2}
+    if kind in ("symmetric", "window"):
+        want_weight = np.where(n1[r] == n3[r], 1, np.where(n1[r] < n3[r], 2, 0))
+        assert np.array_equal(gt.group_weight, want_weight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normal_form, "_gap_table", lambda *args: gt)
+        got = _generation_one(_Node(v, 0.2, window), 4.0, **kw)
+    want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, 4.0, window, table=table, **kw)
+    assert_folded_sum(got.boundary.data, want_bnd, 1e-13, v)
+    if kw:
+        assert_folded_sum(got.inserts.data, want_ins, 1e-13, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    B=st.sampled_from([2, 4, 8]),
+    kind=st.sampled_from(FOLD_KINDS),
+    rows=st.integers(1, 200),
+    dead=st.sampled_from([0.3, 0.8]),
+    mode=st.sampled_from(["resonant_R2", "resonant_R1", "A_N", "A_N_complement"]),
+)
+def test_folded_sum_q1_over_matches_per_row_oracle(seed, B, kind, rows, dead, mode):
+    # the four-column tables are folded by _sum_q1_over, the cached ones
+    # (_q1_table, the inner split) come folded; at the window, the live box
+    # outside it is a child set of the inner table that no child reaches
+    rng = np.random.default_rng(seed)
+    window = 4
+    table = {
+        "symmetric": lambda: mirrored(random_q1_table(rng, rows)),
+        "random": lambda: random_q1_table(rng, rows),
+        "one row": lambda: random_q1_table(rng, 1),
+        "window": lambda: _triple_table(16, window, 8.0, mode),
+    }[kind]()
+    v = fold_state(rng, B, dead, -window - 1 if kind == "window" else None)
+    node = _Node(v, 0.2, window)
+    want = per_row_sum_q1_over(node, table)
+    assert_folded_sum(_sum_q1_over(node, table), want, 1e-14, v)
+    if kind == "window":
+        assert_folded_sum(_sum_q1_over(node, normal_form._q1_table(16, window, 8.0, mode)), want, 1e-14, v)
+        tab = node.inner_table
+        high = np.abs(tab.m) > 8.0
+        for k, got in zip((~high, high), node.inner(8.0)):
+            want = per_row_sum_q1_over(node, (tab.parents[tab.row][k], tab.c1[k], tab.c2[k], tab.c3[k]))
+            assert_folded_sum(got, want, 1e-14, v)
+
+
+def assert_closed_and_folded(table, folded):
+    # closed under n1 <-> n3, and folded onto the rows n1 <= n3: weight 2 off
+    # the diagonal, 1 on it, 0 on the rows n1 > n3
+    n, n1, n2, n3 = table
+    assert set(zip(*table)) == set(zip(n, n3, n2, n1))
+    for got, want in zip(folded[:4], table):
+        assert np.array_equal(got, want)
+    assert np.array_equal(folded[4], np.where(n1 == n3, 1, np.where(n1 < n3, 2, 0)))
+
+
+@pytest.mark.parametrize("mode", ["resonant_R2", "resonant_R1", "A_N", "A_N_complement"])
+def test_triple_tables_and_inner_split_are_closed_under_the_mirror(mode):
+    nonempty = 0
+    for n_max, window, N in [(8, 4, 12.0), (64, 5, 12.0), (16, 3, math.inf), (16, 6, 16.0)]:
+        key = None if mode.startswith("resonant") else N
+        table = _triple_table(n_max, window, key, mode)
+        assert_closed_and_folded(table, normal_form._q1_table(n_max, window, key, mode))
+        nonempty += len(table[0]) > 0
+    assert nonempty >= 3
+    for n_max, window, live in LIVE_CASES:
+        tab = phase_table(tuple(_output_boxes(n_max, window).tolist()), window, (live,) * 3, 1)
+        high = np.abs(tab.m) > 12.0
+        for k, folded in zip((~high, high), normal_form._inner_split(tab, 12.0)):
+            assert_closed_and_folded((tab.parents[tab.row][k], tab.c1[k], tab.c2[k], tab.c3[k]), folded)
+
+
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
 def test_n12_from_shared_rows_matches_apply_n12(grid, span, N, window):
     rng = np.random.default_rng(16)
