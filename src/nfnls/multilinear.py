@@ -58,7 +58,7 @@ from .errors import (
 )
 from .grids import Grid
 from .modulation import BandCoefficients
-from .trees import IndexAssignment, OrderedTree, compute_signs
+from .trees import IndexAssignment, OrderedTree, _generation_boxes, compute_signs
 
 __all__ = [
     "BandTuple",
@@ -202,10 +202,8 @@ def _slack_plan(tree: OrderedTree, slack: tuple[int, ...], B: int) -> _TreePlan:
 def _node_gaps(tree: OrderedTree, freq: np.ndarray):
     """(A, J) slacks, f(a) - f(a1) and f(a) - f(a3) of the chronicle nodes of
     A rows of node boxes."""
-    a = np.array(tree.chronicle)
-    c1, c2, c3 = np.array([tree.nodes[x].children for x in tree.chronicle]).T
-    fa = freq[:, a]
-    return freq[:, c1] - freq[:, c2] + freq[:, c3] - fa, fa - freq[:, c1], fa - freq[:, c3]
+    fa, c1, c2, c3 = _generation_boxes(tree, freq)
+    return c1 - c2 + c3 - fa, fa - c1, fa - c3
 
 
 def _kernel(plan: _TreePlan, gap1: np.ndarray, gap3: np.ndarray, B: int):
@@ -286,12 +284,6 @@ def _assignment_plan(tree: OrderedTree, assign: IndexAssignment, B: int):
     return _slack_plan(tree, tuple(slack[0].tolist()), B), gap1, gap3
 
 
-def _output_phase(n: int, B: int, t: float) -> np.ndarray:
-    """u picture -> interaction picture on the bins of box n."""
-    xi_out = (n * B + np.arange(B)) / B
-    return np.exp(-1j * t * xi_out * xi_out)
-
-
 def q_tree(
     tree: OrderedTree,
     assign: IndexAssignment,
@@ -327,7 +319,8 @@ def q_tree(
         ub = _u_block(band, t)
         u[0, i] = np.conj(ub) if plan.conjugated[i] else ub
     out = _evaluate(plan, gap1, gap3, u, np.zeros(1, dtype=np.intp), 1)
-    out = out[0] * _output_phase(assign.n_root, B, t)
+    xi_out = (assign.n_root * B + np.arange(B)) / B
+    out = out[0] * np.exp(-1j * t * xi_out * xi_out)  # u picture -> interaction picture
     return BandCoefficients(
         box_index=assign.n_root, grid=grid, coeffs=out, start_bin=assign.n_root * B
     )
@@ -339,9 +332,9 @@ def certify_tree_bound(
     trials: int,
     grid: Grid,
     rng: np.random.Generator,
-    t: float = 0.0,
 ) -> float:
-    """Measured sup of ||q_tree|| * |den| over unit-norm leaf tuples.
+    """Measured sup of ||q_tree|| * |den| over unit-norm leaf tuples, at t = 0
+    (the sup does not depend on t: the propagation phases are unimodular).
 
     ``den`` is the integer prefix-product denominator (the signed product
     half-phases in chronicle order), matching the kernel convention.  One
@@ -360,14 +353,10 @@ def certify_tree_bound(
     z = rng.standard_normal((trials, len(leaf_ids), 2, B))
     drawn = z[:, :, 0] + 1j * z[:, :, 1]
     drawn = drawn / np.sqrt(np.sum(np.abs(drawn) ** 2, axis=-1, keepdims=True) / B)
-    coeffs = np.concatenate([np.ones((1, len(leaf_ids), B), dtype=np.complex128), drawn])
-    start = np.array([assign.freq[b] * B for b in leaf_ids])
-    xi = (start[:, None] + np.arange(B)) / B
-    u = coeffs * np.exp(1j * t * xi * xi)
+    u = np.concatenate([np.ones((1, len(leaf_ids), B), dtype=np.complex128), drawn])
     conj = list(plan.conjugated)
     u[:, conj] = np.conj(u[:, conj])
     D = len(u)
     out = _evaluate(plan, gap1, gap3, u, np.arange(D), D)
-    out = out * _output_phase(assign.n_root, B, t)
     norms = np.sqrt(np.sum(np.abs(out) ** 2, axis=1) / B)
     return float(np.max(norms) * den)

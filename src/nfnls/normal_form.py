@@ -98,7 +98,7 @@ from .grids import Field, Grid, Spectrum, forward, free_propagate
 from .modulation import BandCoefficients, modulation_norm
 from .multilinear import _tree_sum
 from .resonance import PhaseTable, _mode_mask, c_set_radius, expand_triples, phase_table
-from .trees import _frontier, compute_signs, enumerate_trees
+from .trees import _frontier, _phases, compute_signs, enumerate_trees
 
 __all__ = [
     "BoxedState",
@@ -189,9 +189,8 @@ class BoxedState:
             return 0
         g = self.grid
         boxes = np.arange(-g.n_max, g.n_max)
+        # the largest band is at least total / sqrt(2 n_max), so hot is not empty
         hot = boxes[norms > SUPPORT_FLOOR * total]
-        if len(hot) == 0:
-            return 0
         return int(max(abs(hot.min()), abs(hot.max())) + 1)
 
     def plus(self, other: "BoxedState", w: complex = 1.0) -> "BoxedState":
@@ -317,7 +316,7 @@ class _Node:
         non-resonant q1 bands on the ``which`` joint-phase set of level J if
         ``which`` is given -- each box's full inner sum for "all", the rows in
         or out of the level-J low set for "low" or "high"
-        (``_coupled_insert_rows``); zero if neither."""
+        (``_coupled_insert_rows``); at least one of them is asked for."""
         rows = self.resonant.data[_rows(self.grid, boxes)] if resonant else None
         if which is not None:
             if which == "all":
@@ -325,7 +324,7 @@ class _Node:
             else:
                 bands = _coupled_insert_rows(self.buckets, sign, boxes, mu_prev, mu_first, J, which)
             rows = bands if rows is None else rows + bands
-        return np.zeros((len(boxes), self.grid.bins_per_box), complex) if rows is None else rows
+        return rows
 
     def live(self, *box_arrays) -> np.ndarray:
         """Per row, how many of its boxes hold a nonzero band."""
@@ -490,21 +489,16 @@ def _max_abs_phase(window: int) -> float:
     return float((2 * window + 1) * (4 * window + 1))
 
 
-def _scatter_rows(grid: Grid, n_rows, bands, out=None) -> np.ndarray:
-    """Add the row bands into their output boxes.
+def _scatter_rows(grid: Grid, n_rows, bands, out: np.ndarray) -> None:
+    """Add the (non-empty) row bands into their output boxes, rows of ``out``.
 
     ``n_rows`` must be non-decreasing, as in every table lexicographic in n
     and in the gap pass's row groups: the rows of a box are then one segment,
     summed by one ``np.add.reduceat``.
     """
-    if out is None:
-        out = np.zeros((2 * grid.n_max, grid.bins_per_box), dtype=np.complex128)
-    if len(n_rows) == 0:
-        return out
     rows = _rows(grid, n_rows)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     out[rows[starts]] += np.add.reduceat(bands, starts, axis=0)
-    return out
 
 
 def _sum_q1_over(node: _Node, table) -> np.ndarray:
@@ -513,12 +507,11 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
     A row's band is a pick at (d + 1)B - 1, d = n - (n1 - n2 + n3), of the
     inverse FFT of its product spectrum, so the spectra are summed per (n, d)
     first: one inverse FFT and one pick per (box, slack).  Each row weighs its
-    ``_mirror_fold`` weight (the cached tables' fifth column): spectrum, d and
+    ``_mirror_fold`` weight, the table's fifth column: spectrum, d and
     liveness are symmetric under n1 <-> n3, so that is exact up to rounding.
     """
     g = node.grid
     B = g.bins_per_box
-    table = table if len(table) == 5 else _mirror_fold(*table)
     keep = (node.live(*table[1:4]) == 3) & (table[4] > 0)
     n, n1, n2, n3, w = (a[keep] for a in table)
     if not len(n):
@@ -530,7 +523,7 @@ def _sum_q1_over(node: _Node, table) -> np.ndarray:
         for lo in range(0, len(rows), chunk):
             r = rows[lo : lo + chunk]
             prod = w[r, None] * node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
-            _scatter_rows(g, n[r], prod, out=out)
+            _scatter_rows(g, n[r], prod, out)
     conv = np.fft.ifft(spectra, axis=-1)
     bands = sum(conv[s][:, s * B - 1 + np.arange(B)] for s in range(3))
     return node.out(bands, np.arange(-g.n_max, g.n_max))
@@ -732,7 +725,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
                 band[:, 1] = np.einsum("tak,tak->ta", fy, S[0, k])
                 band[:, 1] -= np.einsum("tak,tak->ta", xy, S[1, k])
             band *= gt.group_weight[groups[lo : lo + ROW_CHUNK], None, None]
-            _scatter_rows(g, n[r], band.reshape(len(r), -1), out=acc.reshape(len(acc), -1))
+            _scatter_rows(g, n[r], band.reshape(len(r), -1), acc.reshape(len(acc), -1))
         # the output phase and normalisation depend on the box alone
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)
@@ -864,7 +857,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
             node_sets = dict(sets)
             if li is not None:
                 node_sets[leaf_ids[li]] = insert_boxes
-            freq, mu, _ = _frontier(tree, roots, w, N, node_sets.get, ASSIGNMENT_GUARD)
+            freq = _frontier(tree, roots, w, N, node_sets.get, ASSIGNMENT_GUARD)
             count += len(freq)
             if count > ASSIGNMENT_GUARD:
                 raise ResourceGuardError("tree-level operator sum exceeded the assignment guard")
@@ -872,6 +865,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
             sign = tsign
             if li is not None:
                 leaf = leaf_ids[li]
+                mu, _ = _phases(tree, freq)
                 inserts = node.inserts(
                     freq[:, leaf], N, resonant, which, signs.fsgn[leaf],
                     mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J,
@@ -1163,11 +1157,8 @@ def solve(u0, params: SolverParams):
             raise DivergenceError(
                 "fixed-point iteration stopped contracting", ratios=ratios
             )
-    else:
-        if diffs[-1] >= params.picard_tol * max(1.0, params.R_tilde):
-            raise DivergenceError(
-                f"no convergence in {PICARD_MAX_ITER} iterations", ratios=ratios
-            )
+    else:  # no break: the last difference was never below the tolerance
+        raise DivergenceError(f"no convergence in {PICARD_MAX_ITER} iterations", ratios=ratios)
     u_states = tuple(
         BoxedState.from_spectrum(
             free_propagate(st.to_spectrum(), tt, direction=-1), tt

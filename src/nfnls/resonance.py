@@ -8,10 +8,10 @@ which factors as 2*(xi - xi1)*(xi - xi3) on the convolution surface
 xi = xi1 - xi2 + xi3.  Integer box triples satisfy the surface equation only
 up to the near-match slack (n1 - n2 + n3 in {n-1, n, n+1}), so the quartic
 value and the product 2*(n-n1)*(n-n3) differ on a thin shell.  The quartic
-value decides set membership everywhere; the product value is carried as
-data (``PhaseTable.mp``) for the certification and the sampler, and
-``phase_value`` evaluates either convention.  The continuous kernels
-elsewhere always use the (exact there) product form.
+value decides set membership everywhere; the certification and the sampler
+read the product value off the boxes, and ``phase_value`` evaluates either
+convention.  The continuous kernels elsewhere always use the (exact there)
+product form.
 
 Set modes for :func:`enumerate_triples` (one predicate, ``_mode_mask``, also
 used for the operator tables in ``normal_form``):
@@ -165,11 +165,10 @@ def expand_triples(parents, window: int, child_sets=(None, None, None)):
 class PhaseTable:
     """The non-resonant children of strictly increasing ``parents``, by phase.
 
-    ``row`` (the parent's index), ``c1``, ``c2``, ``c3``, ``m`` (the quartic
-    phase) and ``mp`` (the product phase), both times ``sign``,
-    are in lexicographic order of (parent, c1, c2, c3).  ``order`` sorts them
-    by (parent, m), ties lexicographic; ``start``/``stop`` are each parent's
-    block in it.
+    ``row`` (the parent's index), ``c1``, ``c2``, ``c3`` and ``m`` (the quartic
+    phase times ``sign``) are in lexicographic order of (parent, c1, c2, c3).
+    ``order`` sorts them by (parent, m), ties lexicographic; ``start``/``stop``
+    are each parent's block in it.
     """
 
     def __init__(self, parents, window, child_sets, sign):
@@ -179,7 +178,6 @@ class PhaseTable:
         nonres = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1)
         self.row, fa, self.c1, self.c2, self.c3 = (x[nonres] for x in (row, fa, c1, c2, c3))
         self.m = sign * phase_value(fa, self.c1, self.c2, self.c3)
-        self.mp = sign * phase_value(fa, self.c1, self.c2, self.c3, PRODUCT)
         # keys parent * width + (m - offset), sorted; phase offsets run over
         # 1..width-2, so 0 and width-1 take clipped bounds and a box without
         # children falls between the blocks

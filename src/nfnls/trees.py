@@ -20,11 +20,11 @@ internal node a with children a1, a2, a3:
 * |freq(a) - freq(a1)| > 1 and |freq(a) - freq(a3)| > 1   (non-resonance),
 
 and the root tuple has interaction phase above the threshold N.  The
-per-generation phases are signed by fsgn of the expanded node (the
-conjugation flips the phase of everything inserted under a conjugated slot);
-prefix sums mu~_j and the running products mu^_j are recorded in chronicle
-order.  The quartic phases decide membership; the product phases
-2*(n-n1)*(n-n3) are recorded alongside, for the certification.
+per-generation phases are read off the boxes, signed by fsgn of the expanded
+node (the conjugation flips the phase of everything inserted under a
+conjugated slot), with prefix sums mu~_j and their running products mu^_j in
+chronicle order.  The quartic phases decide membership; the certification
+and the sampler read the product phases 2*(n-n1)*(n-n3).
 
 Exhaustive enumeration runs generation by generation over an integer frontier
 (one row per partial assignment, one column per node).  At each generation
@@ -200,30 +200,25 @@ def compute_signs(tree: OrderedTree) -> SignTable:
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """Signed per-generation phases with prefix sums and products.
+    """Signed per-generation phases of an index function, in chronicle order.
 
     ``mu`` holds the quartic phases, which decide membership, and
     ``mu_product`` the product phases 2*(n-n1)*(n-n3), which the certification
     reads; both carry the fsgn sign of the node expanded at that generation.
-    ``mu_tilde``/``mu_hat`` are prefix sums and products of prefix sums of
-    ``mu`` in chronicle order.
+    ``mu_tilde``/``mu_hat`` are the prefix sums of ``mu`` and their running
+    products.
     """
 
     mu: tuple[int, ...]
-    mu_tilde: tuple[int, ...]
-    mu_hat: tuple[int, ...]
     mu_product: tuple[int, ...]
 
-    @staticmethod
-    def from_mu(mu: Sequence[int], mu_product: Sequence[int]) -> "PhaseRecord":
-        mt = np.cumsum(np.asarray(mu, dtype=np.int64))
-        mh = np.cumprod(mt)
-        return PhaseRecord(
-            mu=tuple(int(x) for x in mu),
-            mu_tilde=tuple(int(x) for x in mt),
-            mu_hat=tuple(int(x) for x in mh),
-            mu_product=tuple(int(x) for x in mu_product),
-        )
+    @property
+    def mu_tilde(self) -> tuple[int, ...]:
+        return tuple(np.cumsum(np.asarray(self.mu, dtype=np.int64)).tolist())
+
+    @property
+    def mu_hat(self) -> tuple[int, ...]:
+        return tuple(np.cumprod(self.mu_tilde).tolist())
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,10 @@ class IndexAssignment:
     tree: OrderedTree
     freq: tuple[int, ...]  # box per node id
     phases: PhaseRecord
-    n_root: int
+
+    @property
+    def n_root(self) -> int:
+        return self.freq[0]
 
 
 def enumerate_index_functions(
@@ -260,33 +258,33 @@ def enumerate_index_functions(
     if abs(n_root) > 3 * window + 1:
         raise BoxRangeError(f"root box {n_root} unreachable from window {window}")
     node_set = (allowed_boxes or {}).get
-    freq, mu, mu_p = _frontier(tree, [n_root], window, N, node_set, max_count)
-    return _assignments(tree, n_root, freq, mu, mu_p)
+    return _assignments(tree, _frontier(tree, [n_root], window, N, node_set, max_count))
 
 
 def _frontier(tree, roots, window, N, node_set, max_count):
-    """The complete frontier of every root: (freq, mu, mu_p) integer arrays.
+    """The complete frontier of every root: one row of node boxes per index
+    function, one column per node.
 
-    One row per index function, one ``freq`` column per node and one signed
-    phase column per generation, rows grouped by root in the order of
-    ``roots`` and lexicographic within a root, so the rows are those of
-    per-root enumerations, concatenated.  ``node_set(c)`` is node c's box set
-    (None: the full window).  More than ``max_count`` partial or complete rows
-    raise ``ResourceGuardError``, before they are gathered.
+    Rows are grouped by root in the order of ``roots`` and lexicographic
+    within a root, so they are those of per-root enumerations, concatenated.
+    ``node_set(c)`` is node c's box set (None: the full window).  More than
+    ``max_count`` partial or complete rows raise ``ResourceGuardError``,
+    before they are gathered.
 
     At each generation the distinct parent boxes of the frontier are expanded
     once (a ``resonance.PhaseTable``, built afresh: cached tables would hold
     every generation's children), and each generation keeps the children whose
     signed phase m lies outside an interval: |m| > N at the root, and
     |prev + m| > X with X the radius of the C set (``c_set_radius``) on the
-    complement chain.  So a row's children are two tails of its parent's block, sorted
-    by m, found by two searchsorted calls (``PhaseTable.outside``); their
-    lengths are the exact row count, and only the kept children are gathered.
+    complement chain, prev and the radius read off the row's carried prefix
+    and first phase.  So a row's children are two tails of its parent's block,
+    sorted by m, found by two searchsorted calls (``PhaseTable.outside``);
+    their lengths are the exact row count, and only the kept children are
+    gathered.
     """
     signs = compute_signs(tree)
     freq = np.zeros((len(roots), tree.size()), dtype=np.int64)
     freq[:, 0] = roots
-    mu = mu_p = np.zeros((len(roots), 0), dtype=np.int64)
     for j, a in enumerate(tree.chronicle):
         kids = list(tree.nodes[a].children)
         parents, block = np.unique(freq[:, a], return_inverse=True)
@@ -296,27 +294,36 @@ def _frontier(tree, roots, window, N, node_set, max_count):
         if j == 0:
             center, F = 0.0, np.floor(float(N))
         else:
-            prev = mu.sum(axis=1)
-            center, F = -prev.astype(float), np.floor(c_set_radius(j, prev, mu[:, 0]))
+            center, F = -prev.astype(float), np.floor(c_set_radius(j, prev, first))
         rows, pos = table.outside(block, center - F - 1, center + F + 1, max_count)
-        c1, c2, c3, m, mp = (x[pos] for x in (table.c1, table.c2, table.c3, table.m, table.mp))
-        freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
-    return freq, mu, mu_p
+        freq = freq[rows]
+        freq[:, kids] = np.stack([table.c1[pos], table.c2[pos], table.c3[pos]], axis=1)
+        m = table.m[pos]
+        prev, first = (m, m) if j == 0 else (prev[rows] + m, first[rows])
+    return freq
 
 
-def _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp):
-    """The frontier rows ``rows``, with the children ``kids`` and their phases appended."""
-    freq = freq[rows]
-    freq[:, kids] = np.stack([c1, c2, c3], axis=1)
-    return freq, np.column_stack([mu[rows], m]), np.column_stack([mu_p[rows], mp])
+def _generation_boxes(tree, freq):
+    """(fa, c1, c2, c3): the (A, J) boxes of every chronicle node and of its
+    three children, in A rows of node boxes."""
+    kids = np.array([tree.nodes[a].children for a in tree.chronicle]).T
+    return (freq[:, list(tree.chronicle)], *(freq[:, c] for c in kids))
 
 
-def _assignments(tree, n_root, freq, mu, mu_p) -> list[IndexAssignment]:
+def _phases(tree, freq):
+    """(mu, mu_product): the (A, J) signed quartic and product phases of the
+    chronicle nodes, in A rows of node boxes."""
+    fa, c1, c2, c3 = _generation_boxes(tree, freq)
+    fsgn = compute_signs(tree).fsgn
+    sign = np.array([fsgn[a] for a in tree.chronicle])
+    return sign * phase_value(fa, c1, c2, c3), sign * phase_value(fa, c1, c2, c3, PRODUCT)
+
+
+def _assignments(tree, freq) -> list[IndexAssignment]:
+    mu, mu_p = _phases(tree, freq)
     return [
-        IndexAssignment(
-            tree=tree, freq=tuple(f), phases=PhaseRecord.from_mu(row, row_p), n_root=n_root
-        )
-        for f, row, row_p in zip(freq.tolist(), mu.tolist(), mu_p.tolist())
+        IndexAssignment(tree=tree, freq=tuple(f), phases=PhaseRecord(tuple(m), tuple(p)))
+        for f, m, p in zip(freq.tolist(), mu.tolist(), mu_p.tolist())
     ]
 
 
@@ -361,11 +368,8 @@ def sample_index_functions(
     while len(out) < count and attempts < max_attempts:
         size = min(SAMPLE_BLOCK, max_attempts - attempts)
         attempts += size
-        freq, mu, mu_p = _sample_block(
-            tree, signs, n_root, window, N, size, rng, min_denominator, comparability
-        )
-        take = count - len(out)
-        out += _assignments(tree, n_root, freq[:take], mu[:take], mu_p[:take])
+        freq = _sample_block(tree, signs, n_root, window, N, size, rng, min_denominator, comparability)
+        out += _assignments(tree, freq[: count - len(out)])
     if len(out) < count:
         raise ResourceGuardError(
             f"could only sample {len(out)}/{count} assignments in {max_attempts} attempts"
@@ -377,27 +381,25 @@ def _sample_block(tree, signs, n_root, window, N, size, rng, min_denominator, co
     """The accepted frontier of ``size`` attempts, in attempt order."""
     freq = np.zeros((1, tree.size()), dtype=np.int64)
     freq[0, 0] = n_root
-    mu = mu_p = np.zeros((1, 0), dtype=np.int64)
-    slop = np.zeros(1, dtype=np.int64)
+    prefix = slop = np.zeros(1, dtype=np.int64)  # signed product prefix, slop
     rows = np.zeros(size, dtype=np.intp)  # every attempt starts from the root row
     for j, a in enumerate(tree.chronicle):
         kids = list(tree.nodes[a].children)
-        sign = signs.fsgn[a]
         fa = freq[rows, a]
         c1 = rng.integers(-window, window + 1, size=len(rows))
         c3 = rng.integers(-window, window + 1, size=len(rows))
         c2 = c1 + c3 - fa - rng.integers(-1, 2, size=len(rows))
-        m = sign * phase_value(fa, c1, c2, c3)
-        mp = sign * phase_value(fa, c1, c2, c3, PRODUCT)
+        p = prefix[rows] + signs.fsgn[a] * phase_value(fa, c1, c2, c3, PRODUCT)
         s = slop[rows] + _phase_slop_bound(fa, c1, c3)
         # halved: continuous kernel denominators are prefix sums of
         # (xi-xi1)(xi-xi3), i.e. product phases over 2
-        pref = np.abs(mu_p[rows].sum(axis=1) + mp) / 2.0
+        pref = np.abs(p) / 2.0
         keep = (np.abs(c1 - fa) > 1) & (np.abs(c3 - fa) > 1) & (np.abs(c2) <= window)
         keep &= pref - s / 2.0 >= np.maximum(min_denominator, comparability * pref)
         if j == 0:
-            keep &= np.abs(m) > N
-        rows, c1, c2, c3, m, mp, slop = (x[keep] for x in (rows, c1, c2, c3, m, mp, s))
-        freq, mu, mu_p = _grow(freq, mu, mu_p, rows, kids, c1, c2, c3, m, mp)
+            keep &= np.abs(phase_value(fa, c1, c2, c3)) > N
+        rows, c1, c2, c3, prefix, slop = (x[keep] for x in (rows, c1, c2, c3, p, s))
+        freq = freq[rows]
+        freq[:, kids] = np.stack([c1, c2, c3], axis=1)
         rows = np.arange(len(freq))
-    return freq, mu, mu_p
+    return freq

@@ -218,10 +218,7 @@ def assignment_from_freqs(tree, freq, signs=None):
         mu.append(signs.fsgn[a] * phase_value(*tup))
         mu_p.append(signs.fsgn[a] * phase_value(*tup, PRODUCT))
     return IndexAssignment(
-        tree=tree,
-        freq=tuple(int(f) for f in freq),
-        phases=PhaseRecord.from_mu(mu, mu_p),
-        n_root=int(freq[0]),
+        tree=tree, freq=tuple(int(f) for f in freq), phases=PhaseRecord(tuple(mu), tuple(mu_p))
     )
 
 
@@ -362,7 +359,7 @@ def brute_valid_assignments(tree, n_root, window, N, min_denominator, comparabil
 
     def recurse(j, mu, mu_p, slop):
         if j == tree.J:
-            out[tuple(freq)] = PhaseRecord.from_mu(mu, mu_p)
+            out[tuple(freq)] = PhaseRecord(tuple(mu), tuple(mu_p))
             return
         a = tree.chronicle[j]
         fa = freq[a]
@@ -626,8 +623,8 @@ def per_assignment_tree_plan(tree, assign, B):
     return offsets, kernel, k - assign.n_root * B, min_prefix
 
 
-def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
-    """Certification one draw at a time: coherent first, then random bands."""
+def loop_certify_tree_bound(tree, assign, trials, grid, rng):
+    """Certification one draw at a time: coherent first, then random bands, at t = 0."""
     signs = compute_signs(tree)
     leaf_ids = tree.terminal_ids()
     den = 1.0
@@ -640,7 +637,7 @@ def loop_certify_tree_bound(tree, assign, trials, grid, rng, t=0.0):
             bands = [coherent_band(grid, assign.freq[b]) for b in leaf_ids]
         else:
             bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
-        out = mesh_q_tree(tree, assign, BandTuple(tuple(bands), flags), t)
+        out = mesh_q_tree(tree, assign, BandTuple(tuple(bands), flags), 0.0)
         measured = max(measured, float(np.sqrt(np.sum(np.abs(out) ** 2) / grid.bins_per_box)) * den)
     return measured
 

@@ -32,6 +32,7 @@ from nfnls.normal_form import (
     _chain_possible,
     _gap_index,
     _generation_one,
+    _mirror_fold,
     _Node,
     _rows,
     _sum_q1_over,
@@ -168,7 +169,8 @@ def test_criterion_06_decomposition_identity():
 
 def _criterion7_norms(v, N, W, q):
     g = v.grid
-    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), product_triple_table(g.n_max, W, N, "A_N")), 0.0)
+    low = _mirror_fold(*product_triple_table(g.n_max, W, N, "A_N"))
+    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), low), 0.0)
     table = product_triple_table(g.n_max, W, N, "A_N_complement")
     with pytest.MonkeyPatch.context() as mp:  # the gap pass over the product table
         mp.setattr(normal_form, "_gap_table", lambda *args: _gap_index(g, table))

@@ -457,14 +457,12 @@ def test_certify_tree_bound_matches_loop_oracle_and_stream(J):
     sampler = np.random.default_rng(22)
     for tree in enumerate_trees(J)[:4]:
         for assign in _sampled(tree, 2, sampler):
-            # from t ~ 1 on the random draws, not the coherent one, set the sup
-            for t in (0.0, 1.3, 3.7):
-                rng = np.random.default_rng(23)
-                oracle_rng = np.random.default_rng(23)
-                got = certify_tree_bound(tree, assign, 3, grid, rng, t)
-                want = loop_certify_tree_bound(tree, assign, 3, grid, oracle_rng, t)
-                assert abs(got - want) <= 1e-14 * want
-                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            rng = np.random.default_rng(23)
+            oracle_rng = np.random.default_rng(23)
+            got = certify_tree_bound(tree, assign, 3, grid, rng)
+            want = loop_certify_tree_bound(tree, assign, 3, grid, oracle_rng)
+            assert abs(got - want) <= 1e-14 * want
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_q_tree_singular_prefix_precondition(monkeypatch):

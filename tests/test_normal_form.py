@@ -50,6 +50,7 @@ from nfnls.normal_form import (
     _InnerBuckets,
     _low_set,
     _max_abs_phase,
+    _mirror_fold,
     _Node,
     _output_boxes,
     _q1_rows,
@@ -327,10 +328,8 @@ def test_scatter_rows_segment_sum_matches_add_at():
     bands = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
     want = scatter(grid, n, bands)
     scale = np.max(np.abs(want))
-    got = normal_form._scatter_rows(grid, n, bands)
-    assert np.max(np.abs(got - want)) <= 1e-14 * scale
     out = np.ones_like(want)
-    normal_form._scatter_rows(grid, n, bands, out=out)
+    normal_form._scatter_rows(grid, n, bands, out)
     assert np.max(np.abs(out - 1 - want)) <= 1e-14 * scale
 
 
@@ -390,7 +389,7 @@ def test_sum_q1_over_matches_per_row_picks(mode, chunk, monkeypatch):
     if chunk == 12:  # more than one chunk of summed spectra
         assert np.count_nonzero(node.live(*table[1:4]) == 3) > chunk * G.bins_per_box // 2
     want = per_row_sum_q1_over(node, table)
-    got = _sum_q1_over(node, table)
+    got = _sum_q1_over(node, _mirror_fold(*table))
     assert np.any(want != 0)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -448,7 +447,7 @@ def test_grouped_gap_pass_matches_per_row_oracle_on_random_tables(seed, B, group
     want_bnd, want_ins = ifft_pick_generation_one(v, 0.2, 0.0, window, table=table, **kw)
     parts = [(got.boundary.data, want_bnd)] + ([(got.inserts.data, want_ins)] if kw else [])
     for part, want in parts:
-        assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(part - want)) <= 1e-13 * cubic_scale(want, v)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +482,17 @@ def fold_state(rng, B, dead, outside=None):
     return BoxedState(make_grid(B, 16), data, 0.2)
 
 
+def cubic_scale(want, v):
+    """The scale of an operator sum: the sum's, or where the terms cancel to
+    rounding noise (a sparse state or a random table), a floor at the size of
+    a cubic term of the state."""
+    return max(np.max(np.abs(want)), 1e-3 * np.max(np.abs(v.data)) ** 3)
+
+
 def assert_folded_sum(got, want, rel, v):
-    # the output boxes without a live row stay exactly 0.0; the scale is the
-    # sum's, or where the terms cancel to rounding noise (a sparse state), a
-    # floor at the size of a cubic term of the state
+    # the output boxes without a live row stay exactly 0.0
     assert np.all(got[~np.any(want != 0, axis=1)] == 0)
-    scale = max(np.max(np.abs(want)), 1e-3 * np.max(np.abs(v.data)) ** 3)
-    assert np.max(np.abs(got - want)) <= rel * scale
+    assert np.max(np.abs(got - want)) <= rel * cubic_scale(want, v)
 
 
 FOLD_KINDS = ["symmetric", "random", "one row", "window"]
@@ -543,8 +546,8 @@ def test_folded_gap_pass_matches_per_row_oracle(seed, B, kind, groups, dead, kw)
     mode=st.sampled_from(["resonant_R2", "resonant_R1", "A_N", "A_N_complement"]),
 )
 def test_folded_sum_q1_over_matches_per_row_oracle(seed, B, kind, rows, dead, mode):
-    # the four-column tables are folded by _sum_q1_over, the cached ones
-    # (_q1_table, the inner split) come folded; at the window, the live box
+    # _sum_q1_over reads folded tables: the four-column ones are folded here,
+    # the cached ones (_q1_table, the inner split) come folded; at the window, the live box
     # outside it is a child set of the inner table that no child reaches
     rng = np.random.default_rng(seed)
     window = 4
@@ -557,7 +560,7 @@ def test_folded_sum_q1_over_matches_per_row_oracle(seed, B, kind, rows, dead, mo
     v = fold_state(rng, B, dead, -window - 1 if kind == "window" else None)
     node = _Node(v, 0.2, window)
     want = per_row_sum_q1_over(node, table)
-    assert_folded_sum(_sum_q1_over(node, table), want, 1e-14, v)
+    assert_folded_sum(_sum_q1_over(node, _mirror_fold(*table)), want, 1e-14, v)
     if kind == "window":
         assert_folded_sum(_sum_q1_over(node, normal_form._q1_table(16, window, 8.0, mode)), want, 1e-14, v)
         tab = node.inner_table

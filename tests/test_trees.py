@@ -16,6 +16,7 @@ from nfnls.resonance import enumerate_triples, phase_value
 from nfnls.trees import (
     SAMPLE_BLOCK,
     _frontier,
+    _phases,
     build_tree,
     compute_signs,
     double_factorial_odd,
@@ -362,8 +363,10 @@ def test_frontier_matches_reference_where_the_chain_is_clearable(cJ_filter, monk
 # expand_triples shell of every row
 
 
-def _same_frontier(got, want):
-    for g, w in zip(got, want):
+def _same_frontier(tree, got, want):
+    """The frontier's box rows are the reference's (freq, mu, mu_p) rows, and
+    the phases read off them are the ones the reference carried."""
+    for g, w in zip((got, *_phases(tree, got)), want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
 
@@ -401,7 +404,7 @@ def test_multi_root_frontier_is_concatenated_enumerations(J, window, N, roots):
                 with pytest.MonkeyPatch.context() as mp:
                     if cJ_filter == "none":
                         unchained(mp)
-                    _same_frontier(_frontier(tree, roots, *args), want)
+                    _same_frontier(tree, _frontier(tree, roots, *args), want)
                 nonempty += len(want[0]) > 0
     assert nonempty
 
@@ -428,10 +431,10 @@ def _replay_criterion8_frontiers(monkeypatch):
 def test_frontier_matches_reference_on_criterion_8(monkeypatch):
     calls = _replay_criterion8_frontiers(monkeypatch)
     assert {args[0].J for args, _, _ in calls} == {1, 2}
-    for _, got, want in calls:
-        _same_frontier(got, want)
+    for args, got, want in calls:
+        _same_frontier(args[0], got, want)
     # the chain is live at J = 2: some generation-2 rows survive it
-    assert sum(len(got[0]) for args, got, _ in calls if args[0].J == 2) > 0
+    assert sum(len(got) for args, got, _ in calls if args[0].J == 2) > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,30 +472,41 @@ def test_frontier_matches_reference_property(data):
             with pytest.raises(ResourceGuardError):
                 _frontier(*args)
             return
-        _same_frontier(_frontier(*args), want)
+        _same_frontier(tree, _frontier(*args), want)
 
 
 def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
     # every generation's exact row count passes as max_count, one less raises,
-    # and the raising generation gathers nothing
+    # and the raising generation gathers nothing: its phase table's child
+    # columns are never indexed
     full = build_tree([0, 2, 5])
     leaf_set = {-2, -1, 1, 2}
     unchained(monkeypatch)
     args = (2, 0.5, lambda c: leaf_set if c in (1, 3, 8) else None)
-    grows = []
-    real_grow = trees._grow
-    monkeypatch.setattr(trees, "_grow", lambda *a: grows.append(1) or real_grow(*a))
+    gathers = []
+
+    class Gathered(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(1)
+            return np.asarray(self)[key]
+
+    class RecordingTable(trees.PhaseTable):
+        def __init__(self, *a):
+            super().__init__(*a)
+            self.c1, self.c2, self.c3 = (c.view(Gathered) for c in (self.c1, self.c2, self.c3))
+
+    monkeypatch.setattr(trees, "PhaseTable", RecordingTable)
     counts = []
     for g in range(1, full.J + 1):
         tree = build_tree(full.chronicle[:g])  # the frontier of the first g generations
-        counts.append(len(_frontier(tree, [-1, 0, 3], *args, 10**9)[0]))
+        counts.append(len(_frontier(tree, [-1, 0, 3], *args, 10**9)))
         assert counts == sorted(set(counts)), "row counts must grow"
         got = _frontier(tree, [-1, 0, 3], *args, counts[-1])
-        _same_frontier(got, reference_frontier(tree, [-1, 0, 3], *args, counts[-1], "none"))
-        grows.clear()
+        _same_frontier(tree, got, reference_frontier(tree, [-1, 0, 3], *args, counts[-1], "none"))
+        gathers.clear()
         with pytest.raises(ResourceGuardError):
             _frontier(tree, [-1, 0, 3], *args, counts[-1] - 1)
-        assert len(grows) == g - 1
+        assert len(gathers) == 3 * (g - 1)  # c1, c2, c3 of every earlier generation
     assert counts[0] > 0
 
 
@@ -502,12 +516,12 @@ def test_chain_possible_wherever_the_frontier_is_nonempty(monkeypatch):
     seen = 0
     for J, window, N, roots in FRONTIER_CASES:
         for tree in enumerate_trees(J):
-            freq, _, _ = _frontier(tree, roots, window, N, lambda c: None, 2_000_000)
+            freq = _frontier(tree, roots, window, N, lambda c: None, 2_000_000)
             if len(freq):
                 seen += 1
                 assert _chain_possible(J, N, window)
     for args, got, _ in _replay_criterion8_frontiers(monkeypatch):
-        if len(got[0]):
+        if len(got):
             seen += 1
             assert _chain_possible(args[0].J, args[3], args[2])
     assert seen
