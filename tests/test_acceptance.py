@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import nfnls.normal_form as normal_form
 from nfnls.grids import Spectrum, free_propagate, make_grid
 from nfnls.harness import (
     ExperimentConfig,
@@ -30,20 +29,14 @@ from nfnls.normal_form import (
     gamma_partial,
     remainder_n2,
     _chain_possible,
-    _gap_index,
-    _generation_one,
-    _mirror_fold,
-    _Node,
-    _rows,
-    _sum_q1_over,
 )
-from nfnls.resonance import phase_phi
+from nfnls.resonance import PRODUCT, phase_phi
 from nfnls.trees import (
     double_factorial_odd,
     enumerate_trees,
     sample_index_functions,
 )
-from oracles import product_triple_table
+from oracles import gap_pass_reference, q1_table_sum, triple_table
 
 
 def verdict(num, ok, detail):
@@ -168,13 +161,10 @@ def test_criterion_06_decomposition_identity():
 
 
 def _criterion7_norms(v, N, W, q):
+    # N11 and the boundary N21 over the product-phase sets, by the references
     g = v.grid
-    low = _mirror_fold(*product_triple_table(g.n_max, W, N, "A_N"))
-    n11 = BoxedState(g, _sum_q1_over(_Node(v, 0.0), low), 0.0)
-    table = product_triple_table(g.n_max, W, N, "A_N_complement")
-    with pytest.MonkeyPatch.context() as mp:  # the gap pass over the product table
-        mp.setattr(normal_form, "_gap_table", lambda *args: _gap_index(g, table))
-        n0 = _generation_one(_Node(v, 0.0, W), N).boundary
+    n11 = BoxedState(g, q1_table_sum(v, 0.0, triple_table(g.n_max, W, N, "A_N", PRODUCT)), 0.0)
+    n0 = BoxedState(g, gap_pass_reference(v, 0.0, N, W, convention=PRODUCT), 0.0)
     return n11.lq_norm(q), n0.lq_norm(q)
 
 
@@ -193,7 +183,7 @@ def test_criterion_07_threshold_exponents():
     v0 = BoxedState(g, data, 0.0)
 
     def low_count(N):  # |A_N| over the output boxes |n| <= 25
-        return int(np.count_nonzero(np.abs(product_triple_table(n_max, W, N, "A_N")[0]) <= 25))
+        return int(np.count_nonzero(np.abs(triple_table(n_max, W, N, "A_N", PRODUCT)[0]) <= 25))
 
     void_4 = low_count(4.0)
     counts = {N: low_count(N) for N in (16.0, 64.0)}
@@ -227,9 +217,9 @@ def test_criterion_07_threshold_exponents():
 def _holder_mass(v, N, W, q):
     # (sum over the low set of prod ||v_ni||^q)^(1/q), the second Hoelder factor
     g = v.grid
-    _, n1, n2, n3 = product_triple_table(g.n_max, W, N, "A_N")
+    _, n1, n2, n3 = triple_table(g.n_max, W, N, "A_N", PRODUCT)
     norms = v.box_norms()
-    prod = norms[_rows(g, n1)] * norms[_rows(g, n2)] * norms[_rows(g, n3)]
+    prod = norms[n1 + g.n_max] * norms[n2 + g.n_max] * norms[n3 + g.n_max]
     return float(np.sum(prod**q) ** (1.0 / q))
 
 

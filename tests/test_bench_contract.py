@@ -1,6 +1,8 @@
 """The benchmark's contract with the package: the tracer names functions
 that exist, clearing the caches leaves every operation cold, and the package
-exports only what src/ or bench/ runs and the paper-named operators."""
+exports only what src/ or bench/ runs and the paper-named operators.  The
+tests' contract with it: the reference forms read no private name, and the
+tests only the allowlisted ones."""
 
 import ast
 import importlib
@@ -19,6 +21,19 @@ TRACER = ROOT / "bench" / "tracer.py"
 PAPER_NAMED = {
     "q1", "resonant_r1", "resonant_r2", "apply_n11", "apply_n12", "n21_state",
     "n22_state", "n3_state", "n31_state", "n32_state", "n4_state",
+}
+# the package's private names the tests may reach, each with its reason
+PRIVATE_ALLOWLIST = {
+    "_integrand": "one node's integrand: cache warming, the level assembly and its call count",
+    "_Node": "the evaluation context: insert builds patched to count or refuse, inner sums read",
+    "_tree_level_sum": "the tree pass of insert kinds no public operator reaches (J = 1, fused, restricted)",
+    "_chain_possible": "the tree path's prefilter, switched off and checked against the frontier",
+    "_contraction": "the gap pass's contraction table against the inverse FFT and pick of random spectra",
+    "_mirror_fold": "the n1 <-> n3 fold weights, which no sum shows (an unfolded sum is the same sum)",
+    "_evaluate": "a spy on the batch evaluator reads certify_tree_bound's value of every draw",
+    "_frontier": "the multi-root frontier the tree-level sums read, against per-root references",
+    "_EXPANSION_BLOCK": "sizes the expansion case that spans two blocks",
+    "_fir_probe_norms": "every probe of the gap-kernel constant sweep, not only the row maxima",
 }
 
 
@@ -102,3 +117,37 @@ def test_public_names_have_a_caller_or_are_paper_named():
         and not any(name in used and (p, own) != (path, name) for p, own, used in uses)
     ]
     assert not unused, f"public names without a caller in src/ or bench/: {unused}"
+
+
+def reached_private_names(path):
+    """The private names of nfnls a file imports, reads as a module attribute
+    or names by a string after a module in a call (monkeypatch.setattr)."""
+    tree = ast.parse(path.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "nfnls"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nfnls":
+            names |= {a.name for a in node.names if a.name.startswith("_")}
+            if node.module == "nfnls":
+                modules |= {a.asname or a.name for a in node.names}
+
+    def is_module(expr):
+        text = ast.unparse(expr)
+        return any(text == m or text.startswith(m + ".") for m in modules)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_module(node.value):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) > 1 and is_module(node.args[0]):
+            if isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str):
+                names.add(node.args[1].value)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_tests_reach_only_allowlisted_private_names():
+    # the references are independent of the package's internals, and a test
+    # reaches one only for a reason stated above
+    assert not reached_private_names(ROOT / "tests" / "oracles.py")
+    reached = set().union(*(reached_private_names(p) for p in sorted((ROOT / "tests").glob("*.py"))))
+    assert reached == set(PRIVATE_ALLOWLIST) and len(PRIVATE_ALLOWLIST) <= 10

@@ -9,9 +9,6 @@ from nfnls.grids import make_grid
 from nfnls.modulation import BandCoefficients
 from nfnls.multilinear import (
     BandTuple,
-    _assignment_plan,
-    _kernel,
-    _tree_sum,
     certify_tree_bound,
     q1,
     q_tree,
@@ -25,8 +22,7 @@ from nfnls.trees import (
 )
 from oracles import (
     assignment_from_freqs, coherent_band, generation_tuples, loop_certify_tree_bound, mesh_q_tree,
-    per_assignment_tree_plan, physical_q1_oracle, q1_tilde, random_band, reference_index_functions,
-    rho_symbol,
+    per_row_q1_rows, physical_q1_oracle, q1_tilde, random_band, reference_index_functions,
 )
 
 G = make_grid(16, 32)
@@ -85,10 +81,12 @@ def test_q1_matches_physical_padded_product(t):
     rng = np.random.default_rng(1)
     b1, b2, b3 = band(5, rng=rng), band(-2, rng=rng), band(1, rng=rng)
     for n in (7, 8, 9):
-        got = q1(n, b1, b2, b3, t).coeffs
         want = physical_q1_oracle(n, b1, b2, b3, t, G)
         scale = max(np.max(np.abs(want)), 1e-30)
-        assert np.max(np.abs(got - want)) < 1e-10 * scale
+        boxes = (np.array([k]) for k in (n, 5, -2, 1))
+        rows = per_row_q1_rows(G, t, *(b.coeffs[None] for b in (b1, b2, b3)), *boxes)
+        for got in (q1(n, b1, b2, b3, t).coeffs, rows[0]):
+            assert np.max(np.abs(got - want)) < 1e-10 * scale
 
 
 def test_q1_norm_bound_over_random_triples():
@@ -308,21 +306,6 @@ def test_reality_symmetry_q1():
     assert np.max(np.abs(mirrored.coeffs[1:] - want)) < 1e-10 * max(np.max(np.abs(want)), 1e-30)
 
 
-def test_rho_symbol_fir34_shape():
-    tree = build_tree([0, 1])
-    freq = [0, 7, 4, -3, 3, -1, 3]
-    assign = assignment_from_freqs(tree, freq)
-    xi = np.array([3.0, -1.0, 3.0, 4.0, -3.0])  # leaves in DF order, bin-aligned
-    ev = rho_symbol(tree, assign, xi)
-    m1 = (0.0 - 7.0) * (0.0 + 3.0)
-    m2 = (7.0 - 3.0) * (7.0 - 3.0)
-    assert ev.denominators == (m1, m1 + m2)
-    assert ev.value == pytest.approx(1.0 / (m1 * (m1 + m2)))
-    # off-window frequencies kill the symbol
-    ev0 = rho_symbol(tree, assign, xi + np.array([0.0, 0.0, 0.0, 5.0, 0.0]))
-    assert ev0.value == 0.0
-
-
 def test_certify_tree_bound_j1_consistent_with_fir():
     rng = np.random.default_rng(10)
     grid = make_grid(8, 32)
@@ -411,15 +394,20 @@ def _sparse_enumerated(tree, count):
     return out
 
 
+def recursion_order(assign):
+    return [c for _, c1, c2, c3 in generation_tuples(assign) for c in (c1, c3, c2)]
+
+
 def _tree_cases():
     rng = np.random.default_rng(20)
     for J in (1, 2, 3):
         for k, tree in enumerate(enumerate_trees(J)):
             assigns = _sampled(tree, 2, rng)
-            # unfiltered chains also reach singular prefix denominators
+            # unfiltered chains also reach singular prefix denominators; in
+            # the order of a recursion over (c1, c3, c2) per generation
             window = 4 if J <= 2 else 2
-            assigns += reference_index_functions(
-                tree, 1, window, 2.0, cJ_filter="none")[::97][:4]
+            unfiltered = reference_index_functions(tree, 1, window, 2.0, cJ_filter="none")
+            assigns += sorted(unfiltered, key=recursion_order)[::97][:4]
             if J <= 2:  # criterion 8's level 3 is structurally empty
                 assigns += _sparse_enumerated(tree, 1)
             yield pytest.param(tree, assigns, id=f"J{J}-tree{k}")
@@ -452,16 +440,31 @@ def test_q_tree_matches_mesh_oracle(tree, assigns):
 
 
 @pytest.mark.parametrize("J", [2, 3])
-def test_certify_tree_bound_matches_loop_oracle_and_stream(J):
+def test_certify_tree_bound_matches_loop_oracle_and_stream(J, monkeypatch):
+    # every draw, not only the maximum, which the coherent draw mostly sets:
+    # the batch evaluator's per-draw output norms, times the denominator,
+    # against the draw-by-draw values
     grid = make_grid(4, 32)
     sampler = np.random.default_rng(22)
+    batches = []
+    evaluate = multilinear._evaluate
+
+    def recorded(*args, **kwargs):
+        batches.append(evaluate(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(multilinear, "_evaluate", recorded)
     for tree in enumerate_trees(J)[:4]:
         for assign in _sampled(tree, 2, sampler):
             rng = np.random.default_rng(23)
             oracle_rng = np.random.default_rng(23)
+            batches.clear()
             got = certify_tree_bound(tree, assign, 3, grid, rng)
             want = loop_certify_tree_bound(tree, assign, 3, grid, oracle_rng)
-            assert abs(got - want) <= 1e-14 * want
+            norms = np.sqrt(np.sum(np.abs(batches[0]) ** 2, axis=1) / grid.bins_per_box)
+            assert len(batches) == 1 and len(norms) == len(want) == 4
+            assert abs(got - want.max()) <= 1e-14 * want.max()
+            assert np.all(np.abs(norms * got / norms.max() - want) <= 1e-14 * want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -496,48 +499,16 @@ def test_q_tree_singular_prefix_precondition(monkeypatch):
 
 @pytest.mark.parametrize("tree,assigns", list(_tree_cases()))
 def test_slack_plan_equals_per_assignment_plan(tree, assigns):
-    # same tuples in the same order, and the same kernel bits: both come from
-    # the same integer bin differences
-    for assign in assigns:
-        offsets, kernel, root, min_prefix = per_assignment_tree_plan(tree, assign, 4)
-        plan, gap1, gap3 = _assignment_plan(tree, assign, 4)
-        got_kernel, got_min = _kernel(plan, gap1, gap3, 4)
-        assert np.array_equal(plan.offsets, np.array(offsets).reshape(len(offsets), -1))
-        assert np.array_equal(plan.root, root)
-        assert np.array_equal(got_kernel[0], kernel)
-        assert np.array_equal(got_min[0], min_prefix)
-
-
-def test_tree_sum_groups_rows_by_slack_pattern():
-    # many index functions of one tree in one call equal one q_tree each,
-    # summed per root box; a row with a zero leaf adds nothing
-    rng = np.random.default_rng(24)
+    # all-ones leaves: every tuple inside the windows adds its kernel alone,
+    # so the plan's tuples and kernels show without cancellation
     grid = make_grid(4, 32)
-    tree = build_tree([0, 2])
-    assigns = [
-        a for n_root in (0, 1, -2) for a in sample_index_functions(
-            tree, n_root, 8, 2.0, 12, rng, min_denominator=1.0, comparability=0.5,
-            max_attempts=2_000_000,
-        )
-    ]
     signs = compute_signs(tree)
     leaf_ids = tree.terminal_ids()
     flags = tuple(signs.fsgn[b] == -1 for b in leaf_ids)
-    slacks = {tuple(c1 - c2 + c3 - fa for fa, c1, c2, c3 in generation_tuples(a)) for a in assigns}
-    assert len(slacks) >= 4
-    roots = sorted({a.n_root for a in assigns})
-    want = np.zeros((len(roots), 4), dtype=complex)
-    u = np.empty((len(assigns), len(leaf_ids), 4), dtype=complex)
-    for r, assign in enumerate(assigns):
-        bands = [random_band(grid, assign.freq[b], rng) for b in leaf_ids]
-        if r % 7 == 0:
-            bands[r % len(bands)] = band(assign.freq[leaf_ids[r % len(bands)]], np.zeros(4), grid=grid)
-        out = q_tree(tree, assign, BandTuple(tuple(bands), flags), 0.0)
-        want[roots.index(assign.n_root)] -= out.coeffs
-        for i, bnd in enumerate(bands):
-            u[r, i] = np.conj(bnd.coeffs) if flags[i] else bnd.coeffs
-    freq = np.array([a.freq for a in assigns])
-    target = np.array([roots.index(a.n_root) for a in assigns])
-    got = _tree_sum(tree, freq, u, target, len(roots), scale=-1.0)
-    assert _rel_err(got, want) <= 1e-14
-    assert np.any(want)
+    for assign in assigns:
+        tup = BandTuple(tuple(coherent_band(grid, assign.freq[b]) for b in leaf_ids), flags)
+        try:
+            want = mesh_q_tree(tree, assign, tup, 0.0)
+        except PreconditionError:
+            continue
+        assert _rel_err(q_tree(tree, assign, tup, 0.0).coeffs, want) <= 1e-14

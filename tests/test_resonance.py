@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfnls.errors import DomainError
-from nfnls.normal_form import _output_boxes
 from nfnls.resonance import (
     _EXPANSION_BLOCK,
     PRODUCT,
@@ -191,7 +190,7 @@ def test_phase_table_peak_memory_on_criterion_8_roots():
     # where solving for the support slot took about 25 MB of scratch
     state, allowed = criterion8_inputs()
     support = tuple(np.flatnonzero(state.box_norms() > 0) - state.grid.n_max)
-    roots = _output_boxes(state.grid.n_max, 48)
+    roots = np.arange(-63, 64)  # the output boxes |n| <= min(3 * 48 + 1, 63)
     assert (len(support), len(roots)) == (5, 127)
     tracemalloc.start()
     try:
