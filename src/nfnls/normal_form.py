@@ -57,12 +57,21 @@ contract once, against their sum, and a group and its mirror (n, n3, n1) once
 together.  Every insert of the pass depends on its box alone: the resonant sum
 plus the box's full inner sum.  What depends only on (grid, window, N) -- the
 rows, phases, pair index with its 1/d factors, slacks, row groups and their
-fold -- is cached.  The high-phase table is also the only emptiness test: the insert
-states and the contractions are built only when some high-phase row has two
-live slots, so at compliant thresholds, where that set is empty on the active
-window, generation one costs one table lookup.  The non-resonant inserts read
-the live q1 rows of the one phase table (``resonance.phase_table``, also the
-tree frontier's index) of the output boxes over the live boxes: summed per box
+fold -- is cached.  So is what depends on the live boxes too: one row plan
+per table and live set (``_q1_plan``, ``_inner_split``, ``_gap_plan``),
+keyed on the table's own key, the node's live mask as bytes and the chunk
+size in force, holds the kept rows in their chunks, their gather rows and
+weights, and the runs of one output box they add into; a node only gathers,
+multiplies and adds.  Under the solver's support trim the nodes of a solve
+see a handful of live sets, so each plan is built once per solve, not per
+node.  Plans are bounded ``lru_cache`` entries like the tables, which the
+benchmark empties before each operation.  The high-phase table is also the only emptiness test: its plan is
+None unless some high-phase row has two live slots, and only then are the
+insert states and the contractions built, so at compliant thresholds, where
+that set is empty on the active window, generation one costs one plan
+lookup.  The non-resonant inserts read the live q1 rows of the one phase
+table (``resonance.phase_table``, also the tree frontier's index) of the
+output boxes over the live boxes: summed per box
 spectrum first, split at |phase| = N, they give each box's full inner sum and
 N12, the part of the integrand the boundary trades away.  Only the
 phase-restricted inserts of the tree path keep per-row bands, in per-box prefix
@@ -237,7 +246,8 @@ class _Node:
 
     ``t`` defaults to the state's time, the window to the state's active
     window (at least 1), clipped to the grid.  ``alive``, the one liveness
-    test, marks the boxes that hold a nonzero band; ``boxes`` lists them.
+    test, marks the boxes that hold a nonzero band; ``boxes`` lists them and
+    ``live_set``, the same mask as bytes, keys the row plans.
     ``phase[box] = exp(i t xi^2)`` on the bins of every box takes v into the
     u-picture (u = v * phase); its conjugate takes a row kernel's output back.
     ``fu`` and ``fg`` are the length-4B FFTs of u and of the reversed
@@ -249,7 +259,7 @@ class _Node:
     ``inner(N)``, the q1 sums of the inner table per box; and ``buckets``,
     the ``_InnerBuckets`` of the phase-restricted inserts.  All of them are
     computed on first use, once per node (``inner`` once per N), so a node
-    whose rows are all dead costs one liveness test.
+    whose rows are all dead costs one plan lookup.
     """
 
     def __init__(self, state: BoxedState, t: float | None = None, window: int | None = None):
@@ -291,8 +301,7 @@ class _Node:
 
     @cached_property
     def resonant(self) -> "_Node":
-        table = _q1_table(self.grid.n_max, self.window, None, "resonant_R2")
-        return _Node(self.state_of(_sum_q1_over(self, table)), self.t, self.window)
+        return _Node(_table_state(self, None, "resonant_R2"), self.t, self.window)
 
     @cached_property
     def inner_table(self) -> PhaseTable:
@@ -304,7 +313,8 @@ class _Node:
         |phase| <= N and with |phase| > N (``_inner_split``), spectrum first.
         high is N12; low + high is each box's full inner sum."""
         if N not in self._inner:
-            self._inner[N] = tuple(_sum_q1_over(self, rows) for rows in _inner_split(self.inner_table, N))
+            plans = _inner_split(self.inner_table, N, self.grid.n_max, _q1_chunk(self.grid))
+            self._inner[N] = tuple(_sum_q1_over(self, plan) for plan in plans)
         return self._inner[N]
 
     @cached_property
@@ -326,11 +336,18 @@ class _Node:
             rows = bands if rows is None else rows + bands
         return rows
 
-    def live(self, *box_arrays) -> np.ndarray:
-        """Per row, how many of its boxes hold a nonzero band."""
+    @cached_property
+    def live_set(self) -> bytes:
+        return self.alive.tobytes()
+
+    @staticmethod
+    def live(live_set: bytes, n_max: int, *box_arrays) -> np.ndarray:
+        """Per row, how many of its boxes hold a nonzero band in a node's
+        ``live_set``: taken once per row plan, not per node."""
+        alive = np.frombuffer(live_set, dtype=bool)
         count = np.zeros(len(box_arrays[0]), dtype=np.int8)
         for boxes in box_arrays:
-            count += self.alive[_rows(self.grid, boxes)]
+            count += alive[boxes + n_max]
         return count
 
     def out(self, bands: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -394,11 +411,50 @@ def _q1_table(n_max: int, window: int, N_key, mode: str) -> tuple:
     return _mirror_fold(*_triple_table(n_max, window, N_key, mode))
 
 
+def _q1_chunk(grid: Grid) -> int:
+    """Rows of 4B per chunk of a q1 table sum: (ROW_CHUNK, B, 2B) temporaries."""
+    return max(ROW_CHUNK * grid.bins_per_box // 2, 1)
+
+
+def _runs(rows: np.ndarray) -> tuple:
+    """(starts, state rows) of the runs of one output box in non-decreasing
+    ``rows``, as in every table lexicographic in n and in the gap pass's row
+    groups: ``np.add.reduceat`` at the starts sums each box's rows."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return starts, rows[starts]
+
+
+def _plan_q1_rows(n_max: int, chunk: int, n, n1, n2, n3, w) -> tuple:
+    """The q1 plan of rows (n, n1, n2, n3) with weights w, what ``_sum_q1_over``
+    reads: per slack s = n - (n1 - n2 + n3) + 1 and chunk of ``chunk`` of its
+    rows, in table order, (s, the state rows of n1, n2 and n3, the weights as
+    a column, and the chunk's ``_runs``)."""
+    plan = []
+    for s in range(3):
+        rows = np.flatnonzero(n - (n1 - n2 + n3) == s - 1)
+        for lo in range(0, len(rows), chunk):
+            r = rows[lo : lo + chunk]
+            plan.append((s, n1[r] + n_max, n2[r] + n_max, n3[r] + n_max, w[r, None], *_runs(n[r] + n_max)))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=64)
+def _q1_plan(n_max: int, window: int, N_key, mode: str, live_set: bytes, chunk: int) -> tuple:
+    """The q1 plan of the (N, mode) table's rows with three live bands in
+    ``live_set`` (``_Node.live_set``) and a nonzero fold weight."""
+    n, n1, n2, n3, w = _q1_table(n_max, window, N_key, mode)
+    keep = (_Node.live(live_set, n_max, n1, n2, n3) == 3) & (w > 0)
+    return _plan_q1_rows(n_max, chunk, *(c[keep] for c in (n, n1, n2, n3, w)))
+
+
 @lru_cache(maxsize=256)
-def _inner_split(tab: PhaseTable, N) -> tuple:
-    """A node's inner table (one per live set) at |phase| <= N and > N, as in ``_q1_table``."""
-    cols = _mirror_fold(tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
-    return tuple([c[k] for c in cols] for k in (np.abs(tab.m) <= N, np.abs(tab.m) > N))
+def _inner_split(tab: PhaseTable, N, n_max: int, chunk: int) -> tuple:
+    """The q1 plans of a node's inner table at |phase| <= N and > N.  The
+    table is one per live set and its rows are live, so only the fold
+    weight selects them."""
+    n, n1, n2, n3, w = _mirror_fold(tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
+    splits = (np.abs(tab.m) <= N, np.abs(tab.m) > N)
+    return tuple(_plan_q1_rows(n_max, chunk, *(c[k & (w > 0)] for c in (n, n1, n2, n3, w))) for k in splits)
 
 
 class _GapTable(NamedTuple):
@@ -463,6 +519,44 @@ def _gap_table(grid: Grid, window: int, N_key) -> _GapTable:
     return _gap_index(grid, _triple_table(grid.n_max, window, N_key, "A_N_complement"))
 
 
+class _GapPlan(NamedTuple):
+    """The gap pass over the row groups of a ``_GapTable`` with a row of two
+    live slots and a nonzero fold weight.
+
+    Per group key, in key order: ``mid``, the state rows of the middle bands
+    m - 1 + s of its slacks s (clipped to the grid), and ``count``, its rows
+    at each slack.  Per chunk of ``ROW_CHUNK`` groups, in (n, n1, n3) order,
+    ``chunks`` holds (pair1, pair3, key, fold weight, the chunk's ``_runs``).
+    """
+
+    table: _GapTable
+    mid: np.ndarray
+    count: np.ndarray
+    chunks: tuple
+
+
+@lru_cache(maxsize=64)
+def _gap_plan(grid: Grid, window: int, N_key, live_set: bytes, chunk: int) -> _GapPlan | None:
+    """The gap plan of the window's high-phase table in ``live_set``
+    (``_Node.live_set``); None when no row has two live slots."""
+    gt = _gap_table(grid, window, N_key)
+    n, n1, n2, n3 = gt.rows
+    sel = np.flatnonzero(_Node.live(live_set, grid.n_max, n1, n2, n3) >= 2)
+    if not len(sel):
+        return None
+    groups = np.flatnonzero(np.bincount(gt.group[sel], minlength=len(gt.group_row)) * gt.group_weight)
+    keys, key = np.unique(gt.group_key[groups], return_inverse=True)
+    m, count = gt.keys[keys, :1], gt.keys[keys, 1:, None]
+    mid = np.clip(_rows(grid, m - 1 + np.arange(3)), 0, 2 * grid.n_max - 1)
+    chunks = []
+    for lo in range(0, len(groups), chunk):
+        sl = slice(lo, lo + chunk)
+        r = gt.group_row[groups[sl]]
+        weight = gt.group_weight[groups[sl], None, None]
+        chunks.append((gt.pair1[r], gt.pair3[r], key[sl], weight, *_runs(_rows(grid, n[r]))))
+    return _GapPlan(gt, mid, count, tuple(chunks))
+
+
 @lru_cache(maxsize=None)
 def _contraction(B: int) -> np.ndarray:
     """W[s, j, a, k] = exp(2 pi i m k / 2B) / 2B on m = sB - 1 + a - j in
@@ -489,41 +583,23 @@ def _max_abs_phase(window: int) -> float:
     return float((2 * window + 1) * (4 * window + 1))
 
 
-def _scatter_rows(grid: Grid, n_rows, bands, out: np.ndarray) -> None:
-    """Add the (non-empty) row bands into their output boxes, rows of ``out``.
-
-    ``n_rows`` must be non-decreasing, as in every table lexicographic in n
-    and in the gap pass's row groups: the rows of a box are then one segment,
-    summed by one ``np.add.reduceat``.
-    """
-    rows = _rows(grid, n_rows)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    out[rows[starts]] += np.add.reduceat(bands, starts, axis=0)
-
-
-def _sum_q1_over(node: _Node, table) -> np.ndarray:
-    """Sum of q1 over the table rows whose three bands are live.
+def _sum_q1_over(node: _Node, plan: tuple) -> np.ndarray:
+    """Sum of q1 over the rows of a q1 plan (``_plan_q1_rows``).
 
     A row's band is a pick at (d + 1)B - 1, d = n - (n1 - n2 + n3), of the
     inverse FFT of its product spectrum, so the spectra are summed per (n, d)
     first: one inverse FFT and one pick per (box, slack).  Each row weighs its
-    ``_mirror_fold`` weight, the table's fifth column: spectrum, d and
-    liveness are symmetric under n1 <-> n3, so that is exact up to rounding.
+    ``_mirror_fold`` weight: spectrum, d and liveness are symmetric under
+    n1 <-> n3, so that is exact up to rounding.
     """
     g = node.grid
     B = g.bins_per_box
-    keep = (node.live(*table[1:4]) == 3) & (table[4] > 0)
-    n, n1, n2, n3, w = (a[keep] for a in table)
-    if not len(n):
+    if not plan:
         return np.zeros_like(node.data)
-    chunk = max(ROW_CHUNK * B // 2, 1)  # rows of 4B: (ROW_CHUNK, B, 2B) temporaries
     spectra = np.zeros((3, 2 * g.n_max, 4 * B), dtype=np.complex128)
-    for s, out in enumerate(spectra):
-        rows = np.flatnonzero(n - (n1 - n2 + n3) == s - 1)
-        for lo in range(0, len(rows), chunk):
-            r = rows[lo : lo + chunk]
-            prod = w[r, None] * node.fu[_rows(g, n1[r])] * node.fg[_rows(g, n2[r])] * node.fu[_rows(g, n3[r])]
-            _scatter_rows(g, n[r], prod, out)
+    for s, r1, r2, r3, w, starts, boxes in plan:
+        prod = w * node.fu[r1] * node.fg[r2] * node.fu[r3]
+        spectra[s, boxes] += np.add.reduceat(prod, starts, axis=0)
     conv = np.fft.ifft(spectra, axis=-1)
     bands = sum(conv[s][:, s * B - 1 + np.arange(B)] for s in range(3))
     return node.out(bands, np.arange(-g.n_max, g.n_max))
@@ -554,8 +630,9 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
 
 def _table_state(node: _Node, N, mode) -> BoxedState:
     """q1 summed over the (N, mode) triple table of the node's window."""
-    table = _q1_table(node.grid.n_max, node.window, N, mode)
-    return node.state_of(_sum_q1_over(node, table))
+    g = node.grid
+    plan = _q1_plan(g.n_max, node.window, N, mode, node.live_set, _q1_chunk(g))
+    return node.state_of(_sum_q1_over(node, plan))
 
 
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -682,14 +759,13 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
         raise ConfigurationError(f"the gap pass takes which = None or 'all', not {which!r}")
     g = node.grid
     B = g.bins_per_box
-    gt = _gap_table(g, node.window, N)
-    n, n1, n2, n3 = gt.rows
-    sel = np.flatnonzero(node.live(n1, n2, n3) >= 2)
+    plan = _gap_plan(g, node.window, N, node.live_set, ROW_CHUNK)
     inserting = resonant or which is not None
     bnd = np.zeros_like(node.data)
     ins = np.zeros_like(node.data) if inserting else None
     n12 = np.zeros_like(node.data) if which is not None else None
-    if len(sel):
+    if plan is not None:
+        gt = plan.table
         # per-box factors in the u-picture: u, then the per-box insert
         factors = [node.u]
         all_boxes = np.arange(-g.n_max, g.n_max)
@@ -705,27 +781,22 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
         np.fft.fft(F, axis=-1, out=F)
         # S[f, key] = sum_s count_s G^[m + s - 1, s], the middle bands of the
         # key's slacks (zero at a slack without rows) contracted with W
-        groups = np.flatnonzero(np.bincount(gt.group[sel], minlength=len(gt.group_row)) * gt.group_weight)
-        keys, key = np.unique(gt.group_key[groups], return_inverse=True)
-        m, count = gt.keys[keys, :1], gt.keys[keys, 1:, None]
-        mid = np.clip(_rows(g, m - 1 + np.arange(3)), 0, 2 * g.n_max - 1)
         W = _contraction(B)
-        S = np.stack([np.tensordot(count * np.conj(f[mid, ::-1]), W, 2) for f in factors])
+        S = np.stack([np.tensordot(plan.count * np.conj(f[plan.mid, ::-1]), W, 2) for f in factors])
         # per box, the summed boundary and insert rows of the groups
         acc = np.zeros((len(node.data), len(factors), B), dtype=np.complex128)
-        for lo in range(0, len(groups), ROW_CHUNK):
-            r, k = gt.group_row[groups[lo : lo + ROW_CHUNK]], key[lo : lo + ROW_CHUNK]
-            band = np.empty((len(r), len(factors), B), dtype=np.complex128)
-            fx, fy = F[0, gt.pair1[r]], F[0, gt.pair3[r]]
+        for pair1, pair3, k, weight, starts, boxes in plan.chunks:
+            band = np.empty((len(pair1), len(factors), B), dtype=np.complex128)
+            fx, fy = F[0, pair1], F[0, pair3]
             xy = fx * fy
             band[:, 0] = np.einsum("tak,tak->ta", xy, S[0, k])
             if inserting:
-                fy *= F[1, gt.pair1[r]]
-                fy += fx * F[1, gt.pair3[r]]  # FX'.FY + FX.FY'
+                fy *= F[1, pair1]
+                fy += fx * F[1, pair3]  # FX'.FY + FX.FY'
                 band[:, 1] = np.einsum("tak,tak->ta", fy, S[0, k])
                 band[:, 1] -= np.einsum("tak,tak->ta", xy, S[1, k])
-            band *= gt.group_weight[groups[lo : lo + ROW_CHUNK], None, None]
-            _scatter_rows(g, n[r], band.reshape(len(r), -1), acc.reshape(len(acc), -1))
+            band *= weight
+            acc.reshape(len(acc), -1)[boxes] += np.add.reduceat(band.reshape(len(pair1), -1), starts, axis=0)
         # the output phase and normalisation depend on the box alone
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)

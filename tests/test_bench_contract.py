@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 
 import nfnls.normal_form as normal_form
-from nfnls.normal_form import SolverParams
+from nfnls.grids import make_grid
+from nfnls.harness import gaussian_field
+from nfnls.normal_form import SolverParams, _Node, solve
 from test_normal_form import tiny_remainder_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,15 +52,21 @@ def test_traced_layers_resolve_to_package_callables():
     assert not missing, f"traced names missing from the package: {missing}"
 
 
-def test_clear_caches_empties_the_phase_table_cache(monkeypatch):
-    # every benchmark operation starts cold: after a warm level-3 integrand,
-    # which fills the triple, gap, phase and contraction tables, no lru_cache
-    # of the package holds an entry.  bench/run.py pins the BLAS threads on
-    # import, as conftest.py already has
+def bench_run(monkeypatch):
+    """bench/run.py as a module; it pins the BLAS threads on import, as
+    conftest.py already has."""
     monkeypatch.syspath_prepend(str(TRACER.parent))
     spec = importlib.util.spec_from_file_location("bench_run", TRACER.parent / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_clear_caches_empties_the_phase_table_cache(monkeypatch):
+    # every benchmark operation starts cold: after a warm level-3 integrand,
+    # which fills the triple, gap, phase and contraction tables and the row
+    # plans, no lru_cache of the package holds an entry
+    run = bench_run(monkeypatch)
     v, _ = tiny_remainder_inputs()
     normal_form._integrand(v.at_time(0.37), SolverParams(J=3, N=1.0, T=1.0, q=2.0, window=16))
 
@@ -75,6 +83,31 @@ def test_clear_caches_empties_the_phase_table_cache(monkeypatch):
     assert warm["nfnls.resonance.phase_table"] > 0 and warm["nfnls.normal_form._triple_table"] > 0
     run._clear_caches()
     assert set(caches().values()) == {0}
+
+
+def test_row_plans_do_not_scale_with_nodes(monkeypatch):
+    # the generation-one row plans are built once per live set, each with
+    # one liveness count: from cold caches, a J = 2 solve at the
+    # live_compare config counts as often with 3 quadrature steps as with 6
+    run = bench_run(monkeypatch)
+    live, calls = _Node.live, []
+
+    def counted(*args):
+        calls.append(args)
+        return live(*args)
+
+    monkeypatch.setattr(_Node, "live", staticmethod(counted))
+    u0 = gaussian_field(make_grid(8, 16), amplitude=0.5, width=2.0)
+    counts = []
+    for K in (3, 6):
+        run._clear_caches()
+        calls.clear()
+        solve(u0, SolverParams(
+            J=2, N=16.0, T=0.03, q=2.0, R=1.0, R_tilde=1.0, K=K,
+            picard_tol=1e-13, window=6, support_trim=1e-8,
+        ))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_public_names_have_a_caller_or_are_paper_named():

@@ -531,6 +531,37 @@ def test_folded_sum_q1_over_matches_per_row_oracle(seed, B, dead, mode):
         assert_folded_sum(got, want, 1e-14, v, triple_table(16, 4, 8.0, mode), 3)
 
 
+@cache
+def live_set_case(dead):
+    """A random state at t = 0.3 on 13 boxes, the boxes ``dead`` zeroed, and
+    its references at N = 9, window 5: {operator: wanted data}."""
+    grid, t, N, window = make_grid(4, 16), 0.3, 9.0, 5
+    v = random_state(np.random.default_rng(31), span=6, t=t, grid=grid)
+    v = BoxedState(grid, np.where(np.isin(np.arange(-16, 16), dead)[:, None], 0.0, v.data), t)
+    inner, res = InnerSums(v, t, window), resonant_reference(v, t, window)
+    return v, {
+        apply_n12: q1_reference(v, t, N, window, "A_N_complement"),
+        apply_resonant: res,
+        n21_state: gap_pass_reference(v, t, N, window),
+        n22_state: gap_pass_reference(
+            v, t, N, window, lambda boxes, mu1, sign: res[boxes + 16] + inner.sum(boxes)
+        ),
+    }
+
+
+@pytest.mark.parametrize("chunk", [128, 12])
+def test_row_plans_follow_the_live_set(chunk, monkeypatch):
+    # the row plans are cached per live set: two states on one grid, window
+    # and N, B's live boxes a subset of A's, taken as B, A, B, A.  A plan of
+    # A serving B only adds rows of zero terms; one of B serving A drops rows
+    monkeypatch.setattr(normal_form, "ROW_CHUNK", chunk)
+    cases = [live_set_case((-4, 1, 3)), live_set_case(())]
+    for v, refs in cases + cases:
+        for op, want in refs.items():
+            args = (v, 0.3, 5) if op is apply_resonant else (v, 9.0, 0.3, 5)
+            assert_close(op(*args).data, want, 1e-14 if op in (apply_n12, apply_resonant) else 1e-13)
+
+
 @pytest.mark.parametrize("grid, span, window", [(make_grid(8, 16), 5, 6), (make_grid(4, 64), 14, 14)])
 def test_state_gathered_q1_rows_equal_per_row_transforms(grid, span, window):
     # the tree path's inner buckets hold q1 rows gathered from per-box
