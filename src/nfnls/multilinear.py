@@ -269,10 +269,13 @@ def _tree_sum(tree, freq, u, target, size, scale=1.0):
     """
     B = u.shape[2]
     slack, gap1, gap3 = _node_gaps(tree, freq)
-    patterns, group = np.unique(slack, axis=0, return_inverse=True)
+    # a pattern's base-3 key sorts as the pattern does, lexicographically
+    powers = 3 ** np.arange(tree.J - 1, -1, -1)
+    keys, group = np.unique((slack + 1) @ powers, return_inverse=True)
+    patterns = keys[:, None] // powers % 3 - 1
     out = np.zeros((size, B), dtype=np.complex128)
     for k, pattern in enumerate(patterns):
-        rows = np.flatnonzero(group.reshape(-1) == k)
+        rows = np.flatnonzero(group == k)
         plan = _slack_plan(tree, tuple(pattern.tolist()), B)
         out += _evaluate(plan, gap1[rows], gap3[rows], u[rows], target[rows], size, scale)
     return out

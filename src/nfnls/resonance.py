@@ -226,6 +226,14 @@ class PhaseTable:
         key = np.sort(rows * stride + self.order[idx])
         return key // stride, key % stride
 
+    def reaches(self, block, below, above):
+        """Whether ``outside`` keeps a child of each row with parent index
+        ``block``: its block is not empty, and its smallest m is at most
+        ``below`` or its largest at least ``above``."""
+        m = np.append(self.m[self.order], 0)  # the pad is read only for empty blocks
+        start, stop = self.start[block], self.stop[block]
+        return (stop > start) & ((m[start] <= below) | (m[stop - 1] >= above))
+
 
 # phase_table(parents, window, child_sets, sign): a cached
 # PhaseTable, for hashable arguments (tuples of boxes, None for no set)

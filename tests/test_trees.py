@@ -1,6 +1,7 @@
 """Tree enumeration, chronicles, signs, and index-function machinery."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -504,6 +505,58 @@ def test_frontier_guard_raises_at_the_exact_count_before_gathering(monkeypatch):
             _frontier(tree, [-1, 0, 3], *args, counts[-1] - 1)
         assert len(gathers) == 3 * (g - 1)  # c1, c2, c3 of every earlier generation
     assert counts[0] > 0
+
+
+def test_every_row_handed_to_a_later_generation_keeps_a_child(monkeypatch):
+    # the frontier drops a row before gathering it when the chain leaves it
+    # no child at the next generation, so from generation 2 on every row the
+    # phase table's tail search sees keeps at least one child
+    from test_acceptance import criterion8_inputs
+
+    frontiers = []  # per frontier call, per generation: (rows handed, rows kept)
+    outside = trees.PhaseTable.outside
+
+    def spy(self, block, *rest):
+        rows, pos = outside(self, block, *rest)
+        frontiers[-1].append((len(block), np.unique(rows)))
+        return rows, pos
+
+    def frontier(tree, *rest):
+        frontiers.append([])
+        return _frontier(tree, *rest)
+
+    monkeypatch.setattr(trees.PhaseTable, "outside", spy)
+    monkeypatch.setattr(normal_form, "_frontier", frontier)
+    v, allowed = criterion8_inputs()
+    remainder_n2(v, 2, 1.0, window=48, allowed_all=allowed)
+    assert frontiers and all(len(gens) == 2 for gens in frontiers)
+    for J, window, N, roots in FRONTIER_CASES:
+        if J == 3:
+            for tree in enumerate_trees(J):
+                frontier(tree, roots, window, N, lambda c: None, 2_000_000)
+                assert len(frontiers[-1]) == 3
+    handed = 0
+    for gens in frontiers:
+        for count, kept in gens[1:]:
+            assert np.array_equal(kept, np.arange(count)), f"{count - len(kept)} of {count} rows died"
+            handed += count
+    assert handed  # criterion 8's chain keeps some generation-2 rows
+
+
+def test_frontier_peak_memory_on_criterion_8():
+    # criterion 8's J = 2 tree pass: the rows the chain kills at generation 2
+    # (about 40,000 in each of six frontiers) are never gathered; gathering
+    # them took the peak to about 10 MB, against 6 MB without them
+    from test_acceptance import criterion8_inputs
+
+    v, allowed = criterion8_inputs()
+    tracemalloc.start()
+    try:
+        remainder_n2(v, 2, 1.0, window=48, allowed_all=allowed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6, f"remainder_n2 peak {peak / 1e6:.1f} MB"
 
 
 def test_chain_possible_wherever_the_frontier_is_nonempty(monkeypatch):
