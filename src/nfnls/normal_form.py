@@ -55,10 +55,10 @@ inverse FFT and the pick of the valid convolution terms, so the middle band
 enters through a per-box contraction and the rows of an (n, n1, n3) group
 contract once, against their sum, and a group and its mirror (n, n3, n1) once
 together.  Every insert of the pass depends on its box alone: the resonant sum
-plus the box's full inner sum.  What depends only on (grid, window, N) -- the
+plus the box's full non-resonant sum N11 + N12.  What depends only on (grid, window, N) -- the
 rows, phases, pair index with its 1/d factors, slacks, row groups and their
 fold -- is cached.  So is what depends on the live boxes too: one row plan
-per table and live set (``_q1_plan``, ``_inner_split``, ``_gap_plan``),
+per table and live set (``_q1_plan``, ``_inner_plan``, ``_gap_plan``),
 keyed on the table's own key, the node's live mask as bytes and the chunk
 size in force, holds the kept rows in their chunks, their gather rows and
 weights, and the runs of one output box they add into; a node only gathers,
@@ -69,19 +69,21 @@ benchmark empties before each operation.  The high-phase table is also the only 
 None unless some high-phase row has two live slots, and only then are the
 insert states and the contractions built, so at compliant thresholds, where
 that set is empty on the active window, generation one costs one plan
-lookup.  The non-resonant inserts read the live q1 rows of the one phase
-table (``resonance.phase_table``, also the tree frontier's index) of the
-output boxes over the live boxes: summed per box
-spectrum first, split at |phase| = N, they give each box's full inner sum and
-N12, the part of the integrand the boundary trades away.  Only the
-phase-restricted inserts of the tree path keep per-row bands, in per-box prefix
-sums by phase (``_InnerBuckets``).  N32, the insert outside the level-1 low
+lookup.  A node sums each q1 table once (``_Node.table``): N12, the part of
+the integrand the boundary trades away, is the one A_N^c sum at every J, and
+the gap pass adds it to N11 for its full insert.  The tree path's
+non-resonant inserts read the live q1 rows of the one phase table
+(``resonance.phase_table``, also the tree frontier's index) of the output
+boxes over the live boxes: summed per box spectrum first, they give each
+box's full inner sum.  Only the phase-restricted inserts keep per-row bands,
+in per-box prefix sums by phase (``_InnerBuckets``).  N32, the insert outside the level-1 low
 set, is the next chain step, so it is the J = 1 tree pass, and N31 = N3 - N32.
 The resonant and non-resonant insert rows share the weight and the kernels
 are linear in the inserted slot, so the integrand sends their sum through the
-gap pass once (less N32), and through one tree pass per level j >= 3.  Generation >= 2 operators
-use the kernel-exact tree path, skipped only when the complement chain cannot
-hold inside the window: per tree and insert leaf, one index-function frontier
+gap pass once (less N32), and through one tree pass per level j >= 3.  The
+level operators ``generation_*`` and ``remainder_n2`` use the kernel-exact
+tree path at every J, skipped only when the complement chain cannot hold
+inside the window: per tree and insert leaf, one index-function frontier
 with every output box as a root (its exact tail count drops the roots without
 an index function) and one batched tree-kernel evaluation
 (``multilinear._tree_sum``).
@@ -254,12 +256,14 @@ class _Node:
     conjugate g = conj(u[::-1]), the outer and middle factors of q1.  Rows
     gather them by box, which gives the numbers a per-row transform gives.
     ``inner_table`` holds the live non-resonant rows: the phase table of the
-    output boxes over the live boxes.  The insert states are ``resonant``,
-    (R2 - R1)(v) summed at this node, as a node of the same time and window;
-    ``inner(N)``, the q1 sums of the inner table per box; and ``buckets``,
-    the ``_InnerBuckets`` of the phase-restricted inserts.  All of them are
-    computed on first use, once per node (``inner`` once per N), so a node
-    whose rows are all dead costs one plan lookup.
+    output boxes over the live boxes.  ``table(N, mode)`` is the q1 sum
+    over a triple table of the window, N12 for (N, "A_N_complement").  The
+    insert states are ``resonant``, (R2 - R1)(v) summed at this node, as a
+    node of the same time and window; ``inner``, each box's q1 sum over the
+    inner table; and ``buckets``, the ``_InnerBuckets`` of the
+    phase-restricted inserts.  All of them are computed on first use, once
+    per node (``table`` once per (N, mode)), so a node whose rows are all
+    dead costs one plan lookup.
     """
 
     def __init__(self, state: BoxedState, t: float | None = None, window: int | None = None):
@@ -270,7 +274,7 @@ class _Node:
         window = max(state.active_window(), 1) if window is None else window
         self.window = min(window, state.grid.n_max - 1)
         self.alive = np.any(state.data != 0, axis=1)
-        self._inner = {}
+        self._tables = {}
 
     @cached_property
     def boxes(self) -> tuple:
@@ -299,29 +303,35 @@ class _Node:
     def fg(self) -> np.ndarray:
         return np.fft.fft(self.g, 4 * self.grid.bins_per_box, axis=1)
 
+    def table(self, N, mode) -> BoxedState:
+        """q1 summed over the (N, mode) triple table of the window
+        (``_q1_plan``), once per node and (N, mode)."""
+        if (N, mode) not in self._tables:
+            g = self.grid
+            plan = _q1_plan(g.n_max, self.window, N, mode, self.live_set, _q1_chunk(g))
+            self._tables[N, mode] = self.state_of(_sum_q1_over(self, plan))
+        return self._tables[N, mode]
+
     @cached_property
     def resonant(self) -> "_Node":
-        return _Node(_table_state(self, None, "resonant_R2"), self.t, self.window)
+        return _Node(self.table(None, "resonant_R2"), self.t, self.window)
 
     @cached_property
     def inner_table(self) -> PhaseTable:
         parents = tuple(_output_boxes(self.grid.n_max, self.window).tolist())
         return phase_table(parents, self.window, (self.boxes,) * 3, 1)
 
-    def inner(self, N) -> tuple:
-        """(low, high): q1 summed per box over the inner table's rows with
-        |phase| <= N and with |phase| > N (``_inner_split``), spectrum first.
-        high is N12; low + high is each box's full inner sum."""
-        if N not in self._inner:
-            plans = _inner_split(self.inner_table, N, self.grid.n_max, _q1_chunk(self.grid))
-            self._inner[N] = tuple(_sum_q1_over(self, plan) for plan in plans)
-        return self._inner[N]
+    @cached_property
+    def inner(self) -> np.ndarray:
+        """Each box's full inner sum: q1 summed per box over the inner
+        table's rows (``_inner_plan``), spectrum first."""
+        return _sum_q1_over(self, _inner_plan(self.inner_table, self.grid.n_max, _q1_chunk(self.grid)))
 
     @cached_property
     def buckets(self) -> "_InnerBuckets":
         return _InnerBuckets(self)
 
-    def inserts(self, boxes, N, resonant, which, sign=1, mu_prev=None, mu_first=None, J=1):
+    def inserts(self, boxes, resonant, which, sign=1, mu_prev=None, mu_first=None, J=1):
         """(T, B) insert rows at boxes: (R2 - R1)(v) if ``resonant`` plus the
         non-resonant q1 bands on the ``which`` joint-phase set of level J if
         ``which`` is given -- each box's full inner sum for "all", the rows in
@@ -330,7 +340,7 @@ class _Node:
         rows = self.resonant.data[_rows(self.grid, boxes)] if resonant else None
         if which is not None:
             if which == "all":
-                bands = sum(self.inner(N))[_rows(self.grid, boxes)]
+                bands = self.inner[_rows(self.grid, boxes)]
             else:
                 bands = _coupled_insert_rows(self.buckets, sign, boxes, mu_prev, mu_first, J, which)
             rows = bands if rows is None else rows + bands
@@ -448,13 +458,11 @@ def _q1_plan(n_max: int, window: int, N_key, mode: str, live_set: bytes, chunk: 
 
 
 @lru_cache(maxsize=256)
-def _inner_split(tab: PhaseTable, N, n_max: int, chunk: int) -> tuple:
-    """The q1 plans of a node's inner table at |phase| <= N and > N.  The
-    table is one per live set and its rows are live, so only the fold
-    weight selects them."""
+def _inner_plan(tab: PhaseTable, n_max: int, chunk: int) -> tuple:
+    """The q1 plan of a node's inner table.  The table is one per live set
+    and its rows are live, so only the fold weight selects them."""
     n, n1, n2, n3, w = _mirror_fold(tab.parents[tab.row], tab.c1, tab.c2, tab.c3)
-    splits = (np.abs(tab.m) <= N, np.abs(tab.m) > N)
-    return tuple(_plan_q1_rows(n_max, chunk, *(c[k & (w > 0)] for c in (n, n1, n2, n3, w))) for k in splits)
+    return _plan_q1_rows(n_max, chunk, *(c[w > 0] for c in (n, n1, n2, n3, w)))
 
 
 class _GapTable(NamedTuple):
@@ -628,13 +636,6 @@ def boxed_cubic(state: BoxedState, t: float | None = None) -> BoxedState:
     return BoxedState(g, out.reshape(2 * g.n_max, g.bins_per_box), t)
 
 
-def _table_state(node: _Node, N, mode) -> BoxedState:
-    """q1 summed over the (N, mode) triple table of the node's window."""
-    g = node.grid
-    plan = _q1_plan(g.n_max, node.window, N, mode, node.live_set, _q1_chunk(g))
-    return node.state_of(_sum_q1_over(node, plan))
-
-
 def apply_resonant(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 - R1 over all boxes (the resonant part of the cubic): by
     inclusion-exclusion, one q1 pass over the resonant set n1 ~ n or n3 ~ n."""
@@ -642,21 +643,21 @@ def apply_resonant(state: BoxedState, t: float | None = None, window: int | None
 
 
 def resonant_r1(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
-    return _table_state(_Node(state, t, window), None, "resonant_R1")
+    return _Node(state, t, window).table(None, "resonant_R1")
 
 
 def resonant_r2(state: BoxedState, t: float | None = None, window: int | None = None) -> BoxedState:
     """R2 counts the doubly matched rows twice: the resonant set plus R1."""
     node = _Node(state, t, window)
-    return node.resonant.state.plus(_table_state(node, None, "resonant_R1"))
+    return node.resonant.state.plus(node.table(None, "resonant_R1"))
 
 
 def apply_n11(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    return _table_state(_Node(state, t, window), N, "A_N")
+    return _Node(state, t, window).table(N, "A_N")
 
 
 def apply_n12(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
-    return _table_state(_Node(state, t, window), N, "A_N_complement")
+    return _Node(state, t, window).table(N, "A_N_complement")
 
 
 # ---------------------------------------------------------------------------
@@ -718,19 +719,17 @@ def _coupled_insert_rows(buckets, sign, boxes, mu_prev, mu_first, J, which):
 class _GenerationOne(NamedTuple):
     boundary: BoxedState
     inserts: BoxedState | None
-    n12: BoxedState | None
 
 
-def _generation_one(node: _Node, N, resonant=False, which=None):
+def _generation_one(node: _Node, N, resonant=False, nonresonant=False):
     """Generation one at a node, in one pass over the high-phase rows.
 
     ``boundary`` is N21, the gap kernel summed over A_N^c.  ``inserts`` sums,
     over A_N^c and the three slots, fsgn(slot) * q1_tilde(... insert at
     slot ...), where the insert is (R2 - R1)(v) if ``resonant`` plus, if
-    which = "all", the box's full non-resonant inner sum; it is None when
-    neither is asked for.  ``n12`` is N12, the high-phase part of the same
-    inner sums (``_Node.inner``), when ``which`` is given.  The phase-restricted
-    inserts are the tree path's (N32 is its J = 1 pass).
+    ``nonresonant``, the box's full non-resonant sum N11 + N12 from the node's
+    table sums (``_Node.table``); it is None when neither is asked for.  The
+    phase-restricted inserts are the tree path's (N32 is its J = 1 pass).
 
     Per row, output bin a of the gap kernel sums u1[b] g2[j] u3[c] /
     (d1[a,b] d3[a,c]) over the bins with b + c = sB - 1 + a - j, where s - 1
@@ -755,24 +754,22 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
     (``_GapTable.group_weight``) if it has a row of at least two live slots (a
     row with fewer contributes exact zeros); if there are none, nothing is built.
     """
-    if which not in (None, "all"):
-        raise ConfigurationError(f"the gap pass takes which = None or 'all', not {which!r}")
     g = node.grid
     B = g.bins_per_box
     plan = _gap_plan(g, node.window, N, node.live_set, ROW_CHUNK)
-    inserting = resonant or which is not None
+    inserting = resonant or nonresonant
     bnd = np.zeros_like(node.data)
     ins = np.zeros_like(node.data) if inserting else None
-    n12 = np.zeros_like(node.data) if which is not None else None
     if plan is not None:
         gt = plan.table
         # per-box factors in the u-picture: u, then the per-box insert
         factors = [node.u]
         all_boxes = np.arange(-g.n_max, g.n_max)
-        if which is not None:
-            n12[:] = node.inner(N)[1]
         if inserting:
-            factors.append(node.inserts(all_boxes, N, resonant, which) * node.phase)
+            insert = node.resonant.data if resonant else 0.0
+            if nonresonant:
+                insert = insert + (node.table(N, "A_N").data + node.table(N, "A_N_complement").data)
+            factors.append(insert * node.phase)
 
         # FX of every factor and (box, gap) pair: X zero-padded to 2B, in place
         F = np.zeros((len(factors), len(gt.pair_box), B, 2 * B), dtype=np.complex128)
@@ -801,7 +798,7 @@ def _generation_one(node: _Node, N, resonant=False, which=None):
         for k, out in enumerate((bnd, ins)[: len(factors)]):
             out[:] = node.out(acc[:, k], all_boxes)
 
-    return _GenerationOne(*(None if d is None else node.state_of(d) for d in (bnd, ins, n12)))
+    return _GenerationOne(*(None if d is None else node.state_of(d) for d in (bnd, ins)))
 
 
 def n21_state(state: BoxedState, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
@@ -818,14 +815,14 @@ def _generation_one_low(node: _Node, N, resonant=False) -> _GenerationOne:
     """``_generation_one`` with the non-resonant insert restricted to the
     level-1 low set: N31 = N3 - N32, where N32, the insert on its complement,
     is the J = 1 tree pass."""
-    first = _generation_one(node, N, resonant, "all")
+    first = _generation_one(node, N, resonant, nonresonant=True)
     n32 = _tree_level_sum(node, 1, N, which="high")
     return first._replace(inserts=first.inserts.plus(n32, -1.0))
 
 
 def n3_state(state, N, t=None, window=None):
     """Full non-resonant insert sum at generation one (no phase restriction)."""
-    return _generation_one(_Node(state, t, window), N, which="all").inserts
+    return _generation_one(_Node(state, t, window), N, nonresonant=True).inserts
 
 
 def n31_state(state, N, t=None, window=None):
@@ -840,7 +837,7 @@ def n32_state(state, N, t=None, window=None):
 
 def n22_state(state, N, t=None, window=None):
     """The substituted time-derivative term: resonant plus non-resonant inserts."""
-    return _generation_one(_Node(state, t, window), N, resonant=True, which="all").inserts
+    return _generation_one(_Node(state, t, window), N, resonant=True, nonresonant=True).inserts
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +935,7 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
                 leaf = leaf_ids[li]
                 mu, _ = _phases(tree, freq)
                 inserts = node.inserts(
-                    freq[:, leaf], N, resonant, which, signs.fsgn[leaf],
+                    freq[:, leaf], resonant, which, signs.fsgn[leaf],
                     mu.sum(axis=1).astype(float), mu[:, 0].astype(float), J,
                 )
                 live = np.any(inserts != 0, axis=1)
@@ -954,22 +951,16 @@ def _tree_level_sum(node: _Node, J, N, resonant=False, which=None, allowed_all=N
 
 def generation_n0(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Boundary operator at level J+1 (trees with J generations)."""
-    if J == 1:
-        return n21_state(state, N, t, window)
     return _tree_level_sum(_Node(state, t, window), J, N)
 
 
 def generation_nr(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Resonant-insert operator at level J+1."""
-    if J == 1:
-        return n4_state(state, N, t, window)
     return _tree_level_sum(_Node(state, t, window), J, N, resonant=True)
 
 
 def generation_n1(state: BoxedState, J: int, N: float, t: float | None = None, window: int | None = None) -> BoxedState:
     """Low-phase non-resonant insert at level J+1."""
-    if J == 1:
-        return n31_state(state, N, t, window)
     return _tree_level_sum(_Node(state, t, window), J, N, which="low")
 
 
@@ -984,11 +975,8 @@ def remainder_n2(
     """Unrestricted non-resonant insert at level J+1 (the dropped tail).
 
     ``allowed_all`` restricts every tree node to a box set (the sparse-support
-    window used by the remainder-decay study); J = 1 then also goes through
-    the tree path so all levels share the same operative window.
+    window used by the remainder-decay study).
     """
-    if J == 1 and allowed_all is None:
-        return n3_state(state, N, t, window)
     return _tree_level_sum(_Node(state, t, window), J, N, which="all", allowed_all=allowed_all)
 
 
@@ -1098,22 +1086,21 @@ def _integrand(state, params):
     state and time (the boundary is zero at J = 1).
 
     All levels evaluate at one node, which builds the insert states once.
-    Level 2 comes from one generation-one pass, less N32 (the J = 1 tree
-    pass, ``_generation_one_low``).  Each level j >= 3 takes its
+    N12 is the node's A_N^c table sum (``_Node.table``), which level 2 reads
+    again for its full insert.  Level 2 comes from one generation-one pass,
+    less N32 (the J = 1 tree pass, ``_generation_one_low``).  Each level j >= 3 takes its
     boundary from one tree pass and its resonant and low-set inserts, which
     share the weight, from another.
     """
     sigma, N = params.sign, params.N
     node = _Node(state, window=params.window)
-    first = None if params.J == 1 else _generation_one_low(node, N, resonant=True)
-    n12 = _table_state(node, N, "A_N_complement") if first is None else first.n12
     # (R2-R1) + N11 == full cubic minus N12 (the decomposition identity)
-    total = boxed_cubic(state, node.t).plus(n12, -1.0).scaled(1j * sigma)
+    total = boxed_cubic(state, node.t).plus(node.table(N, "A_N_complement"), -1.0).scaled(1j * sigma)
     boundary = BoxedState.zero(state.grid, node.t)
     for j in range(2, params.J + 1):
         w_bnd, w_ins = _level_weights(j, sigma)
         if j == 2:
-            bnd, inserts = first.boundary, first.inserts
+            bnd, inserts = _generation_one_low(node, N, resonant=True)
         else:
             bnd = _tree_level_sum(node, j - 1, N)
             inserts = _tree_level_sum(node, j - 1, N, resonant=True, which="low")

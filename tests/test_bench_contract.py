@@ -27,8 +27,8 @@ PAPER_NAMED = {
 # the package's private names the tests may reach, each with its reason
 PRIVATE_ALLOWLIST = {
     "_integrand": "one node's integrand: cache warming, the level assembly and its call count",
-    "_Node": "the evaluation context: insert builds patched to count or refuse, inner sums read",
-    "_tree_level_sum": "the tree pass of insert kinds no public operator reaches (J = 1, fused, restricted)",
+    "_Node": "the evaluation context: insert builds patched to count or refuse, table sums spied, inner sums read",
+    "_tree_level_sum": "the tree pass of insert kinds no public operator reaches (fused, restricted, 'high' at J = 2)",
     "_chain_possible": "the tree path's prefilter, switched off and checked against the frontier",
     "_contraction": "the gap pass's contraction table against the inverse FFT and pick of random spectra",
     "_mirror_fold": "the n1 <-> n3 fold weights, which no sum shows (an unfolded sum is the same sum)",

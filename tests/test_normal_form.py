@@ -307,19 +307,18 @@ def test_live_phase_table_is_the_masked_full_table(sign):
 
 
 @pytest.mark.parametrize("mode", ["resonant_R2", "resonant_R1", "A_N", "A_N_complement"])
-def test_triple_tables_and_inner_split_are_closed_under_the_mirror(mode):
+def test_triple_tables_and_inner_table_are_closed_under_the_mirror(mode):
     # the q1 sums and the gap pass fold each row with its mirror (n, n3, n2,
-    # n1): the tables, and the live phase tables split at |phase| = 12 as the
-    # inner sums are, hold both, and the fold weighs 2 on the row with
-    # n1 < n3, 1 on n1 = n3 and 0 on n1 > n3
+    # n1): the tables, and the live phase tables whose q1 sums are the inner
+    # sums, hold both, and the fold weighs 2 on the row with n1 < n3, 1 on
+    # n1 = n3 and 0 on n1 > n3
     tables = []
     for n_max, window, N in [(8, 4, 12.0), (64, 5, 12.0), (16, 3, math.inf), (16, 6, 16.0)]:
         tables.append(triple_table(n_max, window, None if mode.startswith("resonant") else N, mode))
     for n_max, window, live in LIVE_CASES:
         lim = min(3 * window + 1, n_max - 1)
         tab = phase_table(tuple(range(-lim, lim + 1)), window, (live,) * 3, 1)
-        high = np.abs(tab.m) > 12.0
-        tables += [tuple(c[k] for c in (tab.parents[tab.row], tab.c1, tab.c2, tab.c3)) for k in (~high, high)]
+        tables.append((tab.parents[tab.row], tab.c1, tab.c2, tab.c3))
     assert sum(len(table[0]) > 0 for table in tables) >= 5
     for table in tables:
         n, n1, n2, n3 = table
@@ -382,7 +381,7 @@ def test_generation_one_operators_match_per_slot_oracle(grid, span, N, window):
 @pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
 def test_fused_generation_one_inserts(grid, span, N, window):
     # the J = 2 integrand takes the boundary and the resonant and low-set
-    # inserts from one gap pass less N32, and N12 from the node's inner sums
+    # inserts from one gap pass less N32, and N12 from the node's A_N^c sum
     v, pairs = generation_one_case(grid, span, N, window)
     total, boundary = _integrand(v, SolverParams(J=2, N=N, T=1.0, q=2.0, window=window))
     w_bnd, w_ins = level_weights(2, 1)
@@ -399,16 +398,9 @@ def test_tree_pass_at_one_generation_is_the_gap_pass(grid, span, N, window):
     v, pairs = generation_one_case(grid, span, N, window)
     node = _Node(v, 0.2, window)
     kinds = {n21_state: {}, n4_state: dict(resonant=True), n3_state: dict(which="all"),
-             n22_state: dict(resonant=True, which="all")}
+             n31_state: dict(which="low"), n22_state: dict(resonant=True, which="all")}
     for op, kw in kinds.items():
         assert_close(_tree_level_sum(node, 1, N, **kw).data, pairs[op][1], 1e-13)
-
-
-@pytest.mark.parametrize("grid, span, N, window", GENERATION_ONE_CONFIGS)
-def test_n12_from_shared_rows_matches_apply_n12(grid, span, N, window):
-    # the integrand's N12: the node's inner sums above the threshold
-    v, _ = generation_one_case(grid, span, N, window)
-    assert_close(_Node(v, 0.2, window).inner(N)[1], apply_n12(v, N, 0.2, window).data, 1e-15)
 
 
 def high_pass_cases():
@@ -433,14 +425,18 @@ def test_high_tree_pass_needs_the_next_chain_step(case, monkeypatch):
     assert np.any(got) == ((J, N, window) == (1, 1.0, 14))
 
 
+def live_compare_case():
+    """The live compare state at t = 0.01, and its J = 2 parameters."""
+    u0 = gaussian_field(make_grid(8, 16), amplitude=0.5, width=2.0)
+    v = trimmed(BoxedState.from_spectrum(forward(u0), 0.01), 1e-8)
+    return v, SolverParams(J=2, N=16.0, T=0.03, q=2.0, R=1.0, R_tilde=1.0, K=6, window=6)
+
+
 def test_live_config_builds_no_inner_buckets(monkeypatch):
     # the live compare state: N32 is structurally empty at window 6, so the
-    # J = 2 integrand and the full inserts read only per-box inner sums; the
+    # J = 2 integrand and the full inserts read only per-box table sums; the
     # gap pass builds no buckets where N32 is live either (window 14)
-    grid = make_grid(8, 16)
-    u0 = gaussian_field(grid, amplitude=0.5, width=2.0)
-    v = trimmed(BoxedState.from_spectrum(forward(u0), 0.01), 1e-8)
-    params = SolverParams(J=2, N=16.0, T=0.03, q=2.0, R=1.0, R_tilde=1.0, K=6, window=6)
+    v, params = live_compare_case()
     grid, span, N, window = GENERATION_ONE_CONFIGS[2]
     w, _ = generation_one_case(grid, span, N, window)
 
@@ -453,6 +449,29 @@ def test_live_config_builds_no_inner_buckets(monkeypatch):
     for op in (n3_state, n22_state):
         assert np.any(op(v, 16.0, 0.01, 6).data != 0)
     assert np.any(n22_state(w, N, 0.2, window).data != 0)
+
+
+def test_integrand_sums_each_table_once_per_node(monkeypatch):
+    # the J = 2 integrand on the live compare state reads N12 and the gap
+    # pass's full insert N11 + N12 from one node's table sums: every read of
+    # an (N, mode) pair gets the one node's one state, and N12 is apply_n12's
+    v, params = live_compare_case()
+    N, original, reads = params.N, _Node.table, {}
+
+    def spy(node, *key):
+        out = original(node, *key)
+        reads.setdefault(key, []).append((node, out))
+        return out
+
+    monkeypatch.setattr(_Node, "table", spy)
+    _integrand(v, params)
+    assert set(reads) == {(None, "resonant_R2"), (N, "A_N"), (N, "A_N_complement")}
+    assert len(reads[N, "A_N_complement"]) == 2
+    first = reads[N, "A_N"][0]
+    for pair_reads in reads.values():
+        assert all(node is first[0] and out is pair_reads[0][1] for node, out in pair_reads)
+    n12 = reads[N, "A_N_complement"][0][1].data
+    assert np.any(n12) and np.array_equal(n12, apply_n12(v, N, v.time, params.window).data)
 
 
 @pytest.mark.parametrize("B", [4, 8, 16])
@@ -521,14 +540,13 @@ def test_folded_gap_pass_matches_per_row_oracle(seed, B, dead):
 )
 def test_folded_sum_q1_over_matches_per_row_oracle(seed, B, dead, mode):
     # the folded tables of window 4 with box -5 live outside it: a child set
-    # of the node's inner table that no child reaches; the inner sums split
-    # at |phase| = 8 are A_N and A_N^c
+    # of the node's inner table that no child reaches; the inner sums are
+    # A_N and A_N^c together
     v = fold_state(np.random.default_rng(seed), B, dead, -5)
-    pairs = [(Q1_OPS[mode](v, 8.0, 0.2, 4).data, mode)]
-    pairs += zip(_Node(v, 0.2, 4).inner(8.0), ("A_N", "A_N_complement"))
-    for got, mode in pairs:
-        want = q1_reference(v, 0.2, 8.0, 4, mode)
-        assert_folded_sum(got, want, 1e-14, v, triple_table(16, 4, 8.0, mode), 3)
+    want = q1_reference(v, 0.2, 8.0, 4, mode)
+    assert_folded_sum(Q1_OPS[mode](v, 8.0, 0.2, 4).data, want, 1e-14, v, triple_table(16, 4, 8.0, mode), 3)
+    want = sum(q1_reference(v, 0.2, 8.0, 4, m) for m in ("A_N", "A_N_complement"))
+    assert_folded_sum(_Node(v, 0.2, 4).inner, want, 1e-14, v, triple_table(16, 4, math.inf, "A_N"), 3)
 
 
 @cache
@@ -677,7 +695,7 @@ def test_inner_buckets_sum_matches_masked_per_box_sum():
     mu_first = np.concatenate([mu_first, ((top - 0.005) / 125) ** (1 / 0.99)])
     for sign in (+1, -1):
         for which in ("low", "high"):
-            got = node.inserts(boxes, None, False, which, sign, mu_prev, mu_first, 1)
+            got = node.inserts(boxes, False, which, sign, mu_prev, mu_first, 1)
             want = ref.insert(which, boxes, sign, mu_prev, mu_first, 1)
             assert_close(got, want, 1e-12)
         # where the low set holds the box's whole run, "high" is exactly zero:
@@ -892,7 +910,7 @@ TREE_INSERTS = {
 
 def batched_tree_level_sum(v, J, t, mode, allowed):
     """The public operator where it reaches the tree path, else the private sum."""
-    if J >= 2 and allowed is None and mode != "nr+n1":
+    if allowed is None and mode != "nr+n1":
         op = {"n0": generation_n0, "nr": generation_nr, "n1": generation_n1, "rem": remainder_n2}
         return op[mode](v, J, 1.0, t, 16)
     if mode == "rem":
